@@ -68,6 +68,10 @@ class Budget:
     height: int | None = None
     loop_n: int = 3
 
+    def __post_init__(self):
+        if self.loop_n < 1:
+            raise InputError(f"loop length must be at least 1, got {self.loop_n}")
+
 
 @dataclass(frozen=True)
 class StateSet:
@@ -195,6 +199,7 @@ class FiniteAlgebra(MAlgebra):
         self.meta = dict(meta or {})
         self._state_index = {s: i for i, s in enumerate(self.states)}
         self._fp_masks: dict[str, int] = {}
+        self._z_masks: dict[str, int] = {}
         self._table_index: dict[tuple, Measurement] | None = None
         self._negations: dict[str, Measurement] = {}
 
@@ -217,11 +222,16 @@ class FiniteAlgebra(MAlgebra):
         return cached
 
     def z_mask(self, m: Measurement) -> int:
-        mask = 0
-        for i, s in enumerate(self.states):
-            if m(s) == self.zero:
-                mask |= 1 << i
-        return mask
+        """Zero set as a bitmask over the declared state order."""
+        cached = self._z_masks.get(m.name)
+        if cached is None or self._measurements.get(m.name) is not m:
+            cached = 0
+            for i, s in enumerate(self.states):
+                if m(s) == self.zero:
+                    cached |= 1 << i
+            if self._measurements.get(m.name) is m:
+                self._z_masks[m.name] = cached
+        return cached
 
     def action_key(self, mapping: dict) -> tuple:
         return tuple(mapping[s] for s in self.states)
@@ -374,7 +384,7 @@ def preserves_pointwise(alg: MAlgebra, a, b, height: int | None = None) -> bool:
 def commutes(alg: MAlgebra, a, b) -> bool:
     a, b = _resolve(alg, a), _resolve(alg, b)
     if isinstance(alg, RayAlgebra):
-        return mat_mul(a.matrix, b.matrix) == mat_mul(b.matrix, a.matrix)
+        return a.subspace.commutes_with(b.subspace)
     return all(b(a(x)) == a(b(x)) for x in alg.states)
 
 
@@ -594,13 +604,15 @@ def _check_separability(alg, budget):
     witnesses, checked = [], 0
     states, complete = _per_state_domain(alg, budget)
     nonzero = [x for x in states if x != alg.zero]
+    by_point = isinstance(alg, RayAlgebra) and alg.full_lattice
     for x in nonzero:
+        # One point measurement per x, so its ray memo serves the whole y loop.
+        e = point_measurement(alg, x) if by_point else None
         for y in nonzero:
             if x == y:
                 continue
             checked += 1
-            if isinstance(alg, RayAlgebra) and alg.full_lattice:
-                e = point_measurement(alg, x)
+            if by_point:
                 if e(x) == x and e(y) != y:
                     continue
                 witnesses.append((state_id(alg, x), state_id(alg, y)))

@@ -20,7 +20,7 @@ import itertools
 from . import formulas
 from .core import FiniteAlgebra, ProjectionMeasurement, RayAlgebra, TableMeasurement, extent
 from .errors import InputError
-from .ratlin import Subspace, format_rational, mat_mul, rational
+from .ratlin import Subspace, format_rational, rational
 
 MAX_ATOMS = 3
 
@@ -188,9 +188,7 @@ def build_ray(dimension, subspaces, full_lattice=False, sample_height=3):
                     f"of {m.name!r} is missing"
                 )
         for a, b in itertools.combinations(measurements, 2):
-            pa, pb = a.subspace.projection, b.subspace.projection
-            prod = mat_mul(pa, pb)
-            if prod != mat_mul(pb, pa):
+            if not a.subspace.commutes_with(b.subspace):
                 continue
             inter = a.subspace.intersect(b.subspace)
             if inter not in by_subspace:

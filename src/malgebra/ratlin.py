@@ -5,6 +5,16 @@ operation is exact, so equality checks carry no tolerance.  Subspaces of Q^n
 are stored in a canonical form (reduced row echelon basis, rows scaled to
 coprime integers with positive leading entry), which makes span equality a
 plain ``==`` and lets subspaces serve as dict keys.
+
+The hot kernels run on integers rather than on ``Fraction``.  A rational
+matrix M is scaled to an integer matrix N and a positive denominator d (the
+lcm of M's denominators) with M = N/d; ``mat_mul`` multiplies the scaled
+operands in ``int`` and builds each output ``Fraction`` once.  Each
+``Subspace`` caches the scaled form of its projection, so projecting a ray is
+an integer mat-vec followed by a gcd and sign normalisation (d never matters
+for a direction), and membership tests compare N·u with d·u.  Projected rays
+are memoised per ``Subspace`` instance, keyed by the ray's direction; the memo
+lives as long as that instance and takes no part in its equality or hash.
 """
 
 from __future__ import annotations
@@ -14,6 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -21,6 +32,7 @@ from .errors import InputError
 Rational = Fraction
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
+IntMatrix = tuple[tuple[int, ...], ...]
 
 
 def rational(value) -> Fraction:
@@ -83,15 +95,23 @@ def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Vector:
     return tuple(dot(row, v) for row in m)
 
 
+def scale_to_int(m: Matrix) -> tuple[IntMatrix, int]:
+    """An integer matrix N and the positive lcm d of m's denominators, m = N/d."""
+    d = math.lcm(*(x.denominator for row in m for x in row))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m), d
+
+
+def int_mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise InputError("incompatible matrix shapes")
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    (na, da), (nb, db) = scale_to_int(a), scale_to_int(b)
+    d = da * db
+    return tuple(tuple(Fraction(x, d) for x in row) for row in int_mat_mul(na, nb))
 
 
 def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[Vector], list[int]]:
@@ -191,7 +211,11 @@ def projection_matrix(basis: Sequence[Sequence], dim: int | None = None) -> Matr
 
 
 def is_symmetric_idempotent(m: Matrix) -> bool:
-    return m == transpose(m) and mat_mul(m, m) == m
+    if m != transpose(m):
+        return False
+    n, d = scale_to_int(m)
+    # (N/d)(N/d) = N/d  iff  N N = d N
+    return int_mat_mul(n, n) == tuple(tuple(d * x for x in row) for row in n)
 
 
 @dataclass(frozen=True)
@@ -302,6 +326,16 @@ class Subspace:
         return projection_matrix(self.basis, self.dim)
 
     @cached_property
+    def scaled_projection(self) -> tuple[IntMatrix, int]:
+        """The projection as an integer matrix N and a positive d, P = N/d."""
+        return scale_to_int(self.projection)
+
+    @cached_property
+    def _ray_images(self) -> dict:
+        """Memo of ``project_ray``: ray direction -> image ray."""
+        return {}
+
+    @cached_property
     def orthocomplement(self) -> "Subspace":
         if not self.basis:
             return Subspace.full(self.dim)
@@ -314,28 +348,56 @@ class Subspace:
     def project_vector(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.dim:
             raise InputError(f"vector of length {len(v)} in Q^{self.dim}")
-        return mat_vec(self.projection, v)
+        n, d = self.scaled_projection
+        (u,), scale = scale_to_int((v,))
+        return tuple(Fraction(sum(map(mul, row, u)), d * scale) for row in n)
 
     def project_ray(self, ray: Ray) -> Ray:
         if ray.dim != self.dim:
             raise InputError(f"ray of dimension {ray.dim} in Q^{self.dim}")
         if ray.is_zero:
             return ray
-        return Ray.from_vector(self.project_vector(ray.vector), self.dim)
+        image = self._ray_images.get(ray.direction)
+        if image is None:
+            w = [sum(map(mul, row, ray.direction)) for row in self.scaled_projection[0]]
+            g = math.gcd(*w)
+            if g == 0:
+                image = Ray.zero(self.dim)
+            else:
+                if next(x for x in w if x) < 0:
+                    g = -g
+                image = Ray(self.dim, tuple(x // g for x in w))
+            self._ray_images[ray.direction] = image
+        return image
+
+    def _fixes(self, u: Sequence[int]) -> bool:
+        """Whether the projection fixes the integer vector u: N u = d u."""
+        n, d = self.scaled_projection
+        return all(sum(map(mul, row, u)) == d * x for row, x in zip(n, u))
 
     def contains(self, v: Sequence[Fraction]) -> bool:
         """Membership of a vector: the projection must fix it exactly."""
-        return self.project_vector(v) == tuple(v)
+        if len(v) != self.dim:
+            raise InputError(f"vector of length {len(v)} in Q^{self.dim}")
+        (u,), _ = scale_to_int((v,))
+        return self._fixes(u)
 
     def contains_ray(self, ray: Ray) -> bool:
         if ray.dim != self.dim:
             raise InputError(f"ray of dimension {ray.dim} in Q^{self.dim}")
-        return ray.is_zero or self.contains(ray.vector)
+        return ray.is_zero or self._fixes(ray.direction)
+
+    def commutes_with(self, other: "Subspace") -> bool:
+        """Whether the two projections commute, compared on their integer forms."""
+        if other.dim != self.dim:
+            raise InputError("ambient dimensions differ")
+        a, b = self.scaled_projection[0], other.scaled_projection[0]
+        return int_mat_mul(a, b) == int_mat_mul(b, a)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.dim != self.dim:
             raise InputError("ambient dimensions differ")
-        return all(self.contains(b) for b in other.basis_vectors)
+        return all(self._fixes(b) for b in other.basis)
 
     def span_with(self, other: "Subspace") -> "Subspace":
         if other.dim != self.dim:

@@ -119,6 +119,15 @@ def test_strong_sep_on_unsuitable_model_exits_two(capsys):
     assert "point measurement" in err
 
 
+def test_loop_n_below_one_exits_two(capsys):
+    code, out, err = run(
+        capsys, "check", fixture_path("r2"), "--axioms", "l_cumulativity", "--loop-n", "0"
+    )
+    assert code == 2
+    assert out == ""
+    assert "loop length" in err
+
+
 # exit code 3: budgets -------------------------------------------------------------
 
 

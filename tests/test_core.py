@@ -311,6 +311,12 @@ def test_l_cumulativity_detects_cycles():
     assert replay_witness(alg, "l_cumulativity", witness)
 
 
+@pytest.mark.parametrize("loop_n", [0, -1])
+def test_budget_refuses_loop_length_below_one(loop_n):
+    with pytest.raises(InputError):
+        Budget(loop_n=loop_n)
+
+
 def test_cumulativity_mutant():
     # two measurements whose images at x satisfy each other but differ
     alg = build_table(

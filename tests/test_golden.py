@@ -1,0 +1,58 @@
+"""Golden reports: canonical JSON and exit code of three subcommands per fixture.
+
+Each file under ``tests/golden`` holds one invocation's exit code on its first
+line ("exit N") and the exact standard output after it.  The files were
+captured before the integer projection kernels replaced the Fraction path, so
+a byte-identical match shows that the kernels change no verdict, witness or
+count.  Regenerate (only when a report is meant to change) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from malgebra.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+FIXTURES = ["f1", "t2", "t2_maximal", "r2", "r2_full", "r3", "r3_full"]
+COMMANDS = {
+    "check": ["check", "--axioms", "all"],
+    "lemmas": ["lemmas"],
+    "order": ["order", "--strong-sep"],
+}
+CASES = [(cmd, fx) for cmd in COMMANDS for fx in FIXTURES]
+
+
+def argv_for(command: str, fixture: str) -> list[str]:
+    sub, *flags = COMMANDS[command]
+    argv = [sub, str(ROOT / "fixtures" / f"{fixture}.json"), *flags, "--format", "json"]
+    if fixture.startswith("r"):
+        argv += ["--height", "2"]
+    return argv
+
+
+def render(command: str, fixture: str) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv_for(command, fixture))
+    return f"exit {code}\n{out.getvalue()}"
+
+
+@pytest.mark.parametrize("command,fixture", CASES)
+def test_report_matches_golden(command, fixture):
+    expected = (GOLDEN_DIR / f"{command}-{fixture}.out").read_text(encoding="utf-8")
+    assert render(command, fixture) == expected
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for command, fixture in CASES:
+        (GOLDEN_DIR / f"{command}-{fixture}.out").write_text(
+            render(command, fixture), encoding="utf-8")
+        print(command, fixture, file=sys.stderr)

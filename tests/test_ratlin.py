@@ -288,3 +288,109 @@ def test_matrix_shape_errors():
         mat_vec(identity_matrix(2), (F(1),))
     with pytest.raises(InputError):
         mat_mul(identity_matrix(2), identity_matrix(3))
+
+
+# integer kernels ------------------------------------------------------------
+
+
+def sympy_ray_image(s, direction):
+    """Reference image of a ray: the Gram-Schmidt projector applied to it."""
+    if direction is None:
+        return Ray.zero(s.dim)
+    image = sympy_projector(s.basis, s.dim) * sympy.Matrix(direction)
+    return Ray.from_vector([F(int(x.p), int(x.q)) for x in image], s.dim)
+
+
+def ray_strategy(dim):
+    """Nonzero directions of either sign (not canonicalised), plus the zero ray."""
+    return st.lists(st.integers(min_value=-5, max_value=5), min_size=dim, max_size=dim).map(
+        lambda v: Ray.from_vector(v, dim) if any(v) else Ray.zero(dim)
+    )
+
+
+def subspace_with_rays():
+    return subspace_strategy().flatmap(
+        lambda s: st.tuples(st.just(s), st.lists(ray_strategy(s.dim), min_size=1, max_size=6))
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(subspace_with_rays())
+def test_integer_project_ray_matches_sympy_projector(case):
+    s, rays = case
+    for ray in rays:
+        assert s.project_ray(ray) == sympy_ray_image(s, ray.direction)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subspace_with_rays())
+def test_project_ray_repeats_and_ignores_instance(case):
+    s, rays = case
+    twin = Subspace.from_generators(s.dim, s.basis)
+    assert twin == s and twin is not s and hash(twin) == hash(s)
+    for ray in rays:
+        first = s.project_ray(ray)
+        assert s.project_ray(ray) == first
+        assert twin.project_ray(ray) == first
+    assert twin == s and hash(twin) == hash(s)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_project_ray_on_rank_zero_and_full_subspaces(dim):
+    zero, full = Subspace.zero(dim), Subspace.full(dim)
+    for v in primitive_vectors(dim, 2):
+        ray = Ray(dim, v)
+        assert zero.project_ray(ray) == Ray.zero(dim)
+        assert full.project_ray(ray) == ray
+    assert zero.project_ray(Ray.zero(dim)) == Ray.zero(dim)
+    assert full.project_ray(Ray.zero(dim)) == Ray.zero(dim)
+
+
+def test_project_ray_negative_direction_and_orthogonal_ray():
+    d = Subspace.from_generators(2, [[1, -1]])
+    assert d.project_ray(Ray.from_vector([-3, 1])) == Ray.from_vector([1, -1])
+    assert d.project_ray(Ray.from_vector([1, 1])) == Ray.zero(2)
+    with pytest.raises(InputError):
+        d.project_ray(Ray.from_vector([1, 1, 1]))
+
+
+def naive_mat_mul(a, b):
+    """Reference product: the textbook Fraction triple loop."""
+    inner = len(b)
+    width = len(b[0]) if b else 0
+    return tuple(
+        tuple(sum((F(row[k]) * F(b[k][j]) for k in range(inner)), F(0)) for j in range(width))
+        for row in a
+    )
+
+
+def matrix_strategy(rows, cols):
+    return st.lists(
+        st.lists(small_fractions, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(lambda m: tuple(tuple(r) for r in m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.tuples(*(st.integers(min_value=1, max_value=4),) * 3).flatmap(
+        lambda shape: st.tuples(matrix_strategy(shape[0], shape[1]),
+                                matrix_strategy(shape[1], shape[2]))
+    )
+)
+def test_mat_mul_matches_naive_triple_loop(pair):
+    a, b = pair
+    product = mat_mul(a, b)
+    assert product == naive_mat_mul(a, b)
+    assert all(isinstance(x, Fraction) for row in product for x in row)
+
+
+def test_mat_mul_rectangular_non_integer_and_empty_shapes():
+    a = frac_matrix([[F(1, 2), F(-2, 3), 3]])
+    b = frac_matrix([[F(3, 4)], [F(1, 5)], [F(-7, 6)]])
+    assert mat_mul(a, b) == naive_mat_mul(a, b) == ((F(3, 8) - F(2, 15) - F(7, 2),),)
+    assert mat_mul(b, a) == naive_mat_mul(b, a)
+    assert mat_mul((), ()) == ()
+    assert mat_mul((), frac_matrix([[1, 2]])) == ()
+    assert mat_mul(frac_matrix([[1, 2]]), ()) == ((),)
+    with pytest.raises(InputError):
+        mat_mul(a, a)
