@@ -14,8 +14,7 @@ from .core import (
     Measurement,
     RayAlgebra,
     commutes,
-    compose_raw,
-    membership,
+    compose_member,
     negation_of,
 )
 from .errors import ClosureViolation, InputError, NotCommutingError
@@ -63,7 +62,7 @@ def conjunction(alg: MAlgebra, a, b) -> Measurement:
     """The composite of a commuting pair: the unique measurement whose
     fixpoints are the intersection of the two fixpoint sets."""
     a, b = _binary(alg, a, b)
-    result = membership(alg, compose_raw(alg, a, b))
+    result = compose_member(alg, a, b)
     if result is None:
         raise ClosureViolation(
             f"the composite of commuting {a.name!r} and {b.name!r} is not a "
@@ -137,4 +136,4 @@ def is_classical(alg: MAlgebra, m) -> bool:
     m = m if isinstance(m, Measurement) else alg.measurement(m)
     if isinstance(alg, RayAlgebra):
         return m.subspace.is_zero or m.subspace.is_full
-    return all(m(x) == x or m(x) == alg.zero for x in alg.states)
+    return alg.fp_mask(m) | alg.z_mask(m) == alg.full_mask

@@ -16,6 +16,8 @@ from .errors import BudgetError, InputError
 
 MAX_TAUTOLOGY_SLOTS = 20
 DEFAULT_FORMULA_CAP = 10**6
+# Deeper trees would overflow the recursive walkers (and the parser itself).
+MAX_FORMULA_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -108,9 +110,13 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse the textual syntax into a formula tree."""
+    """Parse the textual syntax into a formula tree.
+
+    Trees deeper than ``MAX_FORMULA_DEPTH`` are refused with a ParseError.
+    """
     tokens = _tokenize(text)
     index = 0
+    nesting = 0
 
     def peek():
         return tokens[index][0] if index < len(tokens) else None
@@ -146,16 +152,21 @@ def parse_formula(text: str) -> Formula:
         return node
 
     def parse_unary():
+        nonlocal nesting
         tok = peek()
-        if tok == "~":
+        if tok in ("~", "("):
+            nesting += 1
+            if nesting > MAX_FORMULA_DEPTH:
+                raise ParseError(f"formula nests deeper than {MAX_FORMULA_DEPTH}", here())
             take()
-            return Not(parse_unary())
-        if tok == "(":
-            take()
-            node = parse_implies()
-            if peek() != ")":
-                raise ParseError("expected ')'", here())
-            take()
+            if tok == "~":
+                node = Not(parse_unary())
+            else:
+                node = parse_implies()
+                if peek() != ")":
+                    raise ParseError("expected ')'", here())
+                take()
+            nesting -= 1
             return node
         if tok is None:
             raise ParseError("unexpected end of input", here())
@@ -167,7 +178,24 @@ def parse_formula(text: str) -> Formula:
     node = parse_implies()
     if index < len(tokens):
         raise ParseError(f"unexpected {peek()!r}", here())
+    if _formula_depth(node) > MAX_FORMULA_DEPTH:
+        raise ParseError(f"formula nests deeper than {MAX_FORMULA_DEPTH}", 0)
     return node
+
+
+def _formula_depth(f: Formula) -> int:
+    """Height of the formula tree; a lone slot has depth 0."""
+    depth = 0
+    stack = [(f, 0)]
+    while stack:
+        node, d = stack.pop()
+        depth = max(depth, d)
+        if isinstance(node, Not):
+            stack.append((node.operand, d + 1))
+        elif not isinstance(node, Slot):
+            stack.append((node.left, d + 1))
+            stack.append((node.right, d + 1))
+    return depth
 
 
 def slots_of(f: Formula) -> tuple[str, ...]:

@@ -13,7 +13,7 @@ The formula syntax itself (parser, AST, truth tables) lives in
 from __future__ import annotations
 
 from .connectives import CommutingSet, conjunction, disjunction, implication
-from .core import CheckResult, MAlgebra, RayAlgebra, negation_of
+from .core import CheckResult, MAlgebra, RayAlgebra, fp_subset, negation_of
 from .errors import InputError
 from .formulas import (  # noqa: F401  (public logic API)
     And,
@@ -41,13 +41,7 @@ _WITNESS_CAP = 10
 def _fp_is_full(alg, m) -> bool:
     if isinstance(alg, RayAlgebra):
         return m.subspace.is_full
-    return all(m(x) == x for x in alg.states)
-
-
-def _fp_included(alg, a, b) -> bool:
-    if isinstance(alg, RayAlgebra):
-        return b.subspace.contains_subspace(a.subspace)
-    return all(b(x) == x for x in alg.states if a(x) == x)
+    return alg.fp_mask(m) == alg.full_mask
 
 
 def verify_tautology_theorem(alg: MAlgebra, cs: CommutingSet,
@@ -109,7 +103,7 @@ def verify_tautology_theorem(alg: MAlgebra, cs: CommutingSet,
         for fn_b, (text_b, m_b) in class_items:
             if fn_a == fn_b:
                 continue
-            if entails(fn_a, fn_b) and not _fp_included(alg, m_a, m_b):
+            if entails(fn_a, fn_b) and not fp_subset(alg, m_a, m_b):
                 witnesses.append(("entailment_not_included", text_a, text_b))
 
     witnesses = sorted(witnesses)[:_WITNESS_CAP]

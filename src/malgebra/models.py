@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 
 from . import formulas
-from .core import FiniteAlgebra, ProjectionMeasurement, RayAlgebra, TableMeasurement, extent
+from .core import FiniteAlgebra, ProjectionMeasurement, RayAlgebra, TableMeasurement
 from .errors import InputError
 from .ratlin import Subspace, format_rational, rational
 
@@ -28,10 +28,11 @@ MAX_ATOMS = 3
 def build_table(states, zero, measurements, negations=None, kind="table", meta=None):
     """Finite algebra from explicit tables.  No law is assumed to hold."""
     states = list(states)
-    if len(set(states)) != len(states):
+    known = set(states)
+    if len(known) != len(states):
         dupe = next(s for s in states if states.count(s) > 1)
         raise InputError(f"duplicate state id {dupe!r}")
-    if zero not in states:
+    if zero not in known:
         raise InputError(f"zero state {zero!r} is not among the states")
     table_measurements = []
     for name in measurements:
@@ -39,10 +40,10 @@ def build_table(states, zero, measurements, negations=None, kind="table", meta=N
         missing = [s for s in states if s not in table]
         if missing:
             raise InputError(f"measurement {name!r} has no entry for state {missing[0]!r}")
-        extra = [s for s in table if s not in states]
+        extra = [s for s in table if s not in known]
         if extra:
             raise InputError(f"measurement {name!r} maps unknown state {extra[0]!r}")
-        bad = [s for s in states if table[s] not in states]
+        bad = [s for s in states if table[s] not in known]
         if bad:
             raise InputError(
                 f"measurement {name!r} sends {bad[0]!r} to unknown state {table[bad[0]]!r}"
@@ -61,9 +62,7 @@ def _validate_negations(alg, negations):
         n = alg.measurement(other)
         if negations.get(other, name) != name:
             raise InputError(f"negation map is not an involution at {name!r}")
-        fp_m, z_m, _ = extent(alg, m)
-        fp_n, z_n, _ = extent(alg, n)
-        if fp_n.members != z_m.members or z_n.members != fp_m.members:
+        if alg.fp_mask(n) != alg.z_mask(m) or alg.z_mask(n) != alg.fp_mask(m):
             raise InputError(
                 f"declared negation {other!r} of {name!r} does not swap "
                 "fixpoints and zeros"
@@ -298,42 +297,75 @@ def load_model(data: dict):
         raise InputError("model file must hold an object")
     kind = data.get("kind")
     if kind == "table":
-        _require(data, "states", list)
-        _require(data, "measurements", dict)
-        if "zero" not in data:
-            raise InputError("table model needs a \"zero\" entry")
+        states = _require(data, "states", _is_str_list, "a list of state ids")
+        measurements = _require(data, "measurements", dict, "an object")
+        zero = _require(data, "zero", str, "a state id")
+        for name, table in measurements.items():
+            if not _is_str_map(table):
+                raise InputError(f"measurement {name!r} must map state ids to state ids")
         return build_table(
-            states=data["states"],
-            zero=data["zero"],
-            measurements=data["measurements"],
-            negations=data.get("negations"),
+            states=states,
+            zero=zero,
+            measurements=measurements,
+            negations=_require(data, "negations", _is_str_map,
+                               "an object mapping names to names", None),
         )
     if kind == "ray":
-        _require(data, "dimension", int)
-        _require(data, "subspaces", dict)
+        subspaces = _require(data, "subspaces", _is_generator_map,
+                             "an object mapping names to lists of vectors")
         return build_ray(
-            dimension=data["dimension"],
+            dimension=_require(data, "dimension", _is_int, "an integer"),
             subspaces={
                 name: [[rational(x) for x in vec] for vec in vectors]
-                for name, vectors in data["subspaces"].items()
+                for name, vectors in subspaces.items()
             },
-            full_lattice=bool(data.get("full_lattice", False)),
-            sample_height=int(data.get("sample_height", 3)),
+            full_lattice=_require(data, "full_lattice", bool, "true or false", False),
+            sample_height=_require(data, "sample_height", _is_int, "an integer", 3),
         )
     if kind == "propositional":
-        _require(data, "atoms", list)
         return build_propositional(
-            atoms=data["atoms"],
+            atoms=_require(data, "atoms", _is_str_list, "a list of atom names"),
             variant=data.get("variant", "all_theories"),
         )
     raise InputError(f"unknown model kind {kind!r}")
 
 
-def _require(data, key, expected_type):
-    if key not in data:
-        raise InputError(f"model file lacks the {key!r} entry")
-    if not isinstance(data[key], expected_type):
-        raise InputError(f"model entry {key!r} has the wrong shape")
+_REQUIRED = object()
+
+
+def _require(data, key, shape, what, default=_REQUIRED):
+    """The entry under ``key``, checked against a type or a predicate; an
+    optional entry that is absent or null gives ``default``."""
+    value = data.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise InputError(f"model file lacks the {key!r} entry")
+        return default
+    valid = isinstance(value, shape) if isinstance(shape, type) else shape(value)
+    if not valid:
+        raise InputError(f"model entry {key!r} has the wrong shape: expected {what}")
+    return value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def _is_generator_map(value) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(vectors, list) and all(isinstance(v, list) for v in vectors)
+        for vectors in value.values()
+    )
+
+
+def _is_str_map(value) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(k, str) and isinstance(v, str) for k, v in value.items()
+    )
 
 
 def dump_model(alg) -> dict:

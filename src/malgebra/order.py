@@ -18,10 +18,12 @@ from .core import (
     RayAlgebra,
     apply,
     commutes,
+    fp_subset,
     negation_of,
     point_measurement,
     state_id,
     top_bot,
+    z_subset,
 )
 from .errors import NotStronglySeparable
 from .ratlin import Ray
@@ -29,25 +31,12 @@ from .ratlin import Ray
 _WITNESS_CAP = 10
 
 
-def _fp_subset(alg, a, b) -> bool:
-    if isinstance(alg, RayAlgebra):
-        return b.subspace.contains_subspace(a.subspace)
-    return alg.fp_mask(a) & ~alg.fp_mask(b) == 0
-
-
-def _z_subset(alg, a, b) -> bool:
-    """Z(a) is included in Z(b)."""
-    if isinstance(alg, RayAlgebra):
-        return b.subspace.orthocomplement.contains_subspace(a.subspace.orthocomplement)
-    return alg.z_mask(a) & ~alg.z_mask(b) == 0
-
-
 def leq(alg: MAlgebra, a, b) -> bool:
     """Order by fixpoint inclusion; the dual zero-set route must agree."""
     a = a if isinstance(a, Measurement) else alg.measurement(a)
     b = b if isinstance(b, Measurement) else alg.measurement(b)
-    by_fp = _fp_subset(alg, a, b)
-    by_z = _z_subset(alg, b, a)
+    by_fp = fp_subset(alg, a, b)
+    by_z = z_subset(alg, b, a)
     if by_fp != by_z:
         raise RuntimeError(
             f"internal error: the two order definitions disagree on "

@@ -128,6 +128,52 @@ def test_loop_n_below_one_exits_two(capsys):
     assert "loop length" in err
 
 
+def write_model(tmp_path, data):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def assert_refused(result, phrase):
+    code, out, err = result
+    assert (code, out) == (2, "")
+    assert phrase in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("height", ["abc", True, 2.5])
+def test_non_integer_sample_height_exits_two(tmp_path, capsys, height):
+    model = write_model(tmp_path, {
+        "kind": "ray", "dimension": 2, "sample_height": height,
+        "subspaces": {"bot": [], "top": [["1", "0"], ["0", "1"]]},
+    })
+    assert_refused(run(capsys, "check", model), "sample_height")
+
+
+def test_negations_that_are_not_a_name_map_exit_two(tmp_path, capsys):
+    model = write_model(tmp_path, {
+        "kind": "table", "states": ["0", "a"], "zero": "0",
+        "measurements": {"top": {"0": "0", "a": "a"}, "bot": {"0": "0", "a": "0"}},
+        "negations": ["x"],
+    })
+    assert_refused(run(capsys, "check", model), "negations")
+
+
+def test_non_string_atoms_exit_two(tmp_path, capsys):
+    model = write_model(tmp_path, {"kind": "propositional", "atoms": [1, 2]})
+    assert_refused(run(capsys, "check", model), "atoms")
+
+
+@pytest.mark.parametrize("expr", [
+    "~" * 5000 + "a",
+    "(" * 5000 + "a" + ")" * 5000,
+    "a" + " & a" * 5000,
+], ids=["negations", "parentheses", "conjunctions"])
+def test_deeply_nested_formula_exits_two(capsys, expr):
+    result = run(capsys, "connective", fixture_path("t2"), "--expr", expr, "--bind", "a=p")
+    assert_refused(result, "deeper than")
+
+
 # exit code 3: budgets -------------------------------------------------------------
 
 

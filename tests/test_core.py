@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from malgebra.core import (
     Budget,
     DEFINING_AXIOMS,
+    TableMeasurement,
     apply,
     check_axiom,
     check_axioms,
     commutes,
+    compose_member,
     compose_raw,
     extent,
     lemma_suite,
@@ -426,9 +428,8 @@ def test_loop_law_at_length_one_is_the_exchange_law(data):
     assert plain.ok == looped.ok
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_witnesses_replay_on_random_tables(data):
+def draw_table_algebra(data):
+    """A random table algebra; most break some law."""
     n_states = data.draw(st.integers(min_value=2, max_value=4))
     states = ["0"] + [f"s{i}" for i in range(1, n_states)]
     n_measurements = data.draw(st.integers(min_value=1, max_value=3))
@@ -437,8 +438,67 @@ def test_witnesses_replay_on_random_tables(data):
         measurements[f"m{i}"] = {
             s: data.draw(st.sampled_from(states)) for s in states
         }
-    alg = build_table(states=states, zero="0", measurements=measurements)
+    return build_table(states=states, zero="0", measurements=measurements)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_witnesses_replay_on_random_tables(data):
+    alg = draw_table_algebra(data)
     for pid in DEFINING_AXIOMS + ("separability", "strong_separability", "l_cumulativity"):
         result = check_axiom(alg, pid)
         for witness in result.witnesses:
             assert replay_witness(alg, pid, witness), (pid, witness)
+
+
+# compiled finite kernels against their pointwise definitions --------------------
+
+
+def pointwise_witnesses(alg, law):
+    S, ms, zero = alg.states, alg.sorted_measurements(), alg.zero
+    if law == "idempotence":
+        found = [(x, m.name) for x in S for m in ms if m(m(x)) != m(x)]
+    elif law == "interference":
+        found = [(x, a.name, b.name) for a in ms for x in S if a(x) == x for b in ms
+                 if b(a(b(x))) == a(b(x)) != b(x)]
+    elif law == "cumulativity":
+        found = [(x, a.name, b.name) for x in S for i, a in enumerate(ms) for b in ms[i + 1:]
+                 if b(a(x)) == a(x) != b(x) == a(b(x))]
+    elif law == "definiteness":
+        found = [(x, a.name, b.name) for b in ms for x in S if b(x) == x for a in ms
+                 if b(a(x)) == zero != a(x)]
+    else:
+        found = [(x, a.name, b.name) for b in ms for x in S if b(x) == zero for a in ms
+                 if b(a(x)) == a(x) != zero]
+    return sorted(found)[:10]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_compiled_kernels_match_pointwise_definitions(data):
+    alg = draw_table_algebra(data)
+    S, ms = alg.states, alg.sorted_measurements()
+    for a in ms:
+        assert alg.fp_mask(a) == sum(1 << i for i, x in enumerate(S) if a(x) == x)
+        assert alg.z_mask(a) == sum(1 << i for i, x in enumerate(S) if a(x) == alg.zero)
+        for b in ms:
+            assert preserves(alg, a, b) == all(b(a(x)) == a(x) for x in S if b(x) == x)
+            assert commutes(alg, a, b) == all(b(a(x)) == a(b(x)) for x in S)
+            expected = next((m for m in ms if all(m(x) == b(a(x)) for x in S)), None)
+            assert compose_member(alg, a, b) is expected
+    for law in ("idempotence", "interference", "cumulativity"):
+        assert check_axiom(alg, law).witnesses == pointwise_witnesses(alg, law), law
+    for result in lemma_suite(alg):
+        if result.property_id in ("definiteness", "definiteness_dual"):
+            assert result.witnesses == pointwise_witnesses(alg, result.property_id)
+
+
+def test_foreign_measurement_under_a_member_name_gets_its_own_codes(t2):
+    member, bot, top = t2.measurement("p"), t2.measurement("bot"), t2.measurement("top")
+    foreign = TableMeasurement("p", {x: t2.zero for x in t2.states})
+    assert t2.codes(foreign) == t2.codes(bot) != t2.codes(member)
+    assert (t2.fp_mask(foreign), t2.z_mask(foreign)) == (t2.fp_mask(bot), t2.z_mask(bot))
+    assert compose_member(t2, foreign, top) is bot
+    assert compose_member(t2, member, top) is member
+    # the member's own compile is untouched by the foreign lookup
+    assert t2.fp_mask(member) != t2.fp_mask(bot)

@@ -245,6 +245,10 @@ def test_load_model_schema_errors():
         load_model({"kind": "table", "measurements": {}})
     with pytest.raises(InputError, match="wrong shape"):
         load_model({"kind": "ray", "dimension": "two", "subspaces": {}})
+    with pytest.raises(InputError, match="wrong shape"):
+        load_model({"kind": "ray", "dimension": 2, "subspaces": {"a": [5]}})
+    with pytest.raises(InputError, match="wrong shape"):
+        load_model({"kind": "ray", "dimension": 2, "subspaces": {}, "full_lattice": "no"})
     with pytest.raises(InputError):
         load_model([1, 2])
 
