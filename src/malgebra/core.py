@@ -16,6 +16,7 @@ rays by canonical direction, measurements by name), so reports are stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .errors import ClosureViolation, InputError, NegationViolation
@@ -70,6 +71,8 @@ class Budget:
     loop_n: int = 3
 
     def __post_init__(self):
+        if self.height is not None and self.height < 1:
+            raise InputError(f"sample height must be at least 1, got {self.height}")
         if self.loop_n < 1:
             raise InputError(f"loop length must be at least 1, got {self.loop_n}")
 
@@ -163,9 +166,21 @@ class MAlgebra:
 
     The measurements never change after construction, so their sorted names
     are computed once.
+
+    Each backend implements the protocol the law checks run on.  States are
+    handled as codes: declared-order indices on finite backends, the rays
+    themselves on the ray backend.
+
+    * ``action(m)``: a mapping from each state code to the code of its image;
+    * ``state_domain(budget)``, ``fixpoint_domain(m, budget)`` and
+      ``zero_domain(m, budget)``: the state codes a law ranges over;
+    * ``zero_code``, and ``exact``: whether those domains are complete;
+    * ``state(code)``, ``state_label(code)`` and ``state_code(label)``: the
+      conversions between codes, states and their identifiers.
     """
 
     kind = "abstract"
+    full_lattice = False
 
     def __init__(self, measurements):
         self._measurements: dict[str, Measurement] = {}
@@ -218,7 +233,8 @@ class FiniteAlgebra(MAlgebra):
         self.negation_hints = dict(negation_hints or {})
         self.meta = dict(meta or {})
         self._state_index = {s: i for i, s in enumerate(self.states)}
-        self.zero_index = self._state_index.get(zero)
+        self._sorted_codes = tuple(sorted(range(len(self.states)), key=self.states.__getitem__))
+        self.zero_code = self._state_index.get(zero)
         self.full_mask = (1 << len(self.states)) - 1
         # Keyed by object identity: while a member is alive no other object
         # shares its id, so a foreign measurement never hits this cache.
@@ -227,9 +243,6 @@ class FiniteAlgebra(MAlgebra):
         for m in self._sorted:
             self._table_index.setdefault(self._compiled[id(m)].codes, m)
         self._negations: dict[str, Measurement] = {}
-
-    def sorted_states(self) -> list[str]:
-        return sorted(self.states)
 
     def has_state(self, state) -> bool:
         return state in self._state_index
@@ -243,7 +256,7 @@ class FiniteAlgebra(MAlgebra):
             ) from None
         fixed = tuple(i for i, c in enumerate(codes) if c == i)
         fp = sum(1 << i for i in fixed)
-        z = sum(1 << i for i, c in enumerate(codes) if c == self.zero_index)
+        z = sum(1 << i for i, c in enumerate(codes) if c == self.zero_code)
         return Compiled(codes, fp, z, fixed)
 
     def compiled(self, m: Measurement) -> Compiled:
@@ -268,6 +281,33 @@ class FiniteAlgebra(MAlgebra):
     def table_index(self) -> dict[tuple, Measurement]:
         return self._table_index
 
+    # law-check protocol (see MAlgebra)
+
+    exact = True
+    action = codes
+
+    def state_domain(self, budget: Budget) -> tuple[int, ...]:
+        """Every state, in identifier order: ``strong_sep_check`` names the
+        first state that has no point measurement."""
+        return self._sorted_codes
+
+    def fixpoint_domain(self, m: Measurement, budget: Budget) -> tuple[int, ...]:
+        return self.compiled(m).fixed
+
+    def zero_domain(self, m: Measurement, budget: Budget) -> list[int]:
+        return [x for x, y in enumerate(self.codes(m)) if y == self.zero_code]
+
+    def state(self, code: int) -> str:
+        return self.states[code]
+
+    state_label = state
+
+    def state_code(self, label: str) -> int:
+        try:
+            return self._state_index[label]
+        except KeyError:
+            raise InputError(f"unknown state {label!r}") from None
+
 
 class RayAlgebra(MAlgebra):
     """Ray backend: canonical rays of Q^n acted on by exact projections.
@@ -284,12 +324,13 @@ class RayAlgebra(MAlgebra):
         self.dim = dim
         self.full_lattice = full_lattice
         self.sample_height = sample_height
-        self.zero = Ray.zero(dim)
+        self.zero = self.zero_code = Ray.zero(dim)
         self._samples: dict[int, list[Ray]] = {}
         self._subspace_names: dict[Subspace, str] = {
             m.subspace: m.name for m in reversed(self.sorted_measurements())
         }
         self._negations: dict[str, Measurement] = {}
+        self._actions = {id(m): _RayAction(m.subspace) for m in self._sorted}
 
     def sample_states(self, height: int | None = None) -> list[Ray]:
         """Deterministic ray window: primitive vectors up to the height bound,
@@ -307,11 +348,6 @@ class RayAlgebra(MAlgebra):
             self._samples[h] = sorted(rays, key=lambda r: r.sort_key)
         return self._samples[h]
 
-    def fp_sample(self, m: Measurement, height: int | None = None) -> list[Ray]:
-        """Sampled fixpoint rays: the zero ray plus rays inside the subspace."""
-        h = self.sample_height if height is None else height
-        return [Ray.zero(self.dim)] + subspace_rays(m.subspace, h)
-
     def measurement_for_subspace(self, sub: Subspace) -> Measurement | None:
         name = self._subspace_names.get(sub)
         if name is not None:
@@ -319,6 +355,49 @@ class RayAlgebra(MAlgebra):
         if self.full_lattice:
             return ProjectionMeasurement(_subspace_label(sub), sub)
         return None
+
+    # law-check protocol (see MAlgebra)
+
+    exact = False
+
+    def action(self, m: Measurement) -> "_RayAction":
+        """The member's memo of ray images; a non-member gets a fresh one."""
+        memo = self._actions.get(id(m))
+        return _RayAction(m.subspace) if memo is None else memo
+
+    def state_domain(self, budget: Budget) -> list[Ray]:
+        return self.sample_states(budget.height)
+
+    def fixpoint_domain(self, m: Measurement, budget: Budget) -> list[Ray]:
+        """The zero ray plus the window's rays inside the subspace."""
+        return [self.zero] + subspace_rays(m.subspace, self._height(budget))
+
+    def zero_domain(self, m: Measurement, budget: Budget) -> list[Ray]:
+        return [self.zero] + subspace_rays(m.subspace.orthocomplement, self._height(budget))
+
+    def _height(self, budget: Budget) -> int:
+        return self.sample_height if budget.height is None else budget.height
+
+    def state(self, code: Ray) -> Ray:
+        return code
+
+    def state_label(self, code: Ray) -> str:
+        return str(code)
+
+    def state_code(self, label: str) -> Ray:
+        return parse_ray(label, self.dim)
+
+
+class _RayAction(dict):
+    """Images of rays under one projection, projected on first lookup."""
+
+    def __init__(self, subspace: Subspace):
+        super().__init__()
+        self._project = subspace.project_ray
+
+    def __missing__(self, ray: Ray) -> Ray:
+        image = self[ray] = self._project(ray)
+        return image
 
 
 def _subspace_label(sub: Subspace) -> str:
@@ -340,11 +419,7 @@ def state_id(alg: MAlgebra, state) -> str:
 
 
 def state_from_id(alg: MAlgebra, sid: str):
-    if isinstance(alg, RayAlgebra):
-        return parse_ray(sid, alg.dim)
-    if not alg.has_state(sid):
-        raise InputError(f"unknown state {sid!r}")
-    return sid
+    return alg.state(alg.state_code(sid))
 
 
 def apply(alg: MAlgebra, m, state):
@@ -403,7 +478,7 @@ def preserves_pointwise(alg: MAlgebra, a, b, height: int | None = None) -> bool:
     """The pointwise definition of preservation, sampled on the ray backend."""
     a, b = _resolve(alg, a), _resolve(alg, b)
     if isinstance(alg, RayAlgebra):
-        return all(b(a(x)) == a(x) for x in alg.fp_sample(b, height))
+        return all(b(a(x)) == a(x) for x in alg.fixpoint_domain(b, Budget(height=height)))
     return all(b(a(x)) == a(x) for x in alg.states if b(x) == x)
 
 
@@ -549,7 +624,7 @@ def point_measurement(alg: MAlgebra, x) -> Measurement | None:
         )
     if not alg.has_state(x) or x == alg.zero:
         raise InputError("point measurements exist only for nonzero states")
-    target = (1 << alg.zero_index) | (1 << alg._state_index[x])
+    target = (1 << alg.zero_code) | (1 << alg._state_index[x])
     for m in alg.sorted_measurements():
         if alg.fp_mask(m) == target:
             return m
@@ -557,17 +632,14 @@ def point_measurement(alg: MAlgebra, x) -> Measurement | None:
 
 
 # ---------------------------------------------------------------------------
-# axiom checks
+# results
 
 
-def _per_state_domain(alg: MAlgebra, budget: Budget):
-    """States a per-state law ranges over, and whether that range is complete."""
-    if isinstance(alg, RayAlgebra):
-        return alg.sample_states(budget.height), False
-    return alg.sorted_states(), True
-
-
-def _result(property_id, witnesses, checked, complete, vacuous=False, note=""):
+def check_result(property_id, witnesses, checked, complete=True, vacuous=False,
+                 note="") -> CheckResult:
+    """The one status rule: any witness fails; otherwise a law whose premise
+    never held is vacuous, and a pass over a sampled domain is sampled.
+    Witnesses are sorted and capped."""
     witnesses = sorted(witnesses)[:_WITNESS_CAP]
     if witnesses:
         status = "fail"
@@ -578,138 +650,104 @@ def _result(property_id, witnesses, checked, complete, vacuous=False, note=""):
     return CheckResult(property_id, status, witnesses, checked, note=note)
 
 
-def _check_illegitimate(alg, budget):
-    witnesses, checked = [], 0
-    for m in alg.sorted_measurements():
-        checked += 1
-        if m(alg.zero) != alg.zero:
-            witnesses.append((m.name,))
-    return _result("illegitimate", witnesses, checked, complete=True)
+# ---------------------------------------------------------------------------
+# laws
+#
+# A law is one function ``law(alg, ms, dom, budget)`` that returns its
+# witnesses and the number of instances it checked.  Its instances range over
+# the measurements ``ms`` and over states drawn from the domains of ``dom``.
+# The checker passes every member and the algebra itself; replay passes the
+# measurements and the states named in one witness.  Actions and domains come
+# from the backend protocol, so the same loop runs on table codes and on ray
+# memos.
 
 
-def _check_idempotence(alg, budget):
-    witnesses, checked = [], 0
+def _illegitimate(alg, ms, dom, budget):
+    z = alg.zero_code
+    return [(m.name,) for m in ms if alg.action(m)[z] != z], len(ms)
+
+
+def _idempotence(alg, ms, dom, budget):
     if isinstance(alg, RayAlgebra):
-        for m in alg.sorted_measurements():
-            checked += 1
-            if mat_mul(m.matrix, m.matrix) != m.matrix:
-                witnesses.append((m.name,))
-        return _result("idempotence", witnesses, checked, complete=True,
-                       note="decided on projection matrices")
-    for m in alg.sorted_measurements():
-        M = alg.codes(m)
-        checked += len(M)
-        witnesses.extend((alg.states[x], m.name) for x, y in enumerate(M) if M[y] != y)
-    return _result("idempotence", witnesses, checked, complete=True)
+        return [(m.name,) for m in ms if mat_mul(m.matrix, m.matrix) != m.matrix], len(ms)
+    witnesses, states, label = [], dom.state_domain(budget), alg.state_label
+    for m in ms:
+        M = alg.action(m)
+        witnesses.extend((label(x), m.name) for x in states if M[M[x]] != M[x])
+    return witnesses, len(ms) * len(states)
 
 
-def _check_composition(alg, budget):
-    witnesses, checked = [], 0
-    for a in alg.sorted_measurements():
-        for b in alg.sorted_measurements():
-            checked += 1
-            if preserves(alg, a, b) and compose_member(alg, b, a) is None:
-                witnesses.append((a.name, b.name))
-    return _result("composition", witnesses, checked, complete=True)
+def _composition(alg, ms, dom, budget):
+    witnesses = [(a.name, b.name) for a in ms for b in ms
+                 if preserves(alg, a, b) and compose_member(alg, b, a) is None]
+    return witnesses, len(ms) ** 2
 
 
-def _check_interference(alg, budget):
-    witnesses, checked = [], 0
-    ms = alg.sorted_measurements()
-    if isinstance(alg, RayAlgebra):
-        for a in ms:
-            for x in alg.fp_sample(a, budget.height):
-                for b in ms:
-                    checked += 1
-                    y = b(x)
-                    t = a(y)
-                    if b(t) == t and t != y:
-                        witnesses.append((state_id(alg, x), a.name, b.name))
-        return _result("interference", witnesses, checked, complete=False)
-    coded = [(m.name, alg.codes(m)) for m in ms]
+def _interference(alg, ms, dom, budget):
+    witnesses, checked, label = [], 0, alg.state_label
+    coded = [(m.name, alg.action(m)) for m in ms]
     for a in ms:
-        c = alg.compiled(a)
-        A, fixed = c.codes, c.fixed
+        A, fixed = alg.action(a), dom.fixpoint_domain(a, budget)
         checked += len(fixed) * len(coded)
         for b_name, B in coded:
             for x in fixed:
                 y = B[x]
                 t = A[y]
                 if B[t] == t and t != y:
-                    witnesses.append((alg.states[x], a.name, b_name))
-    return _result("interference", witnesses, checked, complete=True)
+                    witnesses.append((label(x), a.name, b_name))
+    return witnesses, checked
 
 
-def _check_cumulativity(alg, budget):
-    witnesses, checked = [], 0
-    ms = alg.sorted_measurements()
-    if isinstance(alg, RayAlgebra):
-        for x in alg.sample_states(budget.height):
-            for i, a in enumerate(ms):
-                ax = a(x)
-                for b in ms[i + 1:]:
-                    checked += 1
-                    bx = b(x)
-                    if b(ax) == ax and a(bx) == bx and ax != bx:
-                        witnesses.append((state_id(alg, x), a.name, b.name))
-        return _result("cumulativity", witnesses, checked, complete=False)
-    coded = [(m.name, alg.codes(m)) for m in ms]
+def _cumulativity(alg, ms, dom, budget):
+    witnesses, label = [], alg.state_label
+    states = dom.state_domain(budget)
+    coded = [(m.name, alg.action(m)) for m in ms]
     for i, (a_name, A) in enumerate(coded):
         later = coded[i + 1:]
-        checked += len(later) * len(alg.states)
-        for x, ax in enumerate(A):
+        for x in states:
+            ax = A[x]
             for b_name, B in later:
                 bx = B[x]
                 if B[ax] == ax and A[bx] == bx and ax != bx:
-                    witnesses.append((alg.states[x], a_name, b_name))
-    return _result("cumulativity", witnesses, checked, complete=True)
+                    witnesses.append((label(x), a_name, b_name))
+    return witnesses, len(states) * len(ms) * (len(ms) - 1) // 2
 
 
-def _check_negation(alg, budget):
-    witnesses, checked = [], 0
-    for m in alg.sorted_measurements():
-        checked += 1
+def _negation(alg, ms, dom, budget):
+    witnesses = []
+    for m in ms:
         try:
             negation_of(alg, m)
         except NegationViolation:
             witnesses.append((m.name,))
-    return _result("negation", witnesses, checked, complete=True)
+    return witnesses, len(ms)
 
 
-def _check_separability(alg, budget):
-    witnesses, checked = [], 0
-    states, complete = _per_state_domain(alg, budget)
-    nonzero = [x for x in states if x != alg.zero]
-    by_point = isinstance(alg, RayAlgebra) and alg.full_lattice
+def _separability(alg, ms, dom, budget):
+    # The separators are every member, or on a full lattice the point
+    # measurement of x (there states and their codes are the same rays).
+    witnesses, checked, label = [], 0, alg.state_label
+    nonzero = [x for x in dom.state_domain(budget) if x != alg.zero_code]
+    members = [alg.action(m) for m in alg.sorted_measurements()]
     for x in nonzero:
-        # One point measurement per x, so its ray memo serves the whole y loop.
-        e = point_measurement(alg, x) if by_point else None
+        separators = [alg.action(point_measurement(alg, x))] if alg.full_lattice else members
         for y in nonzero:
             if x == y:
                 continue
             checked += 1
-            if by_point:
-                if e(x) == x and e(y) != y:
-                    continue
-                witnesses.append((state_id(alg, x), state_id(alg, y)))
-            elif not any(m(x) == x and m(y) != y for m in alg.sorted_measurements()):
-                witnesses.append((state_id(alg, x), state_id(alg, y)))
-    return _result("separability", witnesses, checked, complete=complete)
+            if not any(S[x] == x and S[y] != y for S in separators):
+                witnesses.append((label(x), label(y)))
+    return witnesses, checked
 
 
-def _check_strong_separability(alg, budget):
-    witnesses, checked = [], 0
-    states, complete = _per_state_domain(alg, budget)
-    for x in states:
-        if x == alg.zero:
-            continue
-        checked += 1
-        if point_measurement(alg, x) is None:
-            witnesses.append((state_id(alg, x),))
-    return _result("strong_separability", witnesses, checked, complete=complete)
+def _strong_separability(alg, ms, dom, budget):
+    nonzero = [x for x in dom.state_domain(budget) if x != alg.zero_code]
+    witnesses = [(alg.state_label(x),) for x in nonzero
+                 if point_measurement(alg, alg.state(x)) is None]
+    return witnesses, len(nonzero)
 
 
-def _check_l_cumulativity(alg, budget):
+def _l_cumulativity(alg, ms, dom, budget):
     """Cyclic strengthening of the two-measurement exchange law.
 
     A violation is a cyclic sequence of measurements, each image of the state
@@ -719,15 +757,13 @@ def _check_l_cumulativity(alg, budget):
     digraph is at most n+1, so shortest paths decide the bound exactly.
     """
     witnesses, checked = [], 0
-    states, complete = _per_state_domain(alg, budget)
-    ms = alg.sorted_measurements()
-    names = [m.name for m in ms]
+    coded = [(m.name, alg.action(m)) for m in ms]
+    names = [name for name, _ in coded]
     max_len = budget.loop_n + 1
-    for x in states:
-        images = {m.name: m(x) for m in ms}
+    for x in dom.state_domain(budget):
+        images = {name: A[x] for name, A in coded}
         adjacency = {
-            a.name: [b.name for b in ms if b(images[a.name]) == images[a.name]]
-            for a in ms
+            a: [b for b, B in coded if B[images[a]] == images[a]] for a in names
         }
         dist, parent = _all_bfs(names, adjacency)
         for a in names:
@@ -739,8 +775,8 @@ def _check_l_cumulativity(alg, budget):
                 d_ba = dist[b].get(a)
                 if d_ab is not None and d_ba is not None and d_ab + d_ba <= max_len:
                     cycle = _bfs_path(parent, a, b) + _bfs_path(parent, b, a)[1:-1]
-                    witnesses.append((state_id(alg, x), *cycle))
-    return _result("l_cumulativity", witnesses, checked, complete=complete)
+                    witnesses.append((alg.state_label(x), *cycle))
+    return witnesses, checked
 
 
 def _all_bfs(names, adjacency):
@@ -771,89 +807,154 @@ def _bfs_path(parent, source, target):
     return path[::-1]
 
 
-_AXIOM_CHECKS = {
-    "illegitimate": _check_illegitimate,
-    "idempotence": _check_idempotence,
-    "composition": _check_composition,
-    "interference": _check_interference,
-    "cumulativity": _check_cumulativity,
-    "negation": _check_negation,
-    "separability": _check_separability,
-    "strong_separability": _check_strong_separability,
-    "l_cumulativity": _check_l_cumulativity,
+def _double_negation(alg, ms, dom, budget):
+    witnesses = []
+    for a in ms:
+        try:
+            if negation_of(alg, negation_of(alg, a)) != a:
+                witnesses.append((a.name,))
+        except NegationViolation:
+            witnesses.append((a.name,))
+    return witnesses, len(ms)
+
+
+def _definiteness(alg, ms, dom, budget, dual=False):
+    # Straight form: a state satisfying b cannot be sent by any measurement
+    # to a state where b is impossible.  Dual form swaps fixpoints and zeros.
+    witnesses, checked, label = [], 0, alg.state_label
+    zero = alg.zero_code
+    coded = [(m.name, alg.action(m)) for m in ms]
+    for b in ms:
+        B = alg.action(b)
+        domain = dom.zero_domain(b, budget) if dual else dom.fixpoint_domain(b, budget)
+        checked += len(domain) * len(coded)
+        for a_name, A in coded:
+            for x in domain:
+                ax = A[x]
+                if ax != zero and (B[ax] == ax if dual else B[ax] == zero):
+                    witnesses.append((label(x), a_name, b.name))
+    return witnesses, checked
+
+
+class _Pair(NamedTuple):
+    """Facts of one ordered pair (a, b); the pair lemmas read only these."""
+
+    a: Measurement
+    b: Measurement
+    ab: Measurement | None  # the member equal to "apply a, then b"
+    ba: Measurement | None
+    a_keeps_b: bool  # a preserves FP(b)
+    b_keeps_a: bool
+    fp_ab: bool  # FP(a) is included in FP(b)
+    fp_ba: bool
+    z_ab: bool  # Z(a) is included in Z(b)
+    z_ba: bool
+    commute: bool
+
+    def flip(self) -> "_Pair":
+        return _Pair(self.b, self.a, self.ba, self.ab, self.b_keeps_a, self.a_keeps_b,
+                     self.fp_ba, self.fp_ab, self.z_ba, self.z_ab, self.commute)
+
+
+# (id, over unordered pairs, premise or None, violation); a premise that
+# never holds makes the lemma vacuous.
+_PAIR_LEMMAS = (
+    ("fp_determines", True, lambda alg, p: p.fp_ab and p.fp_ba, lambda alg, p: p.a != p.b),
+    ("fp_zero_duality", False, None, lambda alg, p: p.fp_ab != p.z_ba),
+    ("preservation_symmetry", True, None, lambda alg, p: p.a_keeps_b != p.b_keeps_a),
+    # A composite fixes every common fixpoint, so only FP(ab) within FP(a)
+    # and FP(b) can fail.
+    ("composition_fixpoints", False, lambda alg, p: p.ab is not None,
+     lambda alg, p: not (fp_subset(alg, p.ab, p.a) and fp_subset(alg, p.ab, p.b))),
+    ("composition_preserves", False, lambda alg, p: p.ab is not None,
+     lambda alg, p: not p.b_keeps_a),
+    ("composition_iff_preservation", False, None,
+     lambda alg, p: (p.ab is not None) != p.b_keeps_a),
+    ("composition_order_symmetry", True, None, lambda alg, p: (p.ab is None) != (p.ba is None)),
+    ("composition_iff_commutation", False, None,
+     lambda alg, p: (p.ab is not None) != p.commute),
+    ("fp_inclusion_absorbs", False, lambda alg, p: p.fp_ab,
+     lambda alg, p: not (p.ab == p.a == p.ba)),
+)
+
+
+def _pair_lemmas(alg, ms) -> dict[str, tuple[list, int, bool]]:
+    """Every pair lemma in one pass over the ordered pairs of ``ms``.
+
+    The facts of a pair are computed once per direction and dropped after
+    use.  Returns each lemma's witnesses, instance count and vacuity.
+    """
+    found = {pid: [] for pid, *_ in _PAIR_LEMMAS}
+    fired = set()
+    for i, a in enumerate(ms):
+        for j in range(i, len(ms)):
+            b = ms[j]
+            ab, a_keeps_b = compose_member(alg, a, b), preserves(alg, a, b)
+            if i == j:  # inclusion and commutation hold trivially
+                p = _Pair(a, a, ab, ab, a_keeps_b, a_keeps_b, True, True, True, True, True)
+                ordered, unordered = (p,), ()
+            else:
+                p = _Pair(a, b, ab, compose_member(alg, b, a), a_keeps_b, preserves(alg, b, a),
+                          fp_subset(alg, a, b), fp_subset(alg, b, a),
+                          z_subset(alg, a, b), z_subset(alg, b, a), commutes(alg, a, b))
+                ordered, unordered = (p, p.flip()), (p,)
+            for pid, over_unordered, premise, violation in _PAIR_LEMMAS:
+                for q in unordered if over_unordered else ordered:
+                    if premise is None or premise(alg, q):
+                        fired.add(pid)
+                        if violation(alg, q):
+                            found[pid].append((q.a.name, q.b.name))
+    n = len(ms)
+    return {
+        pid: (found[pid], n * (n - 1) // 2 if over_unordered else n * n,
+              premise is not None and pid not in fired)
+        for pid, over_unordered, premise, _ in _PAIR_LEMMAS
+    }
+
+
+def _pair_lemma(pid, alg, ms, dom, budget):
+    return _pair_lemmas(alg, ms)[pid][:2]
+
+
+# property id -> (law, number of leading state fields in its witnesses).  A
+# law with state fields is exact only on an exact backend.  Idempotence has
+# its state field on the finite backend only (None: all fields but the last);
+# rays decide it on the projection matrices.
+_LAWS = {
+    "illegitimate": (_illegitimate, 0),
+    "idempotence": (_idempotence, None),
+    "composition": (_composition, 0),
+    "interference": (_interference, 1),
+    "cumulativity": (_cumulativity, 1),
+    "negation": (_negation, 0),
+    "separability": (_separability, 2),
+    "strong_separability": (_strong_separability, 1),
+    "l_cumulativity": (_l_cumulativity, 1),
+    "double_negation": (_double_negation, 0),
+    "definiteness": (_definiteness, 1),
+    "definiteness_dual": (partial(_definiteness, dual=True), 1),
+    **{pid: (partial(_pair_lemma, pid), 0) for pid, *_ in _PAIR_LEMMAS},
 }
+
+
+def _check(alg, property_id, budget) -> CheckResult:
+    law, fields = _LAWS[property_id]
+    witnesses, checked = law(alg, alg.sorted_measurements(), alg, budget)
+    note = ("decided on projection matrices"
+            if property_id == "idempotence" and isinstance(alg, RayAlgebra) else "")
+    return check_result(property_id, witnesses, checked,
+                        complete=alg.exact or not fields, note=note)
 
 
 def check_axiom(alg: MAlgebra, property_id: str, budget: Budget | None = None) -> CheckResult:
     """Decide one of the nine named laws, with replayable witnesses on failure."""
-    if property_id not in _AXIOM_CHECKS:
+    if property_id not in ALL_AXIOMS:
         raise InputError(f"unknown property {property_id!r}")
-    return _AXIOM_CHECKS[property_id](alg, budget or Budget())
+    return _check(alg, property_id, budget or Budget())
 
 
 def check_axioms(alg, property_ids=DEFINING_AXIOMS, budget=None) -> list[CheckResult]:
     return [check_axiom(alg, pid, budget) for pid in property_ids]
-
-
-def replay_witness(alg: MAlgebra, property_id: str, witness: tuple[str, ...]) -> bool:
-    """Re-evaluate a witness tuple; True iff it still exhibits the violation."""
-    if property_id == "illegitimate":
-        (m,) = witness
-        return apply(alg, m, alg.zero) != alg.zero
-    if property_id == "idempotence":
-        if len(witness) == 1:
-            m = _resolve(alg, witness[0])
-            return mat_mul(m.matrix, m.matrix) != m.matrix
-        x = state_from_id(alg, witness[0])
-        m = witness[1]
-        return apply(alg, m, apply(alg, m, x)) != apply(alg, m, x)
-    if property_id == "composition":
-        a, b = witness
-        return preserves(alg, a, b) and compose_member(alg, b, a) is None
-    if property_id == "interference":
-        x = state_from_id(alg, witness[0])
-        a, b = witness[1], witness[2]
-        if apply(alg, a, x) != x:
-            return False
-        y = apply(alg, b, x)
-        t = apply(alg, a, y)
-        return apply(alg, b, t) == t and t != y
-    if property_id == "cumulativity":
-        x = state_from_id(alg, witness[0])
-        a, b = witness[1], witness[2]
-        ax, bx = apply(alg, a, x), apply(alg, b, x)
-        return apply(alg, b, ax) == ax and apply(alg, a, bx) == bx and ax != bx
-    if property_id == "negation":
-        (m,) = witness
-        try:
-            negation_of(alg, m)
-        except NegationViolation:
-            return True
-        return False
-    if property_id == "separability":
-        x = state_from_id(alg, witness[0])
-        y = state_from_id(alg, witness[1])
-        return not any(
-            apply(alg, m, x) == x and apply(alg, m, y) != y
-            for m in alg.sorted_measurements()
-        )
-    if property_id == "strong_separability":
-        x = state_from_id(alg, witness[0])
-        return point_measurement(alg, x) is None
-    if property_id == "l_cumulativity":
-        x = state_from_id(alg, witness[0])
-        cycle = witness[1:]
-        images = [apply(alg, m, x) for m in cycle]
-        closes = all(
-            apply(alg, cycle[(i + 1) % len(cycle)], images[i]) == images[i]
-            for i in range(len(cycle))
-        )
-        return closes and len(set(images)) > 1
-    raise InputError(f"no replay rule for property {property_id!r}")
-
-
-# ---------------------------------------------------------------------------
-# derived laws
 
 
 def lemma_suite(alg: MAlgebra, budget: Budget | None = None) -> list[CheckResult]:
@@ -865,19 +966,11 @@ def lemma_suite(alg: MAlgebra, budget: Budget | None = None) -> list[CheckResult
     """
     budget = budget or Budget()
     prereq_ok = all(r.ok for r in check_axioms(alg, DEFINING_AXIOMS, budget))
+    pairs = _pair_lemmas(alg, alg.sorted_measurements())
     results = [
-        _lemma_fp_determines(alg, budget),
-        _lemma_double_negation(alg, budget),
-        _lemma_definiteness(alg, budget, dual=False),
-        _lemma_definiteness(alg, budget, dual=True),
-        _lemma_fp_zero_duality(alg, budget),
-        _lemma_preservation_symmetry(alg, budget),
-        _lemma_composition_fixpoints(alg, budget),
-        _lemma_composition_preserves(alg, budget),
-        _lemma_composition_iff_preservation(alg, budget),
-        _lemma_composition_order_symmetry(alg, budget),
-        _lemma_composition_iff_commutation(alg, budget),
-        _lemma_fp_inclusion_absorbs(alg, budget),
+        check_result(pid, *pairs[pid][:2], vacuous=pairs[pid][2]) if pid in pairs
+        else _check(alg, pid, budget)
+        for pid in LEMMA_IDS
     ]
     if not prereq_ok:
         for r in results:
@@ -887,177 +980,36 @@ def lemma_suite(alg: MAlgebra, budget: Budget | None = None) -> list[CheckResult
     return results
 
 
-def _fp_eq(alg, a, b):
-    if isinstance(alg, RayAlgebra):
-        return a.subspace == b.subspace
-    return alg.fp_mask(a) == alg.fp_mask(b)
+class _Pinned:
+    """The protocol's state domains cut down to the states of one witness."""
+
+    def __init__(self, alg: MAlgebra, states: list):
+        self.alg = alg
+        self.states = states
+
+    def state_domain(self, budget):
+        return self.states
+
+    def fixpoint_domain(self, m, budget):
+        M = self.alg.action(m)
+        return [x for x in self.states if M[x] == x]
+
+    def zero_domain(self, m, budget):
+        M = self.alg.action(m)
+        return [x for x in self.states if M[x] == self.alg.zero_code]
 
 
-def _lemma_fp_determines(alg, budget):
-    witnesses, checked, fired = [], 0, False
-    ms = alg.sorted_measurements()
-    for i, a in enumerate(ms):
-        for b in ms[i + 1:]:
-            checked += 1
-            if _fp_eq(alg, a, b):
-                fired = True
-                if a != b:
-                    witnesses.append((a.name, b.name))
-    return _result("fp_determines", witnesses, checked, complete=True,
-                   vacuous=not fired)
-
-
-def _lemma_double_negation(alg, budget):
-    witnesses, checked = [], 0
-    for a in alg.sorted_measurements():
-        checked += 1
-        try:
-            if negation_of(alg, negation_of(alg, a)) != a:
-                witnesses.append((a.name,))
-        except NegationViolation:
-            witnesses.append((a.name,))
-    return _result("double_negation", witnesses, checked, complete=True)
-
-
-def _lemma_definiteness(alg, budget, dual):
-    # Straight form: a state satisfying b cannot be sent by any measurement
-    # to a state where b is impossible.  Dual form swaps fixpoints and zeros.
-    pid = "definiteness_dual" if dual else "definiteness"
-    witnesses, checked = [], 0
-    ms = alg.sorted_measurements()
-    if isinstance(alg, RayAlgebra):
-        for b in ms:
-            base = b.subspace.orthocomplement if dual else b.subspace
-            domain = [Ray.zero(alg.dim)] + subspace_rays(base, budget.height or alg.sample_height)
-            for x in domain:
-                for a in ms:
-                    checked += 1
-                    ax = a(x)
-                    hits = b(ax) == ax if dual else b(ax) == alg.zero
-                    if hits and ax != alg.zero:
-                        witnesses.append((state_id(alg, x), a.name, b.name))
-        return _result(pid, witnesses, checked, complete=False)
-    zero = alg.zero_index
-    coded = [(m.name, alg.codes(m)) for m in ms]
-    for b in ms:
-        c = alg.compiled(b)
-        domain = [x for x, y in enumerate(c.codes) if y == zero] if dual else c.fixed
-        # a(x) hits when b fixes it (dual form) or sends it to zero
-        hit = c.fp if dual else c.z
-        checked += len(domain) * len(coded)
-        for a_name, A in coded:
-            for x in domain:
-                ax = A[x]
-                if hit >> ax & 1 and ax != zero:
-                    witnesses.append((alg.states[x], a_name, b.name))
-    return _result(pid, witnesses, checked, complete=True)
-
-
-def _lemma_fp_zero_duality(alg, budget):
-    witnesses, checked = [], 0
-    ms = alg.sorted_measurements()
-    for a in ms:
-        for b in ms:
-            checked += 1
-            if fp_subset(alg, a, b) != z_subset(alg, b, a):
-                witnesses.append((a.name, b.name))
-    return _result("fp_zero_duality", witnesses, checked, complete=True)
-
-
-def _lemma_preservation_symmetry(alg, budget):
-    witnesses, checked = [], 0
-    ms = alg.sorted_measurements()
-    for i, a in enumerate(ms):
-        for b in ms[i + 1:]:
-            checked += 1
-            if preserves(alg, a, b) != preserves(alg, b, a):
-                witnesses.append((a.name, b.name))
-    return _result("preservation_symmetry", witnesses, checked, complete=True)
-
-
-def _lemma_composition_fixpoints(alg, budget):
-    witnesses, checked, fired = [], 0, False
-    ms = alg.sorted_measurements()
-    for a in ms:
-        for b in ms:
-            checked += 1
-            c = compose_member(alg, a, b)
-            if c is None:
-                continue
-            fired = True
-            if isinstance(alg, RayAlgebra):
-                good = c.subspace == a.subspace.intersect(b.subspace)
-            else:
-                good = alg.fp_mask(c) == alg.fp_mask(a) & alg.fp_mask(b)
-            if not good:
-                witnesses.append((a.name, b.name))
-    return _result("composition_fixpoints", witnesses, checked, complete=True,
-                   vacuous=not fired)
-
-
-def _lemma_composition_preserves(alg, budget):
-    witnesses, checked, fired = [], 0, False
-    ms = alg.sorted_measurements()
-    for a in ms:
-        for b in ms:
-            checked += 1
-            if compose_member(alg, a, b) is not None:
-                fired = True
-                if not preserves(alg, b, a):
-                    witnesses.append((a.name, b.name))
-    return _result("composition_preserves", witnesses, checked, complete=True,
-                   vacuous=not fired)
-
-
-def _lemma_composition_iff_preservation(alg, budget):
-    witnesses, checked = [], 0
-    ms = alg.sorted_measurements()
-    for a in ms:
-        for b in ms:
-            checked += 1
-            if (compose_member(alg, a, b) is not None) != preserves(alg, b, a):
-                witnesses.append((a.name, b.name))
-    return _result("composition_iff_preservation", witnesses, checked, complete=True)
-
-
-def _lemma_composition_order_symmetry(alg, budget):
-    witnesses, checked = [], 0
-    ms = alg.sorted_measurements()
-    for i, a in enumerate(ms):
-        for b in ms[i + 1:]:
-            checked += 1
-            ab = compose_member(alg, a, b) is not None
-            if ab != (compose_member(alg, b, a) is not None):
-                witnesses.append((a.name, b.name))
-    return _result("composition_order_symmetry", witnesses, checked, complete=True)
-
-
-def _lemma_composition_iff_commutation(alg, budget):
-    witnesses, checked = [], 0
-    ms = alg.sorted_measurements()
-    for a in ms:
-        for b in ms:
-            checked += 1
-            if (compose_member(alg, a, b) is not None) != commutes(alg, a, b):
-                witnesses.append((a.name, b.name))
-    return _result("composition_iff_commutation", witnesses, checked, complete=True)
-
-
-def _lemma_fp_inclusion_absorbs(alg, budget):
-    witnesses, checked, fired = [], 0, False
-    ms = alg.sorted_measurements()
-    for a in ms:
-        for b in ms:
-            checked += 1
-            if not fp_subset(alg, a, b):
-                continue
-            fired = True
-            if isinstance(alg, RayAlgebra):
-                good = compose_raw(alg, a, b) == compose_raw(alg, b, a) == a.matrix
-            else:
-                A, B = alg.codes(a), alg.codes(b)
-                good = _then(A, B) == _then(B, A) == A
-            if not good:
-                witnesses.append((a.name, b.name))
-    return _result("fp_inclusion_absorbs", witnesses, checked, complete=True,
-                   vacuous=not fired)
+def replay_witness(alg: MAlgebra, property_id: str, witness: tuple[str, ...]) -> bool:
+    """Re-run the law that reported a witness on the witness's own states and
+    measurements; True iff the law reports that witness again."""
+    if property_id not in _LAWS:
+        raise InputError(f"no replay rule for property {property_id!r}")
+    law, fields = _LAWS[property_id]
+    k = len(witness) - 1 if fields is None else fields
+    states = [alg.state_code(sid) for sid in witness[:k]]
+    named = {name: alg.measurement(name) for name in witness[k:]}
+    ms = [named[name] for name in sorted(named)]
+    # a cycle of n measurements needs loop length n - 1
+    budget = Budget(loop_n=max(1, len(witness) - 2))
+    found, _ = law(alg, ms, _Pinned(alg, states), budget)
+    return (*map(alg.state_label, states), *witness[k:]) in found

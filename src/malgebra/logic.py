@@ -13,7 +13,7 @@ The formula syntax itself (parser, AST, truth tables) lives in
 from __future__ import annotations
 
 from .connectives import CommutingSet, conjunction, disjunction, implication
-from .core import CheckResult, MAlgebra, RayAlgebra, fp_subset, negation_of
+from .core import CheckResult, MAlgebra, RayAlgebra, check_result, fp_subset, negation_of
 from .errors import InputError
 from .formulas import (  # noqa: F401  (public logic API)
     And,
@@ -34,8 +34,6 @@ from .formulas import (  # noqa: F401  (public logic API)
     slots_of,
     truth_mask,
 )
-
-_WITNESS_CAP = 10
 
 
 def _fp_is_full(alg, m) -> bool:
@@ -106,10 +104,8 @@ def verify_tautology_theorem(alg: MAlgebra, cs: CommutingSet,
             if entails(fn_a, fn_b) and not fp_subset(alg, m_a, m_b):
                 witnesses.append(("entailment_not_included", text_a, text_b))
 
-    witnesses = sorted(witnesses)[:_WITNESS_CAP]
-    status = "fail" if witnesses else "pass"
-    return CheckResult("tautology_theorem", status, witnesses, checked,
-                       note=f"{len(classes)} semantic classes")
+    return check_result("tautology_theorem", witnesses, checked,
+                        note=f"{len(classes)} semantic classes")
 
 
 def verify_schemes(alg: MAlgebra, cs: CommutingSet) -> list[CheckResult]:
@@ -132,7 +128,7 @@ def verify_schemes(alg: MAlgebra, cs: CommutingSet) -> list[CheckResult]:
                 fired = True
                 if not full(b):
                     witnesses.append((a.name, b.name))
-    results.append(_scheme_result("modus_ponens", witnesses, checked, vacuous=not fired))
+    results.append(check_result("modus_ponens", witnesses, checked, vacuous=not fired))
 
     witnesses, checked = [], 0
     for a in members:
@@ -140,7 +136,7 @@ def verify_schemes(alg: MAlgebra, cs: CommutingSet) -> list[CheckResult]:
             checked += 1
             if not full(implication(alg, a, implication(alg, b, a))):
                 witnesses.append((a.name, b.name))
-    results.append(_scheme_result("scheme_weakening", witnesses, checked))
+    results.append(check_result("scheme_weakening", witnesses, checked))
 
     witnesses, checked = [], 0
     for a in members:
@@ -151,7 +147,7 @@ def verify_schemes(alg: MAlgebra, cs: CommutingSet) -> list[CheckResult]:
                 rhs = implication(alg, implication(alg, a, b), implication(alg, a, c))
                 if not full(implication(alg, lhs, rhs)):
                     witnesses.append((a.name, b.name, c.name))
-    results.append(_scheme_result("scheme_distribution", witnesses, checked))
+    results.append(check_result("scheme_distribution", witnesses, checked))
 
     witnesses, checked = [], 0
     for a in members:
@@ -161,7 +157,7 @@ def verify_schemes(alg: MAlgebra, cs: CommutingSet) -> list[CheckResult]:
             rhs = implication(alg, implication(alg, neg[b.name], a), b)
             if not full(implication(alg, lhs, rhs)):
                 witnesses.append((a.name, b.name))
-    results.append(_scheme_result("scheme_contraposition", witnesses, checked))
+    results.append(check_result("scheme_contraposition", witnesses, checked))
 
     witnesses, checked = [], 0
     for a in members:
@@ -171,7 +167,7 @@ def verify_schemes(alg: MAlgebra, cs: CommutingSet) -> list[CheckResult]:
                 alg, implication(alg, a, neg[b.name])
             ):
                 witnesses.append((a.name, b.name))
-    results.append(_scheme_result("conjunction_definability", witnesses, checked))
+    results.append(check_result("conjunction_definability", witnesses, checked))
 
     witnesses, checked = [], 0
     for a in members:
@@ -179,17 +175,6 @@ def verify_schemes(alg: MAlgebra, cs: CommutingSet) -> list[CheckResult]:
             checked += 1
             if disjunction(alg, a, b) != implication(alg, neg[a.name], b):
                 witnesses.append((a.name, b.name))
-    results.append(_scheme_result("disjunction_definability", witnesses, checked))
+    results.append(check_result("disjunction_definability", witnesses, checked))
 
     return results
-
-
-def _scheme_result(property_id, witnesses, checked, vacuous=False):
-    witnesses = sorted(witnesses)[:_WITNESS_CAP]
-    if witnesses:
-        status = "fail"
-    elif vacuous:
-        status = "vacuous"
-    else:
-        status = "pass"
-    return CheckResult(property_id, status, witnesses, checked)

@@ -15,8 +15,8 @@ from .core import (
     CheckResult,
     MAlgebra,
     Measurement,
-    RayAlgebra,
     apply,
+    check_result,
     commutes,
     fp_subset,
     negation_of,
@@ -27,8 +27,6 @@ from .core import (
 )
 from .errors import NotStronglySeparable
 from .ratlin import Ray
-
-_WITNESS_CAP = 10
 
 
 def leq(alg: MAlgebra, a, b) -> bool:
@@ -96,9 +94,7 @@ def bounds_check(alg: MAlgebra) -> CheckResult:
                 if leq(alg, a, m) and leq(alg, b, m) and not leq(alg, lub, m):
                     witnesses.append(("lub_least", a.name, b.name, m.name))
 
-    witnesses = sorted(witnesses)[:_WITNESS_CAP]
-    return CheckResult("order_bounds", "fail" if witnesses else "pass",
-                       witnesses, checked)
+    return check_result("order_bounds", witnesses, checked)
 
 
 def orthomodular_check(alg: MAlgebra) -> list[CheckResult]:
@@ -115,7 +111,7 @@ def orthomodular_check(alg: MAlgebra) -> list[CheckResult]:
         checked += 1
         if negation_of(alg, neg[a.name]) != a:
             witnesses.append((a.name,))
-    results.append(_ortho_result("ortho_involution", witnesses, checked))
+    results.append(check_result("ortho_involution", witnesses, checked))
 
     witnesses, checked = [], 0
     for a in ms:
@@ -123,21 +119,21 @@ def orthomodular_check(alg: MAlgebra) -> list[CheckResult]:
             checked += 1
             if leq(alg, a, b) and not leq(alg, neg[b.name], neg[a.name]):
                 witnesses.append((a.name, b.name))
-    results.append(_ortho_result("ortho_antitone", witnesses, checked))
+    results.append(check_result("ortho_antitone", witnesses, checked))
 
     witnesses, checked = [], 0
     for a in ms:
         checked += 1
         if conjunction(alg, a, neg[a.name]) != bot:
             witnesses.append((a.name,))
-    results.append(_ortho_result("ortho_meet_bottom", witnesses, checked))
+    results.append(check_result("ortho_meet_bottom", witnesses, checked))
 
     witnesses, checked = [], 0
     for a in ms:
         checked += 1
         if disjunction(alg, a, neg[a.name]) != top:
             witnesses.append((a.name,))
-    results.append(_ortho_result("ortho_join_top", witnesses, checked))
+    results.append(check_result("ortho_join_top", witnesses, checked))
 
     witnesses, checked = [], 0
     for a in ms:
@@ -148,15 +144,9 @@ def orthomodular_check(alg: MAlgebra) -> list[CheckResult]:
             step = conjunction(alg, neg[a.name], b)
             if disjunction(alg, a, step) != b:
                 witnesses.append((a.name, b.name))
-    results.append(_ortho_result("ortho_orthomodular", witnesses, checked))
+    results.append(check_result("ortho_orthomodular", witnesses, checked))
 
     return results
-
-
-def _ortho_result(property_id, witnesses, checked):
-    witnesses = sorted(witnesses)[:_WITNESS_CAP]
-    return CheckResult(property_id, "fail" if witnesses else "pass",
-                       witnesses, checked)
 
 
 def strong_sep_check(alg: MAlgebra, budget: Budget | None = None) -> list[CheckResult]:
@@ -175,13 +165,7 @@ def strong_sep_check(alg: MAlgebra, budget: Budget | None = None) -> list[CheckR
     point measurement.
     """
     budget = budget or Budget()
-    if isinstance(alg, RayAlgebra):
-        states = alg.sample_states(budget.height)
-        complete = False
-    else:
-        states = alg.sorted_states()
-        complete = True
-    nonzero = [x for x in states if x != alg.zero]
+    nonzero = [alg.state(x) for x in alg.state_domain(budget) if x != alg.zero_code]
 
     points = {}
 
@@ -234,18 +218,10 @@ def strong_sep_check(alg: MAlgebra, budget: Budget | None = None) -> list[CheckR
             if apply(alg, decomposition, x) != x:
                 wit_c.append((state_id(alg, x), a.name))
 
-    def result(pid, witnesses, checked):
-        witnesses = sorted(witnesses)[:_WITNESS_CAP]
-        if witnesses:
-            status = "fail"
-        else:
-            status = "pass" if complete else "sampled_pass"
-        return CheckResult(pid, status, witnesses, checked)
-
     return [
-        result("pointsep_implication", wit_a, checked_a),
-        result("pointsep_uniqueness", wit_b, checked_b),
-        result("pointsep_decomposition", wit_c, checked_c),
+        check_result("pointsep_implication", wit_a, checked_a, alg.exact),
+        check_result("pointsep_uniqueness", wit_b, checked_b, alg.exact),
+        check_result("pointsep_decomposition", wit_c, checked_c, alg.exact),
     ]
 
 
@@ -264,7 +240,7 @@ def classical_commutation_agree(alg: MAlgebra) -> CheckResult:
     for m in ms:
         checked += 1
         partners = list(ms)
-        if isinstance(alg, RayAlgebra) and alg.full_lattice:
+        if alg.full_lattice:
             sub = m.subspace
             if not sub.is_zero and not sub.is_full:
                 mix = [
@@ -280,6 +256,4 @@ def classical_commutation_agree(alg: MAlgebra) -> CheckResult:
         commutes_all = all(commutes(alg, m, k) for k in partners)
         if is_classical(alg, m) != commutes_all:
             witnesses.append((m.name,))
-    witnesses = sorted(witnesses)[:_WITNESS_CAP]
-    return CheckResult("classical_commutation", "fail" if witnesses else "pass",
-                       witnesses, checked)
+    return check_result("classical_commutation", witnesses, checked)

@@ -141,6 +141,15 @@ def assert_refused(result, phrase):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("height", ["0", "-2"])
+def test_height_below_one_exits_two(capsys, height):
+    assert_refused(
+        run(capsys, "check", fixture_path("r3"), "--axioms", "interference",
+            "--height", height),
+        "height",
+    )
+
+
 @pytest.mark.parametrize("height", ["abc", True, 2.5])
 def test_non_integer_sample_height_exits_two(tmp_path, capsys, height):
     model = write_model(tmp_path, {

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malgebra.core import (
+    ALL_AXIOMS,
     Budget,
-    DEFINING_AXIOMS,
     TableMeasurement,
     apply,
     check_axiom,
@@ -241,6 +241,12 @@ def test_separability_verdicts_elsewhere(t2max, r2full):
     assert check_axiom(r2full, "strong_separability").status == "sampled_pass"
 
 
+def test_full_lattice_replay_separates_by_point_measurements(r3full):
+    # no listed member separates these rays, but the point measurement of
+    # (1,1,1) does, so the checker can never report this pair
+    assert not replay_witness(r3full, "separability", ("(1,1,1)", "(1,1,0)"))
+
+
 def test_strong_separability_fails_on_listed_rays(r2):
     result = check_axiom(r2, "strong_separability")
     assert result.status == "fail"
@@ -445,10 +451,10 @@ def draw_table_algebra(data):
 @given(st.data())
 def test_witnesses_replay_on_random_tables(data):
     alg = draw_table_algebra(data)
-    for pid in DEFINING_AXIOMS + ("separability", "strong_separability", "l_cumulativity"):
-        result = check_axiom(alg, pid)
+    results = [check_axiom(alg, pid) for pid in ALL_AXIOMS] + lemma_suite(alg)
+    for result in results:
         for witness in result.witnesses:
-            assert replay_witness(alg, pid, witness), (pid, witness)
+            assert replay_witness(alg, result.property_id, witness), (result.property_id, witness)
 
 
 # compiled finite kernels against their pointwise definitions --------------------

@@ -1,10 +1,15 @@
-"""Golden reports: canonical JSON and exit code of three subcommands per fixture.
+"""Golden reports: canonical JSON and exit code of the CLI subcommands.
 
 Each file under ``tests/golden`` holds one invocation's exit code on its first
-line ("exit N") and the exact standard output after it.  The files were
-captured before the integer projection kernels replaced the Fraction path, so
-a byte-identical match shows that the kernels change no verdict, witness or
-count.  Regenerate (only when a report is meant to change) with
+line ("exit N") and the exact standard output after it.  The fixture reports
+were captured before the integer projection kernels replaced the Fraction
+path, so a byte-identical match shows that the kernels change no verdict,
+witness or count.  The tautology reports and the two reports on
+``golden/broken.json`` were captured before the law checks were merged into
+one definition each; the broken table model fails interference,
+cumulativity, negation and all twelve lemmas, so its reports pin the
+failing witnesses byte for byte.  Regenerate (only when a report is meant to
+change) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -25,14 +30,28 @@ COMMANDS = {
     "check": ["check", "--axioms", "all"],
     "lemmas": ["lemmas"],
     "order": ["order", "--strong-sep"],
+    "tautology": ["tautology", "--depth", "3", "--slots", "3"],
 }
-CASES = [(cmd, fx) for cmd in COMMANDS for fx in FIXTURES]
+COMMUTING = {"t2": "bot,p,q,top", "r2": "bot,px,py,top"}
+CASES = (
+    [(cmd, fx) for cmd in ("check", "lemmas", "order") for fx in FIXTURES]
+    + [("tautology", fx) for fx in COMMUTING]
+    + [("check", "broken"), ("lemmas", "broken")]
+)
+
+
+def model_path(fixture: str) -> Path:
+    if fixture == "broken":
+        return GOLDEN_DIR / "broken.json"
+    return ROOT / "fixtures" / f"{fixture}.json"
 
 
 def argv_for(command: str, fixture: str) -> list[str]:
     sub, *flags = COMMANDS[command]
-    argv = [sub, str(ROOT / "fixtures" / f"{fixture}.json"), *flags, "--format", "json"]
-    if fixture.startswith("r"):
+    argv = [sub, str(model_path(fixture)), *flags, "--format", "json"]
+    if command == "tautology":
+        argv += ["--commuting", COMMUTING[fixture]]
+    elif fixture.startswith("r"):
         argv += ["--height", "2"]
     return argv
 
