@@ -179,8 +179,10 @@ def cmd_connective(args) -> int:
     for part in args.bind.split(","):
         if "=" not in part:
             raise InputError(f"binding {part!r} is not of the form slot=name")
-        slot, name = part.split("=", 1)
-        binding[slot.strip()] = name.strip()
+        slot, name = (x.strip() for x in part.split("=", 1))
+        if slot in binding:
+            raise InputError(f"slot {slot!r} is bound twice")
+        binding[slot] = name
     cs = CommutingSet(alg, sorted(set(binding.values())))
     result = eval_formula(alg, cs, args.expr, binding)
     fp, z, _ = extent(alg, result)

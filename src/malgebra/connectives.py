@@ -9,14 +9,7 @@ classical behavior to offer.
 from __future__ import annotations
 
 from . import formulas
-from .core import (
-    MAlgebra,
-    Measurement,
-    RayAlgebra,
-    commutes,
-    compose_member,
-    negation_of,
-)
+from .core import MAlgebra, Measurement, commutes, compose_member, negation_of
 from .errors import ClosureViolation, InputError, NotCommutingError
 
 
@@ -51,8 +44,7 @@ class CommutingSet:
 
 
 def _binary(alg, a, b):
-    a = a if isinstance(a, Measurement) else alg.measurement(a)
-    b = b if isinstance(b, Measurement) else alg.measurement(b)
+    a, b = alg.resolve(a), alg.resolve(b)
     if not commutes(alg, a, b):
         raise NotCommutingError(a.name, b.name)
     return a, b
@@ -133,7 +125,4 @@ def is_classical(alg: MAlgebra, m) -> bool:
 
     On the ray backend this holds exactly for the zero and full projections.
     """
-    m = m if isinstance(m, Measurement) else alg.measurement(m)
-    if isinstance(alg, RayAlgebra):
-        return m.subspace.is_zero or m.subspace.is_full
-    return alg.fp_mask(m) | alg.z_mask(m) == alg.full_mask
+    return alg.is_classical(alg.resolve(m))

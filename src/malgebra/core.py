@@ -167,8 +167,9 @@ class MAlgebra:
     The measurements never change after construction, so their sorted names
     are computed once.
 
-    Each backend implements the protocol the law checks run on.  States are
-    handled as codes: declared-order indices on finite backends, the rays
+    Each backend implements one protocol; code outside the two backend
+    classes never asks which backend it runs on.  The law checks handle
+    states as codes: declared-order indices on finite backends, the rays
     themselves on the ray backend.
 
     * ``action(m)``: a mapping from each state code to the code of its image;
@@ -177,6 +178,24 @@ class MAlgebra:
     * ``zero_code``, and ``exact``: whether those domains are complete;
     * ``state(code)``, ``state_label(code)`` and ``state_code(label)``: the
       conversions between codes, states and their identifiers.
+
+    The measurement-level operations take resolved measurements; the module
+    functions of the same names resolve names first, then call these.
+
+    * ``has_state(state)``: whether ``apply`` accepts the state;
+    * ``extent(m)``: fixpoint set, zero set and their union;
+    * ``preserves(a, b)``, ``commutes(a, b)``, ``fp_subset(a, b)`` and
+      ``z_subset(a, b)``: relations between two members;
+    * ``compose_raw(a, b)``, ``membership(raw)`` and ``compose_member(a, b)``:
+      the raw composite "a, then b" and the member equal to it, if any;
+    * ``find_negation(m)`` and ``point_measurement(x)``: the member with
+      swapped fixpoints and zeros, and the one fixing only zero and ``x``,
+      or None;
+    * ``is_full(m)``, ``is_zero(m)`` and ``is_classical(m)``: whether ``m``
+      fixes every state, annihilates every state, or does one of the two to
+      each state;
+    * ``commutation_probes(m)``: the unlisted measurements a full lattice
+      adds when asking whether ``m`` commutes with every measurement.
     """
 
     kind = "abstract"
@@ -190,6 +209,7 @@ class MAlgebra:
             self._measurements[m.name] = m
         self._names = tuple(sorted(self._measurements))
         self._sorted = tuple(self._measurements[n] for n in self._names)
+        self._negations: dict[str, Measurement] = {}
 
     @property
     def measurements(self) -> dict[str, Measurement]:
@@ -205,8 +225,29 @@ class MAlgebra:
         except KeyError:
             raise InputError(f"unknown measurement {name!r}") from None
 
+    def resolve(self, m) -> Measurement:
+        """A measurement, or the member of that name."""
+        return m if isinstance(m, Measurement) else self.measurement(m)
+
     def sorted_measurements(self) -> list[Measurement]:
         return list(self._sorted)
+
+    def commutation_probes(self, m: Measurement) -> list[Measurement]:
+        """Unlisted measurements that ``m`` must commute with if it commutes
+        with every measurement; only a full lattice has any."""
+        return []
+
+    def negation(self, m: Measurement) -> Measurement:
+        """``find_negation``, cached for members; raises when there is none."""
+        member = self._measurements.get(m.name) is m
+        cached = self._negations.get(m.name) if member else None
+        if cached is None:
+            cached = self.find_negation(m)
+            if cached is None:
+                raise NegationViolation(m.name)
+            if member:
+                self._negations[m.name] = cached
+        return cached
 
 
 class Compiled(NamedTuple):
@@ -216,6 +257,11 @@ class Compiled(NamedTuple):
     fp: int  # fixpoint bitmask
     z: int  # zero bitmask
     fixed: tuple[int, ...]  # fixpoint indices, ascending
+
+
+def _then(A, B):
+    """Codes of "apply A, then B"."""
+    return tuple(map(B.__getitem__, A))
 
 
 class FiniteAlgebra(MAlgebra):
@@ -242,10 +288,6 @@ class FiniteAlgebra(MAlgebra):
         self._table_index: dict[tuple, Measurement] = {}
         for m in self._sorted:
             self._table_index.setdefault(self._compiled[id(m)].codes, m)
-        self._negations: dict[str, Measurement] = {}
-
-    def has_state(self, state) -> bool:
-        return state in self._state_index
 
     def _compile(self, m: Measurement) -> Compiled:
         try:
@@ -278,9 +320,6 @@ class FiniteAlgebra(MAlgebra):
         """Zero set as a bitmask over the declared state order."""
         return (self._compiled.get(id(m)) or self._compile(m)).z
 
-    def table_index(self) -> dict[tuple, Measurement]:
-        return self._table_index
-
     # law-check protocol (see MAlgebra)
 
     exact = True
@@ -308,13 +347,73 @@ class FiniteAlgebra(MAlgebra):
         except KeyError:
             raise InputError(f"unknown state {label!r}") from None
 
+    # measurement-level operations (see MAlgebra), read off the codes
+
+    def has_state(self, state) -> bool:
+        return state in self._state_index
+
+    def extent(self, m: Measurement) -> tuple[StateSet, StateSet, StateSet]:
+        c = self.compiled(m)
+        fp = frozenset(self.states[i] for i in c.fixed)
+        z = frozenset(s for i, s in enumerate(self.states) if c.z >> i & 1)
+        return StateSet(fp, True), StateSet(z, True), StateSet(fp | z, True)
+
+    def preserves(self, a: Measurement, b: Measurement) -> bool:
+        A, cb = self.codes(a), self.compiled(b)
+        return all(cb.fp >> A[x] & 1 for x in cb.fixed)
+
+    def commutes(self, a: Measurement, b: Measurement) -> bool:
+        A, B = self.codes(a), self.codes(b)
+        return _then(A, B) == _then(B, A)
+
+    def fp_subset(self, a: Measurement, b: Measurement) -> bool:
+        return self.fp_mask(a) & ~self.fp_mask(b) == 0
+
+    def z_subset(self, a: Measurement, b: Measurement) -> bool:
+        return self.z_mask(a) & ~self.z_mask(b) == 0
+
+    def compose_raw(self, a: Measurement, b: Measurement) -> dict:
+        return {x: b(a(x)) for x in self.states}
+
+    def membership(self, raw: dict) -> Measurement | None:
+        missing = [s for s in self.states if s not in raw]
+        if missing:
+            raise InputError(f"raw map has no entry for state {missing[0]!r}")
+        index = self._state_index
+        return self._table_index.get(tuple(index.get(raw[s]) for s in self.states))
+
+    def compose_member(self, a: Measurement, b: Measurement) -> Measurement | None:
+        return self._table_index.get(_then(self.codes(a), self.codes(b)))
+
+    def find_negation(self, m: Measurement) -> Measurement | None:
+        hinted = self.negation_hints.get(m.name)
+        if hinted is not None:
+            return self.measurement(hinted)
+        target_fp, target_z = self.z_mask(m), self.fp_mask(m)
+        return next((c for c in self._sorted
+                     if self.fp_mask(c) == target_fp and self.z_mask(c) == target_z), None)
+
+    def point_measurement(self, x: str) -> Measurement | None:
+        target = (1 << self.zero_code) | (1 << self._state_index[x])
+        return next((m for m in self._sorted if self.fp_mask(m) == target), None)
+
+    def is_full(self, m: Measurement) -> bool:
+        return self.fp_mask(m) == self.full_mask
+
+    def is_zero(self, m: Measurement) -> bool:
+        return self.z_mask(m) == self.full_mask
+
+    def is_classical(self, m: Measurement) -> bool:
+        return self.fp_mask(m) | self.z_mask(m) == self.full_mask
+
 
 class RayAlgebra(MAlgebra):
     """Ray backend: canonical rays of Q^n acted on by exact projections.
 
-    With ``full_lattice`` the listed measurements are just a named window:
-    membership and negation may synthesize projections onto any rational
-    subspace on demand.
+    Measurement-level relations are decided exactly on the subspaces; extents
+    list the sampled window inside them.  With ``full_lattice`` the listed
+    measurements are just a named window: membership and negation may
+    synthesize projections onto any rational subspace on demand.
     """
 
     kind = "ray"
@@ -329,7 +428,6 @@ class RayAlgebra(MAlgebra):
         self._subspace_names: dict[Subspace, str] = {
             m.subspace: m.name for m in reversed(self.sorted_measurements())
         }
-        self._negations: dict[str, Measurement] = {}
         self._actions = {id(m): _RayAction(m.subspace) for m in self._sorted}
 
     def sample_states(self, height: int | None = None) -> list[Ray]:
@@ -387,6 +485,71 @@ class RayAlgebra(MAlgebra):
     def state_code(self, label: str) -> Ray:
         return parse_ray(label, self.dim)
 
+    # measurement-level operations (see MAlgebra), decided on the subspaces
+
+    def has_state(self, state) -> bool:
+        return isinstance(state, Ray) and state.dim == self.dim
+
+    def extent(self, m: Measurement) -> tuple[StateSet, StateSet, StateSet]:
+        sub, perp = m.subspace, m.subspace.orthocomplement
+        fp = self.fixpoint_domain(m, Budget())
+        z = self.zero_domain(m, Budget())
+        return (StateSet(frozenset(fp), False, sub), StateSet(frozenset(z), False, perp),
+                StateSet(frozenset(fp + z), False))
+
+    def preserves(self, a: Measurement, b: Measurement) -> bool:
+        """The projection of b's subspace under a lands inside both subspaces."""
+        inter = a.subspace.intersect(b.subspace)
+        return all(inter.contains(a.subspace.project_vector(v)) for v in b.subspace.basis_vectors)
+
+    def commutes(self, a: Measurement, b: Measurement) -> bool:
+        return a.subspace.commutes_with(b.subspace)
+
+    def fp_subset(self, a: Measurement, b: Measurement) -> bool:
+        return b.subspace.contains_subspace(a.subspace)
+
+    def z_subset(self, a: Measurement, b: Measurement) -> bool:
+        return b.subspace.orthocomplement.contains_subspace(a.subspace.orthocomplement)
+
+    def compose_raw(self, a: Measurement, b: Measurement) -> Matrix:
+        return mat_mul(b.matrix, a.matrix)
+
+    def membership(self, raw: Matrix) -> Measurement | None:
+        """A listed projection equal to ``raw``; on a full lattice any
+        symmetric idempotent rational matrix, synthesized when unlisted."""
+        if not is_symmetric_idempotent(raw):
+            return None
+        return self.measurement_for_subspace(Subspace.from_projection(raw))
+
+    def compose_member(self, a: Measurement, b: Measurement) -> Measurement | None:
+        # through the module functions, so that their per-layer spans count it
+        return membership(self, compose_raw(self, a, b))
+
+    def find_negation(self, m: Measurement) -> Measurement | None:
+        return self.measurement_for_subspace(m.subspace.orthocomplement)
+
+    def point_measurement(self, x: Ray) -> Measurement | None:
+        return self.measurement_for_subspace(Subspace.from_generators(self.dim, [x.direction]))
+
+    def commutation_probes(self, m: Measurement) -> list[Measurement]:
+        """On a full lattice, the point measurement of a ray mixing a proper
+        subspace with its complement: such a ray always exists and never
+        commutes with the subspace."""
+        sub = m.subspace
+        if not self.full_lattice or sub.is_zero or sub.is_full:
+            return []
+        mix = [a + b for a, b in zip(sub.basis_vectors[0], sub.orthocomplement.basis_vectors[0])]
+        return [point_measurement(self, Ray.from_vector(mix, self.dim))]
+
+    def is_full(self, m: Measurement) -> bool:
+        return m.subspace.is_full
+
+    def is_zero(self, m: Measurement) -> bool:
+        return m.subspace.is_zero
+
+    def is_classical(self, m: Measurement) -> bool:
+        return m.subspace.is_zero or m.subspace.is_full
+
 
 class _RayAction(dict):
     """Images of rays under one projection, projected on first lookup."""
@@ -408,12 +571,6 @@ def _subspace_label(sub: Subspace) -> str:
     return "P[" + ";".join("(" + ",".join(str(x) for x in b) + ")" for b in sub.basis) + "]"
 
 
-def _resolve(alg: MAlgebra, m) -> Measurement:
-    if isinstance(m, Measurement):
-        return m
-    return alg.measurement(m)
-
-
 def state_id(alg: MAlgebra, state) -> str:
     return str(state)
 
@@ -424,91 +581,33 @@ def state_from_id(alg: MAlgebra, sid: str):
 
 def apply(alg: MAlgebra, m, state):
     """Act on a state with a measurement; deterministic and total."""
-    m = _resolve(alg, m)
-    if isinstance(alg, RayAlgebra):
-        if not isinstance(state, Ray) or state.dim != alg.dim:
-            raise InputError(f"not a state of this algebra: {state!r}")
-        return m(state)
+    m = alg.resolve(m)
     if not alg.has_state(state):
-        raise InputError(f"unknown state {state!r}")
+        raise InputError(f"not a state of this algebra: {state!r}")
     return m(state)
 
 
 def extent(alg: MAlgebra, m) -> tuple[StateSet, StateSet, StateSet]:
     """Fixpoint set, zero set and their union (the states with a definite value)."""
-    m = _resolve(alg, m)
-    if isinstance(alg, RayAlgebra):
-        sub = m.subspace
-        perp = sub.orthocomplement
-        zero = Ray.zero(alg.dim)
-        fp_members = frozenset([zero]) | frozenset(subspace_rays(sub, alg.sample_height))
-        z_members = frozenset([zero]) | frozenset(subspace_rays(perp, alg.sample_height))
-        fp = StateSet(fp_members, complete=False, subspace=sub)
-        z = StateSet(z_members, complete=False, subspace=perp)
-        deff = StateSet(fp_members | z_members, complete=False)
-        return fp, z, deff
-    c = alg.compiled(m)
-    fp = frozenset(alg.states[i] for i in c.fixed)
-    z = frozenset(s for i, s in enumerate(alg.states) if c.z >> i & 1)
-    return (
-        StateSet(fp, complete=True),
-        StateSet(z, complete=True),
-        StateSet(fp | z, complete=True),
-    )
+    return alg.extent(alg.resolve(m))
 
 
 def preserves(alg: MAlgebra, a, b) -> bool:
-    """Whether ``a`` maps the fixpoint set of ``b`` into itself.
-
-    On the ray backend this is decided exactly: the projection of b's
-    subspace under a must land inside the intersection of the two subspaces.
-    """
-    a, b = _resolve(alg, a), _resolve(alg, b)
-    if isinstance(alg, RayAlgebra):
-        inter = a.subspace.intersect(b.subspace)
-        return all(
-            inter.contains(a.subspace.project_vector(v))
-            for v in b.subspace.basis_vectors
-        )
-    A, cb = alg.codes(a), alg.compiled(b)
-    return all(cb.fp >> A[x] & 1 for x in cb.fixed)
+    """Whether ``a`` maps the fixpoint set of ``b`` into itself (exact on
+    both backends)."""
+    return alg.preserves(alg.resolve(a), alg.resolve(b))
 
 
 def preserves_pointwise(alg: MAlgebra, a, b, height: int | None = None) -> bool:
     """The pointwise definition of preservation, sampled on the ray backend."""
-    a, b = _resolve(alg, a), _resolve(alg, b)
+    a, b = alg.resolve(a), alg.resolve(b)
     if isinstance(alg, RayAlgebra):
         return all(b(a(x)) == a(x) for x in alg.fixpoint_domain(b, Budget(height=height)))
     return all(b(a(x)) == a(x) for x in alg.states if b(x) == x)
 
 
 def commutes(alg: MAlgebra, a, b) -> bool:
-    a, b = _resolve(alg, a), _resolve(alg, b)
-    if isinstance(alg, RayAlgebra):
-        return a.subspace.commutes_with(b.subspace)
-    A, B = alg.codes(a), alg.codes(b)
-    return _then(A, B) == _then(B, A)
-
-
-def _then(A, B):
-    """Codes of "apply A, then B"."""
-    return tuple(map(B.__getitem__, A))
-
-
-def fp_subset(alg, a, b):
-    """FP(a) is included in FP(b)."""
-    if isinstance(alg, RayAlgebra):
-        return b.subspace.contains_subspace(a.subspace)
-    fa, fb = alg.fp_mask(a), alg.fp_mask(b)
-    return fa & ~fb == 0
-
-
-def z_subset(alg, a, b):
-    """Z(a) is included in Z(b)."""
-    if isinstance(alg, RayAlgebra):
-        return b.subspace.orthocomplement.contains_subspace(a.subspace.orthocomplement)
-    za, zb = alg.z_mask(a), alg.z_mask(b)
-    return za & ~zb == 0
+    return alg.commutes(alg.resolve(a), alg.resolve(b))
 
 
 def compose_raw(alg: MAlgebra, a, b):
@@ -517,38 +616,17 @@ def compose_raw(alg: MAlgebra, a, b):
     Finite backends return an extensional table, the ray backend the exact
     matrix of the composite.
     """
-    a, b = _resolve(alg, a), _resolve(alg, b)
-    if isinstance(alg, RayAlgebra):
-        return mat_mul(b.matrix, a.matrix)
-    return {x: b(a(x)) for x in alg.states}
+    return alg.compose_raw(alg.resolve(a), alg.resolve(b))
 
 
 def membership(alg: MAlgebra, raw) -> Measurement | None:
-    """The measurement extensionally equal to a raw map, if there is one.
-
-    On a full-lattice ray algebra any symmetric idempotent rational matrix
-    qualifies and is resolved to a listed name when possible, otherwise a
-    fresh projection measurement is synthesized.
-    """
-    if isinstance(alg, RayAlgebra):
-        if not is_symmetric_idempotent(raw):
-            return None
-        sub = Subspace.from_projection(raw)
-        return alg.measurement_for_subspace(sub)
-    missing = [s for s in alg.states if s not in raw]
-    if missing:
-        raise InputError(f"raw map has no entry for state {missing[0]!r}")
-    index = alg._state_index
-    return alg.table_index().get(tuple(index.get(raw[s]) for s in alg.states))
+    """The measurement extensionally equal to a raw map, if there is one."""
+    return alg.membership(raw)
 
 
 def compose_member(alg: MAlgebra, a, b) -> Measurement | None:
     """The member of M equal to "apply a, then b", or None."""
-    a, b = _resolve(alg, a), _resolve(alg, b)
-    if isinstance(alg, RayAlgebra):
-        return membership(alg, compose_raw(alg, a, b))
-    B = alg.codes(b)
-    return alg.table_index().get(tuple(map(B.__getitem__, alg.codes(a))))
+    return alg.compose_member(alg.resolve(a), alg.resolve(b))
 
 
 def negation_of(alg: MAlgebra, m) -> Measurement:
@@ -557,31 +635,7 @@ def negation_of(alg: MAlgebra, m) -> Measurement:
     Unique when it exists (measurements are determined by their fixpoints);
     raises :class:`NegationViolation` when the algebra lacks it.
     """
-    m = _resolve(alg, m)
-    cached = alg._negations.get(m.name)
-    if cached is not None and alg.measurements.get(m.name) is m:
-        return cached
-    if isinstance(alg, RayAlgebra):
-        result = alg.measurement_for_subspace(m.subspace.orthocomplement)
-        if result is None:
-            raise NegationViolation(m.name)
-    else:
-        hinted = alg.negation_hints.get(m.name)
-        if hinted is not None:
-            result = alg.measurement(hinted)
-        else:
-            target_fp = alg.z_mask(m)
-            target_z = alg.fp_mask(m)
-            result = next(
-                (c for c in alg.sorted_measurements()
-                 if alg.fp_mask(c) == target_fp and alg.z_mask(c) == target_z),
-                None,
-            )
-            if result is None:
-                raise NegationViolation(m.name)
-    if alg.measurements.get(m.name) is m:
-        alg._negations[m.name] = result
-    return result
+    return alg.negation(alg.resolve(m))
 
 
 def top_bot(alg: MAlgebra) -> tuple[Measurement, Measurement]:
@@ -602,11 +656,7 @@ def top_bot(alg: MAlgebra) -> tuple[Measurement, Measurement]:
             "the composition law fails"
         )
     top = negation_of(alg, bot)
-    if isinstance(alg, RayAlgebra):
-        ok = bot.subspace.is_zero and top.subspace.is_full
-    else:
-        ok = alg.z_mask(bot) == alg.fp_mask(top) == alg.full_mask
-    if not ok:
+    if not (alg.is_zero(bot) and alg.is_full(top)):
         raise ClosureViolation(
             "the derived bottom/top measurements misbehave; the composition "
             "or negation law fails"
@@ -616,19 +666,9 @@ def top_bot(alg: MAlgebra) -> tuple[Measurement, Measurement]:
 
 def point_measurement(alg: MAlgebra, x) -> Measurement | None:
     """The measurement whose only fixpoints are the zero state and ``x``."""
-    if isinstance(alg, RayAlgebra):
-        if not isinstance(x, Ray) or x.is_zero:
-            raise InputError("point measurements exist only for nonzero states")
-        return alg.measurement_for_subspace(
-            Subspace.from_generators(alg.dim, [x.direction])
-        )
     if not alg.has_state(x) or x == alg.zero:
         raise InputError("point measurements exist only for nonzero states")
-    target = (1 << alg.zero_code) | (1 << alg._state_index[x])
-    for m in alg.sorted_measurements():
-        if alg.fp_mask(m) == target:
-            return m
-    return None
+    return alg.point_measurement(x)
 
 
 # ---------------------------------------------------------------------------
@@ -865,7 +905,7 @@ _PAIR_LEMMAS = (
     # A composite fixes every common fixpoint, so only FP(ab) within FP(a)
     # and FP(b) can fail.
     ("composition_fixpoints", False, lambda alg, p: p.ab is not None,
-     lambda alg, p: not (fp_subset(alg, p.ab, p.a) and fp_subset(alg, p.ab, p.b))),
+     lambda alg, p: not (alg.fp_subset(p.ab, p.a) and alg.fp_subset(p.ab, p.b))),
     ("composition_preserves", False, lambda alg, p: p.ab is not None,
      lambda alg, p: not p.b_keeps_a),
     ("composition_iff_preservation", False, None,
@@ -895,8 +935,8 @@ def _pair_lemmas(alg, ms) -> dict[str, tuple[list, int, bool]]:
                 ordered, unordered = (p,), ()
             else:
                 p = _Pair(a, b, ab, compose_member(alg, b, a), a_keeps_b, preserves(alg, b, a),
-                          fp_subset(alg, a, b), fp_subset(alg, b, a),
-                          z_subset(alg, a, b), z_subset(alg, b, a), commutes(alg, a, b))
+                          alg.fp_subset(a, b), alg.fp_subset(b, a),
+                          alg.z_subset(a, b), alg.z_subset(b, a), commutes(alg, a, b))
                 ordered, unordered = (p, p.flip()), (p,)
             for pid, over_unordered, premise, violation in _PAIR_LEMMAS:
                 for q in unordered if over_unordered else ordered:

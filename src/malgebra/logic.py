@@ -13,7 +13,7 @@ The formula syntax itself (parser, AST, truth tables) lives in
 from __future__ import annotations
 
 from .connectives import CommutingSet, conjunction, disjunction, implication
-from .core import CheckResult, MAlgebra, RayAlgebra, check_result, fp_subset, negation_of
+from .core import CheckResult, MAlgebra, check_result, negation_of
 from .errors import InputError
 from .formulas import (  # noqa: F401  (public logic API)
     And,
@@ -34,12 +34,6 @@ from .formulas import (  # noqa: F401  (public logic API)
     slots_of,
     truth_mask,
 )
-
-
-def _fp_is_full(alg, m) -> bool:
-    if isinstance(alg, RayAlgebra):
-        return m.subspace.is_full
-    return alg.fp_mask(m) == alg.full_mask
 
 
 def verify_tautology_theorem(alg: MAlgebra, cs: CommutingSet,
@@ -93,7 +87,7 @@ def verify_tautology_theorem(alg: MAlgebra, cs: CommutingSet,
                 continue
         else:
             classes[fn] = (text, measurement)
-        if fn == ((), 1) and not _fp_is_full(alg, measurement):
+        if fn == ((), 1) and not alg.is_full(measurement):
             witnesses.append(("tautology_not_full", text))
 
     class_items = sorted(classes.items(), key=lambda kv: kv[1][0])
@@ -101,7 +95,7 @@ def verify_tautology_theorem(alg: MAlgebra, cs: CommutingSet,
         for fn_b, (text_b, m_b) in class_items:
             if fn_a == fn_b:
                 continue
-            if entails(fn_a, fn_b) and not fp_subset(alg, m_a, m_b):
+            if entails(fn_a, fn_b) and not alg.fp_subset(m_a, m_b):
                 witnesses.append(("entailment_not_included", text_a, text_b))
 
     return check_result("tautology_theorem", witnesses, checked,
@@ -114,10 +108,7 @@ def verify_schemes(alg: MAlgebra, cs: CommutingSet) -> list[CheckResult]:
     instantiated over every member tuple of the commuting set."""
     members = cs.members()
     neg = {m.name: negation_of(alg, m) for m in members}
-
-    def full(m):
-        return _fp_is_full(alg, m)
-
+    full = alg.is_full
     results = []
 
     witnesses, checked, fired = [], 0, False

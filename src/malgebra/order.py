@@ -18,23 +18,19 @@ from .core import (
     apply,
     check_result,
     commutes,
-    fp_subset,
     negation_of,
     point_measurement,
     state_id,
     top_bot,
-    z_subset,
 )
 from .errors import NotStronglySeparable
-from .ratlin import Ray
 
 
 def leq(alg: MAlgebra, a, b) -> bool:
     """Order by fixpoint inclusion; the dual zero-set route must agree."""
-    a = a if isinstance(a, Measurement) else alg.measurement(a)
-    b = b if isinstance(b, Measurement) else alg.measurement(b)
-    by_fp = fp_subset(alg, a, b)
-    by_z = z_subset(alg, b, a)
+    a, b = alg.resolve(a), alg.resolve(b)
+    by_fp = alg.fp_subset(a, b)
+    by_z = alg.z_subset(b, a)
     if by_fp != by_z:
         raise RuntimeError(
             f"internal error: the two order definitions disagree on "
@@ -229,31 +225,15 @@ def classical_commutation_agree(alg: MAlgebra) -> CheckResult:
     """On separable algebras classicality coincides with commuting with
     every measurement; both directions are checked.
 
-    On a full-lattice ray algebra the commutation side quantifies over an
-    infinite family, so besides the listed window each proper subspace is
-    also tested against the point measurement of a ray mixing it with its
-    complement; such a ray always exists and never commutes, which makes
-    the verdict exact.
+    On a full lattice the commutation side quantifies over an infinite
+    family, so besides the listed window each member is also tested against
+    the backend's ``commutation_probes``, which makes the verdict exact.
     """
     ms = alg.sorted_measurements()
     witnesses, checked = [], 0
     for m in ms:
         checked += 1
-        partners = list(ms)
-        if alg.full_lattice:
-            sub = m.subspace
-            if not sub.is_zero and not sub.is_full:
-                mix = [
-                    a + b
-                    for a, b in zip(
-                        sub.basis_vectors[0],
-                        sub.orthocomplement.basis_vectors[0],
-                    )
-                ]
-                partners.append(
-                    point_measurement(alg, Ray.from_vector(mix, alg.dim))
-                )
-        commutes_all = all(commutes(alg, m, k) for k in partners)
+        commutes_all = all(commutes(alg, m, k) for k in ms + alg.commutation_probes(m))
         if is_classical(alg, m) != commutes_all:
             witnesses.append((m.name,))
     return check_result("classical_commutation", witnesses, checked)

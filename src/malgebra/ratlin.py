@@ -61,12 +61,6 @@ def vector(values: Iterable, dim: int | None = None) -> Vector:
     return v
 
 
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    if len(u) != len(v):
-        raise InputError(f"dot of vectors with lengths {len(u)} and {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
 def zero_vector(n: int) -> Vector:
     return (Fraction(0),) * n
 
@@ -87,12 +81,6 @@ def zero_matrix(n: int) -> Matrix:
 
 def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m)) if m else ()
-
-
-def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Vector:
-    if m and len(m[0]) != len(v):
-        raise InputError(f"matrix width {len(m[0])} does not match vector length {len(v)}")
-    return tuple(dot(row, v) for row in m)
 
 
 def scale_to_int(m: Matrix) -> tuple[IntMatrix, int]:

@@ -183,6 +183,12 @@ def test_deeply_nested_formula_exits_two(capsys, expr):
     assert_refused(result, "deeper than")
 
 
+@pytest.mark.parametrize("bind", ["a=p,a=q", "a=p, a =p"])
+def test_slot_bound_twice_exits_two(capsys, bind):
+    result = run(capsys, "connective", fixture_path("t2"), "--expr", "a", "--bind", bind)
+    assert_refused(result, "bound twice")
+
+
 # exit code 3: budgets -------------------------------------------------------------
 
 

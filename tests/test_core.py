@@ -26,8 +26,9 @@ from malgebra.core import (
     replay_witness,
     top_bot,
 )
+from malgebra.connectives import is_classical
 from malgebra.errors import InputError, NegationViolation
-from malgebra.models import build_table, fixture_t2
+from malgebra.models import FIXTURES, build_table, fixture_t2
 from malgebra.ratlin import Ray, zero_matrix
 
 R = Ray.from_vector
@@ -508,3 +509,29 @@ def test_foreign_measurement_under_a_member_name_gets_its_own_codes(t2):
     assert compose_member(t2, member, top) is member
     # the member's own compile is untouched by the foreign lookup
     assert t2.fp_mask(member) != t2.fp_mask(bot)
+
+
+# ray backend relations against their pointwise definitions --------------------
+
+
+@pytest.mark.parametrize("fixture", ["r2", "r3", "r3_full"])
+def test_ray_relations_match_pointwise_definitions(fixture):
+    alg = FIXTURES[fixture]()
+    window = set(alg.sample_states())
+    ms = alg.sorted_measurements()
+    fixed = {m.name: {x for x in window if m(x) == x} for m in ms}
+    zeros = {m.name: {x for x in window if m(x) == alg.zero} for m in ms}
+    for a in ms:
+        assert alg.is_full(a) == (fixed[a.name] == window), a
+        assert alg.is_zero(a) == (zeros[a.name] == window), a
+        assert is_classical(alg, a) == (fixed[a.name] | zeros[a.name] == window), a
+        for b in ms:
+            assert alg.fp_subset(a, b) == (fixed[a.name] <= fixed[b.name]), (a, b)
+            assert alg.z_subset(a, b) == (zeros[a.name] <= zeros[b.name]), (a, b)
+
+
+@pytest.mark.parametrize("state", [Ray.zero(3), R([1, 0, 1], 3), "(1,0)", (1, 0)],
+                         ids=["zero-3d", "ray-3d", "label", "tuple"])
+def test_apply_on_rays_refuses_what_is_not_a_state(r2, state):
+    with pytest.raises(InputError, match="not a state"):
+        apply(r2, "px", state)

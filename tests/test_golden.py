@@ -8,8 +8,11 @@ witness or count.  The tautology reports and the two reports on
 ``golden/broken.json`` were captured before the law checks were merged into
 one definition each; the broken table model fails interference,
 cumulativity, negation and all twelve lemmas, so its reports pin the
-failing witnesses byte for byte.  Regenerate (only when a report is meant to
-change) with
+failing witnesses byte for byte.  The ``connective`` reports (one table, one
+listed ray family and one full lattice) were captured before the remaining
+table/ray differences moved onto the two backend classes; they pin the
+extents, negations, composites and commutation refusals along that path.
+Regenerate (only when a report is meant to change) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -31,12 +34,20 @@ COMMANDS = {
     "lemmas": ["lemmas"],
     "order": ["order", "--strong-sep"],
     "tautology": ["tautology", "--depth", "3", "--slots", "3"],
+    "connective": ["connective"],
 }
 COMMUTING = {"t2": "bot,p,q,top", "r2": "bot,px,py,top"}
+# fixture -> (formula, slot bindings)
+CONNECTIVE = {
+    "t2": ("(a -> b) | ~(a & c)", "a=p,b=q,c=p|q"),
+    "r2": ("(a -> b) | ~(c & a)", "a=pd,b=pdp,c=top"),
+    "r3_full": ("~(a & b) & (a | c)", "a=pxy,b=pep,c=pz"),
+}
 CASES = (
     [(cmd, fx) for cmd in ("check", "lemmas", "order") for fx in FIXTURES]
     + [("tautology", fx) for fx in COMMUTING]
     + [("check", "broken"), ("lemmas", "broken")]
+    + [("connective", fx) for fx in CONNECTIVE]
 )
 
 
@@ -51,6 +62,9 @@ def argv_for(command: str, fixture: str) -> list[str]:
     argv = [sub, str(model_path(fixture)), *flags, "--format", "json"]
     if command == "tautology":
         argv += ["--commuting", COMMUTING[fixture]]
+    elif command == "connective":
+        expr, bind = CONNECTIVE[fixture]
+        argv += ["--expr", expr, "--bind", bind]
     elif fixture.startswith("r"):
         argv += ["--height", "2"]
     return argv

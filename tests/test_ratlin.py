@@ -18,7 +18,6 @@ from malgebra.ratlin import (
     identity_matrix,
     is_symmetric_idempotent,
     mat_mul,
-    mat_vec,
     parse_ray,
     primitive,
     primitive_vectors,
@@ -284,8 +283,6 @@ def test_basis_vectors_project_to_themselves():
 
 
 def test_matrix_shape_errors():
-    with pytest.raises(InputError):
-        mat_vec(identity_matrix(2), (F(1),))
     with pytest.raises(InputError):
         mat_mul(identity_matrix(2), identity_matrix(3))
 
