@@ -41,7 +41,6 @@ from .core import (
     preserves,
     preserves_pointwise,
     replay_witness,
-    state_from_id,
     state_id,
     top_bot,
 )

@@ -98,19 +98,7 @@ def eval_formula(alg: MAlgebra, cs: CommutingSet, formula, binding: dict,
                 "in the commuting set"
             )
 
-    def walk(node):
-        if isinstance(node, formulas.Slot):
-            return alg.measurement(binding[node.name])
-        if isinstance(node, formulas.Not):
-            return negation_of(alg, walk(node.operand))
-        left, right = walk(node.left), walk(node.right)
-        if isinstance(node, formulas.And):
-            return conjunction(alg, left, right)
-        if isinstance(node, formulas.Or):
-            return disjunction(alg, left, right)
-        return implication(alg, left, right)
-
-    result = walk(formula)
+    result = formula_walker(alg, binding)(formula)
     if verify_closure:
         for member in cs.members():
             if not commutes(alg, result, member):
@@ -118,6 +106,32 @@ def eval_formula(alg: MAlgebra, cs: CommutingSet, formula, binding: dict,
                     f"internal error: result does not commute with {member.name!r}"
                 )
     return result
+
+
+def formula_walker(alg: MAlgebra, binding: dict):
+    """A memoised evaluator of formula nodes, slots resolved through
+    ``binding``; it keeps every node it evaluated for later calls."""
+    memo: dict = {}
+
+    def walk(node):
+        m = memo.get(node)
+        if m is None:
+            if isinstance(node, formulas.Slot):
+                m = alg.measurement(binding[node.name])
+            elif isinstance(node, formulas.Not):
+                m = negation_of(alg, walk(node.operand))
+            else:
+                left, right = walk(node.left), walk(node.right)
+                if isinstance(node, formulas.And):
+                    m = conjunction(alg, left, right)
+                elif isinstance(node, formulas.Or):
+                    m = disjunction(alg, left, right)
+                else:
+                    m = implication(alg, left, right)
+            memo[node] = m
+        return m
+
+    return walk
 
 
 def is_classical(alg: MAlgebra, m) -> bool:

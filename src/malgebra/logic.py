@@ -12,8 +12,8 @@ The formula syntax itself (parser, AST, truth tables) lives in
 
 from __future__ import annotations
 
-from .connectives import CommutingSet, conjunction, disjunction, implication
-from .core import CheckResult, MAlgebra, check_result, negation_of
+from .connectives import CommutingSet, conjunction, disjunction, formula_walker, implication
+from .core import CheckResult, MAlgebra, check_instances, check_result, negation_of
 from .errors import InputError
 from .formulas import (  # noqa: F401  (public logic API)
     And,
@@ -53,32 +53,14 @@ def verify_tautology_theorem(alg: MAlgebra, cs: CommutingSet,
         raise InputError("depth and slot bounds must be positive")
     alphabet = cs.names
     formulas_list = enumerate_formulas(alphabet, max_depth, min(max_slots, len(alphabet)), cap)
-    binding = {name: name for name in alphabet}
+    evaluate_member = formula_walker(alg, {name: name for name in alphabet})
 
     witnesses = []
     classes: dict[tuple, tuple] = {}  # essential function -> (formula text, measurement)
-    evaluated: dict[Formula, object] = {}
 
-    def eval_cached(f):
-        if f not in evaluated:
-            if isinstance(f, Slot):
-                m = alg.measurement(binding[f.name])
-            elif isinstance(f, Not):
-                m = negation_of(alg, eval_cached(f.operand))
-            elif isinstance(f, And):
-                m = conjunction(alg, eval_cached(f.left), eval_cached(f.right))
-            elif isinstance(f, Or):
-                m = disjunction(alg, eval_cached(f.left), eval_cached(f.right))
-            else:
-                m = implication(alg, eval_cached(f.left), eval_cached(f.right))
-            evaluated[f] = m
-        return evaluated[f]
-
-    checked = 0
     for f in formulas_list:
-        checked += 1
         text = format_formula(f, compact=True)
-        measurement = eval_cached(f)
+        measurement = evaluate_member(f)
         fn = essential_function(f)
         if fn in classes:
             rep_text, rep_m = classes[fn]
@@ -98,7 +80,7 @@ def verify_tautology_theorem(alg: MAlgebra, cs: CommutingSet,
             if entails(fn_a, fn_b) and not alg.fp_subset(m_a, m_b):
                 witnesses.append(("entailment_not_included", text_a, text_b))
 
-    return check_result("tautology_theorem", witnesses, checked,
+    return check_result("tautology_theorem", witnesses, len(formulas_list),
                         note=f"{len(classes)} semantic classes")
 
 
@@ -109,63 +91,26 @@ def verify_schemes(alg: MAlgebra, cs: CommutingSet) -> list[CheckResult]:
     members = cs.members()
     neg = {m.name: negation_of(alg, m) for m in members}
     full = alg.is_full
-    results = []
-
-    witnesses, checked, fired = [], 0, False
-    for a in members:
-        for b in members:
-            checked += 1
-            if full(a) and full(implication(alg, a, b)):
-                fired = True
-                if not full(b):
-                    witnesses.append((a.name, b.name))
-    results.append(check_result("modus_ponens", witnesses, checked, vacuous=not fired))
-
-    witnesses, checked = [], 0
-    for a in members:
-        for b in members:
-            checked += 1
-            if not full(implication(alg, a, implication(alg, b, a))):
-                witnesses.append((a.name, b.name))
-    results.append(check_result("scheme_weakening", witnesses, checked))
-
-    witnesses, checked = [], 0
-    for a in members:
-        for b in members:
-            for c in members:
-                checked += 1
-                lhs = implication(alg, a, implication(alg, b, c))
-                rhs = implication(alg, implication(alg, a, b), implication(alg, a, c))
-                if not full(implication(alg, lhs, rhs)):
-                    witnesses.append((a.name, b.name, c.name))
-    results.append(check_result("scheme_distribution", witnesses, checked))
-
-    witnesses, checked = [], 0
-    for a in members:
-        for b in members:
-            checked += 1
-            lhs = implication(alg, neg[b.name], neg[a.name])
-            rhs = implication(alg, implication(alg, neg[b.name], a), b)
-            if not full(implication(alg, lhs, rhs)):
-                witnesses.append((a.name, b.name))
-    results.append(check_result("scheme_contraposition", witnesses, checked))
-
-    witnesses, checked = [], 0
-    for a in members:
-        for b in members:
-            checked += 1
-            if conjunction(alg, a, b) != negation_of(
-                alg, implication(alg, a, neg[b.name])
-            ):
-                witnesses.append((a.name, b.name))
-    results.append(check_result("conjunction_definability", witnesses, checked))
-
-    witnesses, checked = [], 0
-    for a in members:
-        for b in members:
-            checked += 1
-            if disjunction(alg, a, b) != implication(alg, neg[a.name], b):
-                witnesses.append((a.name, b.name))
-    results.append(check_result("disjunction_definability", witnesses, checked))
-
-    return results
+    pairs = [(a, b) for a in members for b in members]
+    return [
+        check_instances("modus_ponens", pairs, lambda a, b: not full(b),
+                        premise=lambda a, b: full(a) and full(implication(alg, a, b))),
+        check_instances("scheme_weakening", pairs,
+                        lambda a, b: not full(implication(alg, a, implication(alg, b, a)))),
+        check_instances(
+            "scheme_distribution", ((a, b, c) for a, b in pairs for c in members),
+            lambda a, b, c: not full(implication(
+                alg, implication(alg, a, implication(alg, b, c)),
+                implication(alg, implication(alg, a, b), implication(alg, a, c))))),
+        check_instances(
+            "scheme_contraposition", pairs,
+            lambda a, b: not full(implication(
+                alg, implication(alg, neg[b.name], neg[a.name]),
+                implication(alg, implication(alg, neg[b.name], a), b)))),
+        check_instances(
+            "conjunction_definability", pairs,
+            lambda a, b: conjunction(alg, a, b)
+            != negation_of(alg, implication(alg, a, neg[b.name]))),
+        check_instances("disjunction_definability", pairs,
+                        lambda a, b: disjunction(alg, a, b) != implication(alg, neg[a.name], b)),
+    ]

@@ -16,6 +16,7 @@ from .core import (
     MAlgebra,
     Measurement,
     apply,
+    check_instances,
     check_result,
     commutes,
     negation_of,
@@ -100,49 +101,21 @@ def orthomodular_check(alg: MAlgebra) -> list[CheckResult]:
     ms = alg.sorted_measurements()
     top, bot = top_bot(alg)
     neg = {m.name: negation_of(alg, m) for m in ms}
-    results = []
-
-    witnesses, checked = [], 0
-    for a in ms:
-        checked += 1
-        if negation_of(alg, neg[a.name]) != a:
-            witnesses.append((a.name,))
-    results.append(check_result("ortho_involution", witnesses, checked))
-
-    witnesses, checked = [], 0
-    for a in ms:
-        for b in ms:
-            checked += 1
-            if leq(alg, a, b) and not leq(alg, neg[b.name], neg[a.name]):
-                witnesses.append((a.name, b.name))
-    results.append(check_result("ortho_antitone", witnesses, checked))
-
-    witnesses, checked = [], 0
-    for a in ms:
-        checked += 1
-        if conjunction(alg, a, neg[a.name]) != bot:
-            witnesses.append((a.name,))
-    results.append(check_result("ortho_meet_bottom", witnesses, checked))
-
-    witnesses, checked = [], 0
-    for a in ms:
-        checked += 1
-        if disjunction(alg, a, neg[a.name]) != top:
-            witnesses.append((a.name,))
-    results.append(check_result("ortho_join_top", witnesses, checked))
-
-    witnesses, checked = [], 0
-    for a in ms:
-        for b in ms:
-            if not leq(alg, a, b):
-                continue
-            checked += 1
-            step = conjunction(alg, neg[a.name], b)
-            if disjunction(alg, a, step) != b:
-                witnesses.append((a.name, b.name))
-    results.append(check_result("ortho_orthomodular", witnesses, checked))
-
-    return results
+    singles = [(a,) for a in ms]
+    return [
+        check_instances("ortho_involution", singles,
+                        lambda a: negation_of(alg, neg[a.name]) != a),
+        check_instances("ortho_antitone", ((a, b) for a in ms for b in ms),
+                        lambda a, b: leq(alg, a, b) and not leq(alg, neg[b.name], neg[a.name])),
+        check_instances("ortho_meet_bottom", singles,
+                        lambda a: conjunction(alg, a, neg[a.name]) != bot),
+        check_instances("ortho_join_top", singles,
+                        lambda a: disjunction(alg, a, neg[a.name]) != top),
+        # the law speaks of pairs with a below b only: they are its instances
+        check_instances("ortho_orthomodular",
+                        ((a, b) for a in ms for b in ms if leq(alg, a, b)),
+                        lambda a, b: disjunction(alg, a, conjunction(alg, neg[a.name], b)) != b),
+    ]
 
 
 def strong_sep_check(alg: MAlgebra, budget: Budget | None = None) -> list[CheckResult]:
@@ -230,10 +203,7 @@ def classical_commutation_agree(alg: MAlgebra) -> CheckResult:
     the backend's ``commutation_probes``, which makes the verdict exact.
     """
     ms = alg.sorted_measurements()
-    witnesses, checked = [], 0
-    for m in ms:
-        checked += 1
-        commutes_all = all(commutes(alg, m, k) for k in ms + alg.commutation_probes(m))
-        if is_classical(alg, m) != commutes_all:
-            witnesses.append((m.name,))
-    return check_result("classical_commutation", witnesses, checked)
+    return check_instances(
+        "classical_commutation", [(m,) for m in ms],
+        lambda m: all(commutes(alg, m, k) for k in ms + alg.commutation_probes(m))
+        != is_classical(alg, m))

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from malgebra.core import (
     ALL_AXIOMS,
     Budget,
+    Measurement,
     TableMeasurement,
     apply,
     check_axiom,
     check_axioms,
+    check_instances,
     commutes,
     compose_member,
     compose_raw,
@@ -60,6 +62,14 @@ def test_apply_unknown_inputs(t2):
         apply(t2, "nope", "{}")
     with pytest.raises(InputError):
         apply(t2, "p", "not-a-state")
+
+
+@pytest.mark.parametrize("call", [lambda alg: apply(alg, "p", ["x"]),
+                                  lambda alg: point_measurement(alg, ["x"])],
+                         ids=["apply", "point_measurement"])
+def test_table_backend_refuses_unhashable_states(t2, call):
+    with pytest.raises(InputError, match="state"):
+        call(t2)
 
 
 # extent ---------------------------------------------------------------------
@@ -220,6 +230,20 @@ def test_all_fixtures_pass_defining_axioms(f1, t2, t2max, r2, r3, r2full, r3full
     for alg in (r2, r3, r2full, r3full):
         for r in check_axioms(alg):
             assert r.status in ("pass", "sampled_pass")
+
+
+def test_check_instances_counts_names_and_vacuity():
+    a, b, c = (Measurement(name) for name in "abc")
+    pairs = [(x, y) for x in (a, b, c) for y in (a, b, c)]
+    result = check_instances("law", iter(pairs), lambda x, y: y is c,
+                             premise=lambda x, y: x is not y)
+    assert (result.status, result.checked_count) == ("fail", 9)
+    assert result.witnesses == [("a", "c"), ("b", "c")]
+    never = check_instances("law", pairs, lambda x, y: True, premise=lambda x, y: False)
+    assert (never.status, never.checked_count, never.witnesses) == ("vacuous", 9, [])
+    # without a premise a law is never vacuous, not even over no instances
+    assert check_instances("law", [], lambda x: True).status == "pass"
+    assert check_instances("law", [(a,)], lambda x: False).checked_count == 1
 
 
 def test_idempotence_count_on_smallest_fixture(f1):
