@@ -2,7 +2,7 @@
 
 Exit codes: 0 all requested checks pass, 1 at least one property fails
 (witnesses are in the report), 2 malformed input (files, flags, bindings),
-3 an enumeration budget was exceeded.
+3 an enumeration budget was exceeded, 4 an internal error.
 """
 
 from __future__ import annotations
@@ -290,6 +290,9 @@ def main(argv=None) -> int:
     except (ClosureViolation, NegationViolation) as exc:
         print(f"property failure: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a fault of the program, never a verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -103,15 +103,21 @@ def eval_formula(alg: MAlgebra, cs: CommutingSet, formula, binding: dict,
         for member in cs.members():
             if not commutes(alg, result, member):
                 raise RuntimeError(
-                    f"internal error: result does not commute with {member.name!r}"
+                    f"the result does not commute with {member.name!r}"
                 )
     return result
 
 
 def formula_walker(alg: MAlgebra, binding: dict):
     """A memoised evaluator of formula nodes, slots resolved through
-    ``binding``; it keeps every node it evaluated for later calls."""
+    ``binding``; it keeps every node it evaluated for later calls.
+
+    Distinct nodes often apply the same connective to the same operands, so
+    connective results are memoised too, by operand identity: the node memo
+    keeps every operand alive, so no other object can take its id.
+    """
     memo: dict = {}
+    applied: dict = {}
 
     def walk(node):
         m = memo.get(node)
@@ -122,12 +128,16 @@ def formula_walker(alg: MAlgebra, binding: dict):
                 m = negation_of(alg, walk(node.operand))
             else:
                 left, right = walk(node.left), walk(node.right)
-                if isinstance(node, formulas.And):
-                    m = conjunction(alg, left, right)
-                elif isinstance(node, formulas.Or):
-                    m = disjunction(alg, left, right)
-                else:
-                    m = implication(alg, left, right)
+                key = (type(node), id(left), id(right))
+                m = applied.get(key)
+                if m is None:
+                    if isinstance(node, formulas.And):
+                        m = conjunction(alg, left, right)
+                    elif isinstance(node, formulas.Or):
+                        m = disjunction(alg, left, right)
+                    else:
+                        m = implication(alg, left, right)
+                    applied[key] = m
             memo[node] = m
         return m
 

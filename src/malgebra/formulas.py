@@ -234,17 +234,59 @@ def _assignment(slot_order: tuple[str, ...], row: int) -> dict[str, bool]:
     return {s: bool((row >> (k - 1 - j)) & 1) for j, s in enumerate(slot_order)}
 
 
+def slot_masks(slot_order: tuple[str, ...]) -> dict[str, int]:
+    """Each slot's column of the truth table: the bitmask of the rows where
+    it is true, in the row order of :func:`truth_mask`."""
+    k = len(slot_order)
+    full = (1 << (1 << k)) - 1
+    masks = {}
+    for j, s in enumerate(slot_order):
+        # runs of ``run`` false rows then ``run`` true rows, repeated: the
+        # quotient has one bit at the start of every period
+        run = 1 << (k - 1 - j)
+        period = (1 << (2 * run)) - 1
+        masks[s] = full // period * (period ^ ((1 << run) - 1))
+    return masks
+
+
+def mask_walker(masks: dict[str, int], full: int):
+    """A memoised evaluator of formulas over every row of a truth table at once.
+
+    ``masks`` gives each slot the bitmask of the rows where it is true and
+    ``full`` has the bit of every row set; a formula evaluates to the bitmask
+    of the rows where it is true.  A slot missing from ``masks`` raises.
+    """
+    memo: dict = {}
+
+    def walk(node):
+        m = memo.get(node)
+        if m is None:
+            if isinstance(node, Slot):
+                try:
+                    m = masks[node.name]
+                except KeyError:
+                    raise InputError(f"unbound slot {node.name!r}") from None
+            elif isinstance(node, Not):
+                m = full ^ walk(node.operand)
+            elif isinstance(node, And):
+                m = walk(node.left) & walk(node.right)
+            elif isinstance(node, Or):
+                m = walk(node.left) | walk(node.right)
+            else:
+                m = (full ^ walk(node.left)) | walk(node.right)
+            memo[node] = m
+        return m
+
+    return walk
+
+
 def truth_mask(f: Formula, slot_order: tuple[str, ...]) -> int:
     """Truth table as an integer: bit ``row`` is the value under that assignment.
 
     Row ``i`` assigns slot ``j`` the bit ``(i >> (k-1-j)) & 1``, matching the
     binary counting order of assignments.
     """
-    mask = 0
-    for row in range(1 << len(slot_order)):
-        if evaluate(f, _assignment(slot_order, row)):
-            mask |= 1 << row
-    return mask
+    return mask_walker(slot_masks(slot_order), (1 << (1 << len(slot_order))) - 1)(f)
 
 
 @dataclass(frozen=True)
@@ -401,12 +443,9 @@ def minimal_formula_names(atoms: tuple[str, ...]) -> dict[int, Formula]:
     same convention as :func:`truth_mask`).  Minimality is by node count,
     ties broken by discovery order, so the naming is deterministic.
     """
-    k = len(atoms)
-    n_rows = 1 << k
+    n_rows = 1 << len(atoms)
     full = (1 << n_rows) - 1
-    atom_mask = {}
-    for j in range(k):
-        atom_mask[j] = sum(1 << row for row in range(n_rows) if row >> (k - 1 - j) & 1)
+    atom_mask = slot_masks(atoms)
 
     best: dict[int, Formula] = {}
     by_size: list[list[tuple[Formula, int]]] = [[]]
@@ -418,8 +457,8 @@ def minimal_formula_names(atoms: tuple[str, ...]) -> dict[int, Formula]:
         size_bucket.append((node, mask))
 
     bucket = []
-    for j, name in enumerate(atoms):
-        record(bucket, Slot(name), atom_mask[j])
+    for name in atoms:
+        record(bucket, Slot(name), atom_mask[name])
     by_size.append(bucket)
 
     size = 1

@@ -30,7 +30,9 @@ from .formulas import (  # noqa: F401  (public logic API)
     evaluate,
     format_formula,
     is_tautology,
+    mask_walker,
     parse_formula,
+    slot_masks,
     slots_of,
     truth_mask,
 )
@@ -54,30 +56,32 @@ def verify_tautology_theorem(alg: MAlgebra, cs: CommutingSet,
     alphabet = cs.names
     formulas_list = enumerate_formulas(alphabet, max_depth, min(max_slots, len(alphabet)), cap)
     evaluate_member = formula_walker(alg, {name: name for name in alphabet})
+    # a class is keyed by its truth table over the whole commuting set, so
+    # equivalence is equality of masks and entailment is mask inclusion
+    full = (1 << (1 << len(alphabet))) - 1
+    evaluate_mask = mask_walker(slot_masks(alphabet), full)
 
     witnesses = []
-    classes: dict[tuple, tuple] = {}  # essential function -> (formula text, measurement)
+    classes: dict[int, tuple] = {}  # truth mask -> (formula text, measurement)
 
     for f in formulas_list:
         text = format_formula(f, compact=True)
         measurement = evaluate_member(f)
-        fn = essential_function(f)
-        if fn in classes:
-            rep_text, rep_m = classes[fn]
+        mask = evaluate_mask(f)
+        if mask in classes:
+            rep_text, rep_m = classes[mask]
             if measurement != rep_m:
                 witnesses.append(("equivalent_not_equal", rep_text, text))
                 continue
         else:
-            classes[fn] = (text, measurement)
-        if fn == ((), 1) and not alg.is_full(measurement):
+            classes[mask] = (text, measurement)
+        if mask == full and not alg.is_full(measurement):
             witnesses.append(("tautology_not_full", text))
 
     class_items = sorted(classes.items(), key=lambda kv: kv[1][0])
-    for fn_a, (text_a, m_a) in class_items:
-        for fn_b, (text_b, m_b) in class_items:
-            if fn_a == fn_b:
-                continue
-            if entails(fn_a, fn_b) and not alg.fp_subset(m_a, m_b):
+    for mask_a, (text_a, m_a) in class_items:
+        for mask_b, (text_b, m_b) in class_items:
+            if mask_a != mask_b and mask_a & mask_b == mask_a and not alg.fp_subset(m_a, m_b):
                 witnesses.append(("entailment_not_included", text_a, text_b))
 
     return check_result("tautology_theorem", witnesses, len(formulas_list),

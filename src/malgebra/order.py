@@ -34,10 +34,18 @@ def leq(alg: MAlgebra, a, b) -> bool:
     by_z = alg.z_subset(b, a)
     if by_fp != by_z:
         raise RuntimeError(
-            f"internal error: the two order definitions disagree on "
+            f"the two order definitions disagree on "
             f"({a.name!r}, {b.name!r})"
         )
     return by_fp
+
+
+def _bits(mask: int):
+    """The positions of the set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def bounds_check(alg: MAlgebra) -> CheckResult:
@@ -50,46 +58,66 @@ def bounds_check(alg: MAlgebra) -> CheckResult:
     skipped: no bound is claimed for them.
     """
     ms = alg.sorted_measurements()
-    witnesses = []
-    checked = 0
     top, bot = top_bot(alg)
+    # the order as bit rows over the member indices: bit j of up[i] holds
+    # ms[i] <= ms[j], bit i of down[j] the same fact
+    n = len(ms)
+    up, down = [0] * n, [0] * n
+    for i, a in enumerate(ms):
+        for j, b in enumerate(ms):
+            if leq(alg, a, b):
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    index = {id(m): i for i, m in enumerate(ms)}
 
-    for a in ms:
-        checked += 1
-        if not leq(alg, a, a):
+    def rows(m):
+        """The rows of a member; a bound outside M (a full lattice
+        synthesizes such bounds) gets its rows from ``leq``."""
+        i = index.get(id(m))
+        if i is not None:
+            return up[i], down[i]
+        return (sum(1 << j for j, b in enumerate(ms) if leq(alg, m, b)),
+                sum(1 << j for j, b in enumerate(ms) if leq(alg, b, m)))
+
+    witnesses = []
+    checked = n + n * n
+    up_bot, down_top = rows(bot)[0], rows(top)[1]
+    for i, a in enumerate(ms):
+        if not up[i] >> i & 1:
             witnesses.append(("reflexivity", a.name))
-        if not leq(alg, bot, a) or not leq(alg, a, top):
+        if not (up_bot >> i & 1 and down_top >> i & 1):
             witnesses.append(("bounded", a.name))
-    for a in ms:
-        for b in ms:
-            checked += 1
-            if leq(alg, a, b) and leq(alg, b, a) and a != b:
-                witnesses.append(("antisymmetry", a.name, b.name))
-    for a in ms:
-        for b in ms:
-            if not leq(alg, a, b):
-                continue
-            for c in ms:
-                checked += 1
-                if leq(alg, b, c) and not leq(alg, a, c):
-                    witnesses.append(("transitivity", a.name, b.name, c.name))
+    for i, a in enumerate(ms):
+        for j in _bits(up[i] & down[i]):
+            if a != ms[j]:
+                witnesses.append(("antisymmetry", a.name, ms[j].name))
+    for i, a in enumerate(ms):
+        for j in _bits(up[i]):
+            checked += n
+            for k in _bits(up[j] & ~up[i]):
+                witnesses.append(("transitivity", a.name, ms[j].name, ms[k].name))
 
     for i, a in enumerate(ms):
-        for b in ms[i:]:
+        for j in range(i, n):
+            b = ms[j]
             if not commutes(alg, a, b):
                 continue
             checked += 1
-            glb = conjunction(alg, a, b)
-            lub = disjunction(alg, a, b)
-            if not (leq(alg, glb, a) and leq(alg, glb, b)):
+            pair = 1 << i | 1 << j
+            glb_up, glb_down = rows(conjunction(alg, a, b))
+            lub_up, lub_down = rows(disjunction(alg, a, b))
+            if glb_up & pair != pair:
                 witnesses.append(("glb_below", a.name, b.name))
-            if not (leq(alg, a, lub) and leq(alg, b, lub)):
+            if lub_down & pair != pair:
                 witnesses.append(("lub_above", a.name, b.name))
-            for m in ms:
-                if leq(alg, m, a) and leq(alg, m, b) and not leq(alg, m, glb):
-                    witnesses.append(("glb_greatest", a.name, b.name, m.name))
-                if leq(alg, a, m) and leq(alg, b, m) and not leq(alg, lub, m):
-                    witnesses.append(("lub_least", a.name, b.name, m.name))
+            # common lower bounds not below the glb, upper ones not above the lub
+            stray_lower = down[i] & down[j] & ~glb_down
+            stray_upper = up[i] & up[j] & ~lub_up
+            for k in _bits(stray_lower | stray_upper):
+                if stray_lower >> k & 1:
+                    witnesses.append(("glb_greatest", a.name, b.name, ms[k].name))
+                if stray_upper >> k & 1:
+                    witnesses.append(("lub_least", a.name, b.name, ms[k].name))
 
     return check_result("order_bounds", witnesses, checked)
 

@@ -201,6 +201,31 @@ def test_budget_exit_code(capsys):
     assert "budget" in err
 
 
+# exit code 4: internal errors -----------------------------------------------------
+
+
+def test_internal_error_exits_four_without_traceback(tmp_path, capsys):
+    # a well-formed table whose fixpoint and zero-set orders disagree
+    # (m0 sends s1 to s2): the order check's own consistency test trips
+    ident = {"0": "0", "s1": "s1", "s2": "s2", "s3": "s3"}
+    model = write_model(tmp_path, {
+        "kind": "table", "states": ["0", "s1", "s2", "s3"], "zero": "0",
+        "measurements": {
+            "top": ident,
+            "bot": {"0": "0", "s1": "0", "s2": "0", "s3": "0"},
+            "m0": {"0": "0", "s1": "s2", "s2": "s2", "s3": "s3"},
+            "m1": ident,
+            "m2": {"0": "0", "s1": "s1", "s2": "0", "s3": "s1"},
+            "m3": {"0": "0", "s1": "0", "s2": "s2", "s3": "s3"},
+        },
+    })
+    code, out, err = run(capsys, "order", model)
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: RuntimeError: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # subcommands ----------------------------------------------------------------------
 
 

@@ -2,14 +2,17 @@
 
 import pytest
 
+from malgebra import models
 from malgebra.connectives import (
     CommutingSet,
     conjunction,
     disjunction,
     eval_formula,
+    formula_walker,
     implication,
     is_classical,
 )
+from malgebra.formulas import Not, Slot, enumerate_formulas
 from malgebra.core import apply, commutes, extent, negation_of, top_bot
 from malgebra.errors import InputError, NotCommutingError
 from malgebra.ratlin import Ray
@@ -207,6 +210,28 @@ def test_equivalent_formulas_evaluate_equal(t2):
     one = eval_formula(t2, cs, "a -> b", binding)
     other = eval_formula(t2, cs, "~a | b", binding, verify_closure=True)
     assert one == other
+
+
+def test_walker_composes_each_operand_pair_once(monkeypatch):
+    alg = models.fixture_r2()
+    calls = []
+    compose = alg.compose_member
+
+    def counting(a, b):
+        calls.append((a, b))
+        return compose(a, b)
+
+    monkeypatch.setattr(alg, "compose_member", counting)
+    names = ("bot", "px", "py", "top")
+    formulas = enumerate_formulas(names, 3, 3)
+    walk = formula_walker(alg, {n: n for n in names})
+    for f in formulas:
+        walk(f)
+    # each connective composes once, so the distinct (connective, left,
+    # right) triples bound the calls; repeated walks hit the node memo
+    applications = {(type(f), id(walk(f.left)), id(walk(f.right)))
+                    for f in formulas if not isinstance(f, (Slot, Not))}
+    assert 0 < len(calls) <= len(applications)
 
 
 def test_eval_formula_binding_errors(t2):

@@ -108,6 +108,28 @@ def test_truth_mask_convention():
     assert truth_mask(Slot("b"), ("a", "b")) == 0b1010
 
 
+@settings(max_examples=150, deadline=None)
+@given(formula_strategy, st.permutations(["a", "b", "c", "x1"]), st.integers(0, 4))
+def test_truth_mask_matches_row_by_row_evaluation(f, order, extra):
+    # any slot order that covers the formula, with unused slots mixed in
+    slot_order = tuple(sorted(slots_of(f), key=order.index)) + tuple(
+        s for s in order[:extra] if s not in slots_of(f))
+    k = len(slot_order)
+    rows = 0
+    for row in range(1 << k):
+        env = {s: bool(row >> (k - 1 - j) & 1) for j, s in enumerate(slot_order)}
+        rows |= evaluate(f, env) << row
+    assert truth_mask(f, slot_order) == rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(formula_strategy)
+def test_truth_mask_refuses_an_unbound_slot(f):
+    slots = slots_of(f)
+    with pytest.raises(InputError, match="unbound slot"):
+        truth_mask(f, slots[1:])
+
+
 def test_essential_function_drops_irrelevant_slots():
     f = parse_formula("(a & b) | (a & ~b)")
     assert essential_function(f) == (("a",), 0b10)

@@ -1,7 +1,11 @@
 """The tautology harness and the implication schemes on concrete algebras."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from malgebra import models
 from malgebra.connectives import CommutingSet
 from malgebra.core import apply
 from malgebra.errors import BudgetError
@@ -79,6 +83,18 @@ def test_harness_surfaces_missing_negation():
     with pytest.raises(NegationViolation):
         verify_tautology_theorem(alg, cs, max_depth=2, max_slots=2)
     assert essential_function(Slot("a")) == (("a",), 0b10)
+
+
+def test_harness_result_on_broken_order_model():
+    # captured before classes were keyed by truth masks over the commuting
+    # set: m2 and m2|m2 are equivalent yet evaluate to different members
+    data = json.loads((Path(__file__).resolve().parent / "golden" / "broken_order.json").read_text())
+    alg = models.load_model(data)
+    result = verify_tautology_theorem(alg, CommutingSet(alg, ["bot", "m2", "top"]), 2, 2)
+    assert result.status == "fail"
+    assert result.witnesses == [("equivalent_not_equal", "m2", "m2|m2")]
+    assert result.checked_count == 27
+    assert result.note == "19 semantic classes"
 
 
 def test_schemes_on_theory_model(t2):

@@ -1,9 +1,22 @@
 """Induced order, bounds, orthostructure, and point-measurement laws."""
 
-import pytest
+import json
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from malgebra import models
 from malgebra.connectives import conjunction, disjunction
-from malgebra.core import apply, commutes, negation_of, point_measurement, top_bot
+from malgebra.core import (
+    apply,
+    check_result,
+    commutes,
+    negation_of,
+    point_measurement,
+    top_bot,
+)
 from malgebra.errors import NotStronglySeparable
 from malgebra.order import (
     bounds_check,
@@ -47,6 +60,104 @@ def test_bounds_check_passes_everywhere(f1, t2, t2max, r2, r3):
     for alg in (f1, t2, t2max, r2, r3):
         result = bounds_check(alg)
         assert result.status == "pass", result.witnesses
+
+
+def reference_bounds_check(alg):
+    """The triple loop over members that ``bounds_check`` replaced by bit
+    rows; every instance asks ``leq`` directly."""
+    ms = alg.sorted_measurements()
+    witnesses = []
+    checked = 0
+    top, bot = top_bot(alg)
+
+    for a in ms:
+        checked += 1
+        if not leq(alg, a, a):
+            witnesses.append(("reflexivity", a.name))
+        if not leq(alg, bot, a) or not leq(alg, a, top):
+            witnesses.append(("bounded", a.name))
+    for a in ms:
+        for b in ms:
+            checked += 1
+            if leq(alg, a, b) and leq(alg, b, a) and a != b:
+                witnesses.append(("antisymmetry", a.name, b.name))
+    for a in ms:
+        for b in ms:
+            if not leq(alg, a, b):
+                continue
+            for c in ms:
+                checked += 1
+                if leq(alg, b, c) and not leq(alg, a, c):
+                    witnesses.append(("transitivity", a.name, b.name, c.name))
+
+    for i, a in enumerate(ms):
+        for b in ms[i:]:
+            if not commutes(alg, a, b):
+                continue
+            checked += 1
+            glb = conjunction(alg, a, b)
+            lub = disjunction(alg, a, b)
+            if not (leq(alg, glb, a) and leq(alg, glb, b)):
+                witnesses.append(("glb_below", a.name, b.name))
+            if not (leq(alg, a, lub) and leq(alg, b, lub)):
+                witnesses.append(("lub_above", a.name, b.name))
+            for m in ms:
+                if leq(alg, m, a) and leq(alg, m, b) and not leq(alg, m, glb):
+                    witnesses.append(("glb_greatest", a.name, b.name, m.name))
+                if leq(alg, a, m) and leq(alg, b, m) and not leq(alg, lub, m):
+                    witnesses.append(("lub_least", a.name, b.name, m.name))
+
+    return check_result("order_bounds", witnesses, checked)
+
+
+def outcome(check, alg):
+    """The result of a check, or the type of the exception it raised."""
+    try:
+        return check(alg)
+    except Exception as exc:  # compared by type against the reference
+        return type(exc)
+
+
+BROKEN_ORDER = Path(__file__).resolve().parent / "golden" / "broken_order.json"
+
+
+def test_bit_rows_match_reference_on_fixtures(f1, t2, t2max, r2, r2full, r3, r3full):
+    broken = models.load_model(json.loads(BROKEN_ORDER.read_text()))
+    # a full-lattice window without the x axis: the glb of the two planes
+    # through it is synthesized, so its rows come from leq
+    window = models.build_ray(3, {
+        "bot": [], "top": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "pxy": [[1, 0, 0], [0, 1, 0]], "pxz": [[1, 0, 0], [0, 0, 1]],
+    }, full_lattice=True, sample_height=1)
+    for alg in (f1, t2, t2max, r2, r2full, r3, r3full, broken, window):
+        assert bounds_check(alg) == reference_bounds_check(alg)
+    assert bounds_check(broken).status == "fail"
+
+
+STATES = ["0", "s1", "s2", "s3"]
+
+
+@st.composite
+def tables_with_top_and_bot(draw):
+    """A table model over 2-4 states with identity and constant-zero members
+    and up to five idempotent ones: each fixes the zero state and a drawn
+    set of states, and sends every other state to one of its fixpoints."""
+    states = STATES[:draw(st.integers(2, len(STATES)))]
+    tables = {
+        "top": {s: s for s in states},
+        "bot": {s: "0" for s in states},
+    }
+    for k in range(draw(st.integers(0, 5))):
+        fixed = ["0"] + [s for s in states[1:] if draw(st.booleans())]
+        image = st.sampled_from(fixed)
+        tables[f"m{k}"] = {s: s if s in fixed else draw(image) for s in states}
+    return models.build_table(states, "0", tables)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_with_top_and_bot())
+def test_bit_rows_match_reference_on_random_tables(alg):
+    assert outcome(bounds_check, alg) == outcome(reference_bounds_check, alg)
 
 
 def test_bound_instances(f1, t2, r2):
