@@ -674,6 +674,14 @@ def point_measurement(alg: MAlgebra, x) -> Measurement | None:
 # results
 
 
+def bit_positions(mask: int):
+    """The positions of the set bits of a bit row, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def check_result(property_id, witnesses, checked, complete=True, vacuous=False,
                  note="") -> CheckResult:
     """The one status rule: any witness fails; otherwise a law whose premise

@@ -249,44 +249,32 @@ def slot_masks(slot_order: tuple[str, ...]) -> dict[str, int]:
     return masks
 
 
-def mask_walker(masks: dict[str, int], full: int):
-    """A memoised evaluator of formulas over every row of a truth table at once.
-
-    ``masks`` gives each slot the bitmask of the rows where it is true and
-    ``full`` has the bit of every row set; a formula evaluates to the bitmask
-    of the rows where it is true.  A slot missing from ``masks`` raises.
-    """
-    memo: dict = {}
-
-    def walk(node):
-        m = memo.get(node)
-        if m is None:
-            if isinstance(node, Slot):
-                try:
-                    m = masks[node.name]
-                except KeyError:
-                    raise InputError(f"unbound slot {node.name!r}") from None
-            elif isinstance(node, Not):
-                m = full ^ walk(node.operand)
-            elif isinstance(node, And):
-                m = walk(node.left) & walk(node.right)
-            elif isinstance(node, Or):
-                m = walk(node.left) | walk(node.right)
-            else:
-                m = (full ^ walk(node.left)) | walk(node.right)
-            memo[node] = m
-        return m
-
-    return walk
-
-
 def truth_mask(f: Formula, slot_order: tuple[str, ...]) -> int:
     """Truth table as an integer: bit ``row`` is the value under that assignment.
 
     Row ``i`` assigns slot ``j`` the bit ``(i >> (k-1-j)) & 1``, matching the
-    binary counting order of assignments.
+    binary counting order of assignments.  Every row is evaluated at once:
+    each slot is its column from :func:`slot_masks` and the connectives are
+    bit operations.  A slot missing from ``slot_order`` raises.
     """
-    return mask_walker(slot_masks(slot_order), (1 << (1 << len(slot_order))) - 1)(f)
+    columns = slot_masks(slot_order)
+    full = (1 << (1 << len(slot_order))) - 1
+
+    def walk(node):
+        if isinstance(node, Slot):
+            try:
+                return columns[node.name]
+            except KeyError:
+                raise InputError(f"unbound slot {node.name!r}") from None
+        if isinstance(node, Not):
+            return full ^ walk(node.operand)
+        if isinstance(node, And):
+            return walk(node.left) & walk(node.right)
+        if isinstance(node, Or):
+            return walk(node.left) | walk(node.right)
+        return (full ^ walk(node.left)) | walk(node.right)
+
+    return walk(f)
 
 
 @dataclass(frozen=True)
@@ -306,11 +294,11 @@ def is_tautology(f: Formula | str) -> TautologyVerdict:
     slots = slots_of(f)
     if len(slots) > MAX_TAUTOLOGY_SLOTS:
         raise BudgetError(f"{len(slots)} slots exceed the cap of {MAX_TAUTOLOGY_SLOTS}")
-    for row in range(1 << len(slots)):
-        env = _assignment(slots, row)
-        if not evaluate(f, env):
-            return TautologyVerdict(f, False, env)
-    return TautologyVerdict(f, True, None)
+    mask = truth_mask(f, slots)
+    if mask == (1 << (1 << len(slots))) - 1:
+        return TautologyVerdict(f, True, None)
+    first_false = ((mask + 1) & ~mask).bit_length() - 1
+    return TautologyVerdict(f, False, _assignment(slots, first_false))
 
 
 def essential_function(f: Formula) -> tuple[tuple[str, ...], int]:
@@ -352,30 +340,35 @@ def _drop_bit(value: int, position: int) -> int:
 
 
 def entails(fn_a: tuple[tuple[str, ...], int], fn_b: tuple[tuple[str, ...], int]) -> bool:
-    """Whether the first essential function logically implies the second."""
-    slots_a, mask_a = fn_a
+    """Whether the first essential function logically implies the second:
+    the truth mask of the second covers the shadow of the first on its slots."""
     slots_b, mask_b = fn_b
-    shared = set(slots_a) & set(slots_b)
+    shadow = shadow_on(fn_a, slots_b)
+    return mask_b & shadow == shadow
+
+
+def shadow_on(fn: tuple[tuple[str, ...], int], slots: tuple[str, ...]) -> int:
+    """The rows of the truth table over ``slots`` that agree, on the slots
+    both mention, with some row where the essential function ``fn`` is true.
+
+    A function over ``slots`` is entailed by ``fn`` exactly when its truth
+    mask covers this one, so no table over the union of the slots is built.
+    """
+    own, mask = fn
+    full = (1 << (1 << len(slots))) - 1
+    shared = [(j, s) for j, s in enumerate(own) if s in slots]
     if not shared:
-        # Disjoint variables: implication holds iff antecedent is unsatisfiable
-        # or consequent is valid.
-        return mask_a == 0 or mask_b == (1 << (1 << len(slots_b))) - 1
-    union = tuple(sorted(set(slots_a) | set(slots_b)))
-    k = len(union)
-    pos_a = [union.index(s) for s in slots_a]
-    pos_b = [union.index(s) for s in slots_b]
-
-    def project(row, positions, width):
-        out = 0
-        for j, p in enumerate(positions):
-            out |= ((row >> (k - 1 - p)) & 1) << (width - 1 - j)
-        return out
-
-    ka, kb = len(slots_a), len(slots_b)
+        return full if mask else 0
+    columns = slot_masks(slots)
+    k = len(own)
+    shadow = 0
     for row in range(1 << k):
-        if mask_a >> project(row, pos_a, ka) & 1 and not mask_b >> project(row, pos_b, kb) & 1:
-            return False
-    return True
+        if mask >> row & 1:
+            agreeing = full
+            for j, s in shared:
+                agreeing &= columns[s] if row >> (k - 1 - j) & 1 else full ^ columns[s]
+            shadow |= agreeing
+    return shadow
 
 
 def enumerate_formulas(

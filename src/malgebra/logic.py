@@ -13,7 +13,14 @@ The formula syntax itself (parser, AST, truth tables) lives in
 from __future__ import annotations
 
 from .connectives import CommutingSet, conjunction, disjunction, formula_walker, implication
-from .core import CheckResult, MAlgebra, check_instances, check_result, negation_of
+from .core import (
+    CheckResult,
+    MAlgebra,
+    bit_positions,
+    check_instances,
+    check_result,
+    negation_of,
+)
 from .errors import InputError
 from .formulas import (  # noqa: F401  (public logic API)
     And,
@@ -30,9 +37,8 @@ from .formulas import (  # noqa: F401  (public logic API)
     evaluate,
     format_formula,
     is_tautology,
-    mask_walker,
     parse_formula,
-    slot_masks,
+    shadow_on,
     slots_of,
     truth_mask,
 )
@@ -56,32 +62,44 @@ def verify_tautology_theorem(alg: MAlgebra, cs: CommutingSet,
     alphabet = cs.names
     formulas_list = enumerate_formulas(alphabet, max_depth, min(max_slots, len(alphabet)), cap)
     evaluate_member = formula_walker(alg, {name: name for name in alphabet})
-    # a class is keyed by its truth table over the whole commuting set, so
-    # equivalence is equality of masks and entailment is mask inclusion
-    full = (1 << (1 << len(alphabet))) - 1
-    evaluate_mask = mask_walker(slot_masks(alphabet), full)
 
     witnesses = []
-    classes: dict[int, tuple] = {}  # truth mask -> (formula text, measurement)
+    classes: dict[tuple, tuple] = {}  # essential function -> (formula text, measurement)
 
     for f in formulas_list:
         text = format_formula(f, compact=True)
         measurement = evaluate_member(f)
-        mask = evaluate_mask(f)
-        if mask in classes:
-            rep_text, rep_m = classes[mask]
+        fn = essential_function(f)
+        if fn in classes:
+            rep_text, rep_m = classes[fn]
             if measurement != rep_m:
                 witnesses.append(("equivalent_not_equal", rep_text, text))
                 continue
         else:
-            classes[mask] = (text, measurement)
-        if mask == full and not alg.is_full(measurement):
+            classes[fn] = (text, measurement)
+        if fn == ((), 1) and not alg.is_full(measurement):
             witnesses.append(("tautology_not_full", text))
 
+    # entailment as bit rows over the classes in text order: a entails b
+    # exactly when b's truth mask covers a's shadow on b's slots, so one row
+    # serves every class with the same shadow on the same slots
     class_items = sorted(classes.items(), key=lambda kv: kv[1][0])
-    for mask_a, (text_a, m_a) in class_items:
-        for mask_b, (text_b, m_b) in class_items:
-            if mask_a != mask_b and mask_a & mask_b == mask_a and not alg.fp_subset(m_a, m_b):
+    by_slots: dict[tuple, list] = {}
+    for i, ((slots, mask), _) in enumerate(class_items):
+        by_slots.setdefault(slots, []).append((i, mask))
+    covering: dict[tuple, int] = {}  # (slots, shadow) -> row of the classes covering it
+    for i, (fn_a, (text_a, m_a)) in enumerate(class_items):
+        entailed = 0
+        for slots, group in by_slots.items():
+            shadow = shadow_on(fn_a, slots)
+            row = covering.get((slots, shadow))
+            if row is None:
+                row = covering[slots, shadow] = sum(
+                    1 << j for j, mask in group if mask & shadow == shadow)
+            entailed |= row
+        for j in bit_positions(entailed & ~(1 << i)):
+            text_b, m_b = class_items[j][1]
+            if not alg.fp_subset(m_a, m_b):
                 witnesses.append(("entailment_not_included", text_a, text_b))
 
     return check_result("tautology_theorem", witnesses, len(formulas_list),

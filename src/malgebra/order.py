@@ -16,6 +16,7 @@ from .core import (
     MAlgebra,
     Measurement,
     apply,
+    bit_positions,
     check_instances,
     check_result,
     commutes,
@@ -38,14 +39,6 @@ def leq(alg: MAlgebra, a, b) -> bool:
             f"({a.name!r}, {b.name!r})"
         )
     return by_fp
-
-
-def _bits(mask: int):
-    """The positions of the set bits, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def bounds_check(alg: MAlgebra) -> CheckResult:
@@ -88,13 +81,13 @@ def bounds_check(alg: MAlgebra) -> CheckResult:
         if not (up_bot >> i & 1 and down_top >> i & 1):
             witnesses.append(("bounded", a.name))
     for i, a in enumerate(ms):
-        for j in _bits(up[i] & down[i]):
+        for j in bit_positions(up[i] & down[i]):
             if a != ms[j]:
                 witnesses.append(("antisymmetry", a.name, ms[j].name))
     for i, a in enumerate(ms):
-        for j in _bits(up[i]):
+        for j in bit_positions(up[i]):
             checked += n
-            for k in _bits(up[j] & ~up[i]):
+            for k in bit_positions(up[j] & ~up[i]):
                 witnesses.append(("transitivity", a.name, ms[j].name, ms[k].name))
 
     for i, a in enumerate(ms):
@@ -113,7 +106,7 @@ def bounds_check(alg: MAlgebra) -> CheckResult:
             # common lower bounds not below the glb, upper ones not above the lub
             stray_lower = down[i] & down[j] & ~glb_down
             stray_upper = up[i] & up[j] & ~lub_up
-            for k in _bits(stray_lower | stray_upper):
+            for k in bit_positions(stray_lower | stray_upper):
                 if stray_lower >> k & 1:
                     witnesses.append(("glb_greatest", a.name, b.name, ms[k].name))
                 if stray_upper >> k & 1:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from malgebra import order
 from malgebra.cli import main
 from malgebra.models import dump_model, load_model
 
@@ -204,26 +205,14 @@ def test_budget_exit_code(capsys):
 # exit code 4: internal errors -----------------------------------------------------
 
 
-def test_internal_error_exits_four_without_traceback(tmp_path, capsys):
-    # a well-formed table whose fixpoint and zero-set orders disagree
-    # (m0 sends s1 to s2): the order check's own consistency test trips
-    ident = {"0": "0", "s1": "s1", "s2": "s2", "s3": "s3"}
-    model = write_model(tmp_path, {
-        "kind": "table", "states": ["0", "s1", "s2", "s3"], "zero": "0",
-        "measurements": {
-            "top": ident,
-            "bot": {"0": "0", "s1": "0", "s2": "0", "s3": "0"},
-            "m0": {"0": "0", "s1": "s2", "s2": "s2", "s3": "s3"},
-            "m1": ident,
-            "m2": {"0": "0", "s1": "s1", "s2": "0", "s3": "s1"},
-            "m3": {"0": "0", "s1": "0", "s2": "s2", "s3": "s3"},
-        },
-    })
-    code, out, err = run(capsys, "order", model)
+def test_internal_error_exits_four_without_traceback(capsys, monkeypatch):
+    def fault(alg):
+        raise RuntimeError("no such row")
+
+    monkeypatch.setattr(order, "bounds_check", fault)
+    code, out, err = run(capsys, "order", fixture_path("t2"))
     assert (code, out) == (4, "")
-    assert err.startswith("internal error: RuntimeError: ")
-    assert err.count("\n") == 1
-    assert "Traceback" not in err
+    assert err == "internal error: RuntimeError: no such row\n"
 
 
 # subcommands ----------------------------------------------------------------------
@@ -267,6 +256,23 @@ def test_tautology_subcommand(capsys):
     assert code == 0
     assert "tautology_theorem: PASS" in out
     assert "scheme_weakening: PASS" in out
+
+
+def test_tautology_over_a_wide_commuting_set(tmp_path, capsys):
+    # every measurement of a five-atom Boolean table commutes; truth tables
+    # over all 32 members at once would need 2**32 rows
+    atoms = [f"a{i}" for i in range(5)]
+    measurements = {
+        f"m{mask}": {"0": "0", **{a: a if mask >> i & 1 else "0" for i, a in enumerate(atoms)}}
+        for mask in range(32)
+    }
+    model = write_model(tmp_path, {"kind": "table", "states": ["0", *atoms], "zero": "0",
+                                   "measurements": measurements})
+    code, out, _ = run(capsys, "tautology", model, "--commuting", ",".join(measurements),
+                       "--depth", "1", "--format", "json")
+    assert code == 0
+    result = next(c for c in json.loads(out)["checks"] if c["property"] == "tautology_theorem")
+    assert (result["status"], result["checked"]) == ("pass", 32)
 
 
 def test_lemmas_subcommand(capsys):

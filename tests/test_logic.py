@@ -6,14 +6,16 @@ from pathlib import Path
 import pytest
 
 from malgebra import models
-from malgebra.connectives import CommutingSet
+from malgebra.connectives import CommutingSet, formula_walker
 from malgebra.core import apply
 from malgebra.errors import BudgetError
 from malgebra.formulas import (
     Implies,
     Slot,
+    entails,
     enumerate_formulas,
     essential_function,
+    format_formula,
     is_tautology,
 )
 from malgebra.logic import verify_schemes, verify_tautology_theorem
@@ -95,6 +97,41 @@ def test_harness_result_on_broken_order_model():
     assert result.witnesses == [("equivalent_not_equal", "m2", "m2|m2")]
     assert result.checked_count == 27
     assert result.note == "19 semantic classes"
+
+
+def test_entailment_rows_ask_for_exactly_the_entailed_pairs(t2, monkeypatch):
+    # the harness tests fixpoint inclusion for the class pairs whose truth
+    # tables entail, in text order; a pairwise loop over entails is the reference
+    cs = CommutingSet(t2, ["bot", "p", "q", "top", "~p"])
+    walk = formula_walker(t2, {name: name for name in cs.names})
+    classes = {}
+    for f in enumerate_formulas(cs.names, 2, 2):
+        classes.setdefault(essential_function(f), (format_formula(f, compact=True), walk(f)))
+    items = sorted(classes.items(), key=lambda kv: kv[1][0])
+    expected = [(m_a.name, m_b.name) for fn_a, (_, m_a) in items for fn_b, (_, m_b) in items
+                if fn_a != fn_b and entails(fn_a, fn_b)]
+
+    asked = []
+    fp_subset = t2.fp_subset
+    monkeypatch.setattr(t2, "fp_subset", lambda a, b: asked.append((a.name, b.name)) or fp_subset(a, b))
+    verify_tautology_theorem(t2, cs, 2, 2)
+    assert asked == expected
+    assert len(expected) > 100
+
+
+def test_harness_over_a_wide_commuting_set():
+    # a truth table over all 20 members at once would have 2**20 rows; the
+    # classes are keyed by functions of at most two of them
+    atoms = [f"a{i}" for i in range(5)]
+    alg = models.load_model({
+        "kind": "table", "states": ["0", *atoms], "zero": "0",
+        "measurements": {f"m{mask}": {"0": "0", **{a: a if mask >> i & 1 else "0"
+                                                  for i, a in enumerate(atoms)}}
+                         for mask in range(32)},
+    })
+    cs = CommutingSet(alg, [f"m{mask}" for mask in range(20)])
+    result = verify_tautology_theorem(alg, cs, 2, 2)
+    assert (result.status, result.checked_count, result.note) == ("pass", 860, "801 semantic classes")
 
 
 def test_schemes_on_theory_model(t2):
