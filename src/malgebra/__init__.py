@@ -51,6 +51,7 @@ from .errors import (
     NegationViolation,
     NotCommutingError,
     NotStronglySeparable,
+    OrderViolation,
 )
 from .logic import (
     TautologyVerdict,

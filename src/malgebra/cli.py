@@ -32,6 +32,7 @@ from .errors import (
     NegationViolation,
     NotCommutingError,
     NotStronglySeparable,
+    OrderViolation,
 )
 from .logic import verify_schemes, verify_tautology_theorem
 
@@ -287,7 +288,7 @@ def main(argv=None) -> int:
     except (InputError, NotCommutingError, NotStronglySeparable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ClosureViolation, NegationViolation) as exc:
+    except (ClosureViolation, NegationViolation, OrderViolation) as exc:
         print(f"property failure: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # a fault of the program, never a verdict

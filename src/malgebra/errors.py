@@ -21,6 +21,11 @@ class ClosureViolation(RuntimeError):
     """A map that the axioms promise to be a measurement is not in M."""
 
 
+class OrderViolation(RuntimeError):
+    """The fixpoint order and the zero-set order disagree on a pair; the
+    defining laws make them coincide."""
+
+
 class NotCommutingError(ValueError):
     """A connective was requested for a non-commuting pair."""
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import comb
 
 from .errors import BudgetError, InputError
 
@@ -371,6 +372,49 @@ def shadow_on(fn: tuple[tuple[str, ...], int], slots: tuple[str, ...]) -> int:
     return shadow
 
 
+def count_formulas(alphabet_size: int, max_depth: int, max_slots: int, cap: int) -> int:
+    """How many formulas :func:`enumerate_formulas` admits, without building one.
+
+    Every alphabet member plays the same role, so the number of formulas of
+    one level whose slot set is a given set U depends only on |U|.  With
+    ``prev[i]`` such formulas at the previous level and ``below[i]`` at all
+    levels so far, the ordered operand pairs (S, T) with S ∪ T = U, |S| = i
+    and |T| = j number C(u, i)·C(i, i+j−u).  Of those, ``both`` have both
+    operands at the previous level and ``mixed`` only the first.  The
+    enumeration admits ``prev[u]`` negations, (both + prev[u])/2 + mixed
+    conjunctions and as many disjunctions (commutative operands are
+    canonicalized), and both + 2·mixed implications on U.
+
+    The count is exact up to ``cap``; it stops at the first level whose
+    running total exceeds ``cap`` and returns that total.
+    """
+    if max_depth < 1 or max_slots < 1:
+        raise InputError("depth and slot bounds must be positive")
+    top = min(max_slots, alphabet_size)
+    prev = [0] * (top + 1)
+    if top:
+        prev[1] = 1
+    below = prev[:]
+    total = alphabet_size
+    for _ in range(2, max_depth + 1):
+        if total > cap:
+            break
+        level = [0] * (top + 1)
+        for u in range(1, top + 1):
+            both = mixed = 0
+            for i in range(1, u + 1):
+                for j in range(u - i, u + 1):
+                    pairs = comb(u, i) * comb(i, i + j - u) * prev[i]
+                    both += pairs * prev[j]
+                    mixed += pairs * (below[j] - prev[j])
+            # negations, then conjunctions and disjunctions, then implications
+            level[u] = prev[u] + (both + prev[u] + 2 * mixed) + (both + 2 * mixed)
+        total += sum(comb(alphabet_size, u) * level[u] for u in range(1, top + 1))
+        prev = level
+        below = [b + c for b, c in zip(below, level)]
+    return total
+
+
 def enumerate_formulas(
     alphabet: tuple[str, ...],
     max_depth: int,
@@ -382,10 +426,11 @@ def enumerate_formulas(
     Depth counts tree levels (a bare slot has depth 1).  Formulas may use at
     most ``max_slots`` distinct slots.  Operand order of the commutative
     connectives is canonicalized, which prunes the enumeration without losing
-    semantic coverage.
+    semantic coverage.  More than ``cap`` formulas raise ``BudgetError``,
+    decided by :func:`count_formulas` before any formula is built.
     """
-    if max_depth < 1 or max_slots < 1:
-        raise InputError("depth and slot bounds must be positive")
+    if count_formulas(len(set(alphabet)), max_depth, max_slots, cap) > cap:
+        raise BudgetError(f"formula enumeration exceeds the cap of {cap}")
     # hash-consing: every admitted formula gets an integer id, and candidate
     # identity is the (operator, child ids) tuple, so duplicates are skipped
     # before any node is even constructed; child ids also give the canonical
@@ -398,8 +443,6 @@ def enumerate_formulas(
             return
         seen.add(key)
         bucket.append((ctor(*children), slots, len(seen)))
-        if len(seen) > cap:
-            raise BudgetError(f"formula enumeration exceeds the cap of {cap}")
 
     first: list[tuple[Formula, frozenset, int]] = []
     for name in alphabet:

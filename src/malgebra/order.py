@@ -25,16 +25,17 @@ from .core import (
     state_id,
     top_bot,
 )
-from .errors import NotStronglySeparable
+from .errors import NotStronglySeparable, OrderViolation
 
 
 def leq(alg: MAlgebra, a, b) -> bool:
-    """Order by fixpoint inclusion; the dual zero-set route must agree."""
+    """Order by fixpoint inclusion; the dual zero-set route must agree, or
+    ``OrderViolation`` is raised."""
     a, b = alg.resolve(a), alg.resolve(b)
     by_fp = alg.fp_subset(a, b)
     by_z = alg.z_subset(b, a)
     if by_fp != by_z:
-        raise RuntimeError(
+        raise OrderViolation(
             f"the two order definitions disagree on "
             f"({a.name!r}, {b.name!r})"
         )

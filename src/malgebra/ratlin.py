@@ -27,12 +27,17 @@ from functools import cached_property
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import InputError
+from .errors import BudgetError, InputError
 
 Rational = Fraction
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
 IntMatrix = tuple[tuple[int, ...], ...]
+
+# Most integer vectors a ray window may enumerate: (2h+1)^k for height h over
+# k coordinates.  The largest window in use, dimension 4 at height 5, has
+# 11^4 = 14,641.
+MAX_WINDOW_VECTORS = 10**6
 
 
 def rational(value) -> Fraction:
@@ -410,8 +415,19 @@ class Subspace:
         return "span{" + ";".join("(" + ",".join(str(x) for x in b) + ")" for b in self.basis) + "}"
 
 
+def _check_window(k: int, height: int) -> None:
+    """Refuse, before enumerating, a window of more than MAX_WINDOW_VECTORS."""
+    size = (2 * height + 1) ** k
+    if size > MAX_WINDOW_VECTORS:
+        raise BudgetError(
+            f"a ray window of height {height} over {k} coordinates has {size} vectors, "
+            f"over the cap of {MAX_WINDOW_VECTORS}"
+        )
+
+
 def primitive_vectors(dim: int, height: int) -> list[tuple[int, ...]]:
     """All canonical primitive integer vectors with entries of magnitude <= height."""
+    _check_window(dim, height)
     seen = set()
     for entries in itertools.product(range(-height, height + 1), repeat=dim):
         if all(e == 0 for e in entries):
@@ -430,6 +446,7 @@ def subspace_rays(sub: Subspace, height: int) -> list[Ray]:
     if sub.is_zero:
         return []
     k = sub.rank
+    _check_window(k, height)
     seen = set()
     for coeffs in itertools.product(range(-height, height + 1), repeat=k):
         if all(c == 0 for c in coeffs):

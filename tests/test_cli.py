@@ -57,6 +57,26 @@ def test_separability_failure_exits_one(capsys):
     assert out.rstrip().endswith("overall: FAIL")
 
 
+def test_orders_that_disagree_are_a_property_failure(tmp_path, capsys):
+    # a well-formed table that breaks negation, interference and cumulativity;
+    # there the fixpoint and zero-set orders need not coincide
+    keep = {"0": "0", "s1": "s1", "s2": "s2", "s3": "s3"}
+    model = write_model(tmp_path, {
+        "kind": "table", "states": ["0", "s1", "s2", "s3"], "zero": "0",
+        "measurements": {
+            "top": keep,
+            "bot": {"0": "0", "s1": "0", "s2": "0", "s3": "0"},
+            "m0": {"0": "0", "s1": "s2", "s2": "s2", "s3": "s3"},
+            "m1": keep,
+            "m2": {"0": "0", "s1": "s1", "s2": "0", "s3": "s1"},
+            "m3": {"0": "0", "s1": "0", "s2": "s2", "s3": "s3"},
+        },
+    })
+    code, out, err = run(capsys, "order", model)
+    assert (code, out) == (1, "")
+    assert err == "property failure: the two order definitions disagree on ('m0', 'm3')\n"
+
+
 def test_failure_report_in_json(capsys):
     code, out, _ = run(
         capsys, "check", fixture_path("t2"), "--axioms", "separability",
@@ -194,12 +214,25 @@ def test_slot_bound_twice_exits_two(capsys, bind):
 
 
 def test_budget_exit_code(capsys):
-    code, _, err = run(
+    code, out, err = run(
         capsys, "tautology", fixture_path("t2"),
         "--commuting", "p,q,top", "--depth", "6", "--slots", "3",
     )
-    assert code == 3
-    assert "budget" in err
+    assert (code, out) == (3, "")
+    assert err == "budget exceeded: formula enumeration exceeds the cap of 1000000\n"
+
+
+def test_oversized_ray_window_exits_three(tmp_path, capsys):
+    # 7**12 vectors at height 3 in dimension 12: refused before enumerating
+    dim = 12
+    axis = [["1" if j == i else "0" for j in range(dim)] for i in range(dim)]
+    model = write_model(tmp_path, {
+        "kind": "ray", "dimension": dim, "full_lattice": False, "sample_height": 3,
+        "subspaces": {"bot": [], "top": axis, "p0": axis[:1], "q0": axis[1:]},
+    })
+    code, out, err = run(capsys, "check", model, "--axioms", "idempotence")
+    assert (code, out) == (3, "")
+    assert err.startswith("budget exceeded: a ray window of height 3 over 12 coordinates")
 
 
 # exit code 4: internal errors -----------------------------------------------------

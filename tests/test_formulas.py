@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from malgebra import formulas
 from malgebra.errors import BudgetError, InputError
 from malgebra.formulas import (
     And,
@@ -12,6 +13,7 @@ from malgebra.formulas import (
     Or,
     ParseError,
     Slot,
+    count_formulas,
     entails,
     enumerate_formulas,
     essential_function,
@@ -175,6 +177,35 @@ def test_enumeration_budget():
         enumerate_formulas(tuple("abcdef"), max_depth=4, max_slots=6, cap=2000)
     with pytest.raises(InputError):
         enumerate_formulas(("a",), max_depth=0, max_slots=1)
+
+
+@pytest.mark.parametrize("size", range(0, 6))
+def test_count_matches_enumeration(size):
+    alphabet = tuple("abcde")[:size]
+    for depth in range(1, 5):
+        for slots in range(1, 6):
+            count = count_formulas(size, depth, slots, 3 * 10**5)
+            if count <= 3 * 10**5:
+                assert count == len(enumerate_formulas(alphabet, depth, slots, cap=count))
+
+
+def test_count_decides_the_cap_at_its_boundary():
+    count = count_formulas(3, 3, 2, 10**6)
+    assert count == len(enumerate_formulas(("a", "b", "c"), 3, 2, cap=count))
+    with pytest.raises(BudgetError, match=f"exceeds the cap of {count - 1}$"):
+        enumerate_formulas(("a", "b", "c"), 3, 2, cap=count - 1)
+    # the count stops at the first level over the cap, so it is cheap at any depth
+    assert count_formulas(3, 100, 3, 10**6) == count_formulas(3, 6, 3, 10**6) == 4593483
+
+
+def test_over_budget_enumeration_builds_no_formula(monkeypatch):
+    def built(*args):
+        raise AssertionError("a formula node was built")
+
+    for ctor in ("Slot", "Not", "And", "Or", "Implies"):
+        monkeypatch.setattr(formulas, ctor, built)
+    with pytest.raises(BudgetError, match="exceeds the cap of 1000000$"):
+        enumerate_formulas(("p", "q", "top"), max_depth=6, max_slots=3)
 
 
 def test_minimal_formula_names_cover_everything():

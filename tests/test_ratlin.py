@@ -11,8 +11,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malgebra.errors import InputError
+from malgebra.errors import BudgetError, InputError
 from malgebra.ratlin import (
+    MAX_WINDOW_VECTORS,
     Ray,
     Subspace,
     identity_matrix,
@@ -170,6 +171,16 @@ def test_subspace_rays_are_inside():
     assert rays
     assert all(s.contains_ray(r) for r in rays)
     assert Ray.from_vector([1, 1, 1]) in rays
+
+
+def test_windows_over_the_cap_are_refused():
+    # 1001**2 = 1,002,001 vectors at height 500 over two coordinates
+    assert 1001**2 > MAX_WINDOW_VECTORS >= 999**2
+    with pytest.raises(BudgetError, match="height 500 over 2 coordinates"):
+        primitive_vectors(2, 500)
+    plane = Subspace.from_generators(3, [[1, 1, 0], [0, 0, 1]])
+    with pytest.raises(BudgetError, match="height 500 over 2 coordinates"):
+        subspace_rays(plane, 500)
 
 
 # sympy oracle -------------------------------------------------------------
