@@ -23,6 +23,7 @@ from .errors import ClosureViolation, InputError, NegationViolation
 from .ratlin import (
     Matrix,
     Ray,
+    RayImages,
     Subspace,
     is_symmetric_idempotent,
     mat_mul,
@@ -431,7 +432,6 @@ class RayAlgebra(MAlgebra):
         self._subspace_names: dict[Subspace, str] = {
             m.subspace: m.name for m in reversed(self.sorted_measurements())
         }
-        self._actions = {id(m): _RayAction(m.subspace) for m in self._sorted}
 
     def sample_states(self, height: int | None = None) -> list[Ray]:
         """Deterministic ray window: primitive vectors up to the height bound,
@@ -461,10 +461,9 @@ class RayAlgebra(MAlgebra):
 
     exact = False
 
-    def action(self, m: Measurement) -> "_RayAction":
-        """The member's memo of ray images; a non-member gets a fresh one."""
-        memo = self._actions.get(id(m))
-        return _RayAction(m.subspace) if memo is None else memo
+    def action(self, m: Measurement) -> RayImages:
+        """The memo of ray images that the measurement's subspace keeps."""
+        return m.subspace.ray_images
 
     def state_domain(self, budget: Budget) -> list[Ray]:
         return self.sample_states(budget.height)
@@ -501,9 +500,10 @@ class RayAlgebra(MAlgebra):
                 StateSet(frozenset(fp + z), False))
 
     def preserves(self, a: Measurement, b: Measurement) -> bool:
-        """The projection of b's subspace under a lands inside both subspaces."""
-        inter = a.subspace.intersect(b.subspace)
-        return all(inter.contains(a.subspace.project_vector(v)) for v in b.subspace.basis_vectors)
+        """The projection of b's subspace under a lands inside both subspaces;
+        a's projection always lands inside a's, so only b's is tested."""
+        return all(b.subspace.contains(a.subspace.project_vector(v))
+                   for v in b.subspace.basis_vectors)
 
     def commutes(self, a: Measurement, b: Measurement) -> bool:
         return a.subspace.commutes_with(b.subspace)
@@ -554,18 +554,6 @@ class RayAlgebra(MAlgebra):
         return m.subspace.is_zero or m.subspace.is_full
 
 
-class _RayAction(dict):
-    """Images of rays under one projection, projected on first lookup."""
-
-    def __init__(self, subspace: Subspace):
-        super().__init__()
-        self._project = subspace.project_ray
-
-    def __missing__(self, ray: Ray) -> Ray:
-        image = self[ray] = self._project(ray)
-        return image
-
-
 def _subspace_label(sub: Subspace) -> str:
     if sub.is_zero:
         return "P[0]"
@@ -600,9 +588,8 @@ def preserves(alg: MAlgebra, a, b) -> bool:
 def preserves_pointwise(alg: MAlgebra, a, b, height: int | None = None) -> bool:
     """The pointwise definition of preservation, sampled on the ray backend."""
     a, b = alg.resolve(a), alg.resolve(b)
-    if isinstance(alg, RayAlgebra):
-        return all(b(a(x)) == a(x) for x in alg.fixpoint_domain(b, Budget(height=height)))
-    return all(b(a(x)) == a(x) for x in alg.states if b(x) == x)
+    A, B = alg.action(a), alg.action(b)
+    return all(B[A[x]] == A[x] for x in alg.fixpoint_domain(b, Budget(height=height)))
 
 
 def commutes(alg: MAlgebra, a, b) -> bool:

@@ -14,15 +14,12 @@ from .core import (
     Budget,
     CheckResult,
     MAlgebra,
-    Measurement,
-    apply,
     bit_positions,
     check_instances,
     check_result,
     commutes,
     negation_of,
     point_measurement,
-    state_id,
     top_bot,
 )
 from .errors import NotStronglySeparable, OrderViolation
@@ -156,58 +153,59 @@ def strong_sep_check(alg: MAlgebra, budget: Budget | None = None) -> list[CheckR
     point measurement.
     """
     budget = budget or Budget()
-    nonzero = [alg.state(x) for x in alg.state_domain(budget) if x != alg.zero_code]
+    zero, label = alg.zero_code, alg.state_label
+    nonzero = [x for x in alg.state_domain(budget) if x != zero]
 
     points = {}
 
-    def point(x):
-        key = state_id(alg, x)
-        if key not in points:
-            e = point_measurement(alg, x)
+    def point(x):  # on the ray backend, also for images outside the window
+        e = points.get(x)
+        if e is None:
+            e = point_measurement(alg, alg.state(x))
             if e is None:
-                raise NotStronglySeparable(key)
-            points[key] = e
-        return points[key]
+                raise NotStronglySeparable(label(x))
+            points[x] = e
+        return e
 
     for x in nonzero:
         point(x)
 
-    ms = alg.sorted_measurements()
-    fixed_by = {a.name: [y for y in nonzero if apply(alg, a, y) == y] for a in ms}
-    implications: dict[tuple, Measurement] = {}
+    coded = [(a, alg.action(a)) for a in alg.sorted_measurements()]
+    fixed_by = {a.name: [y for y in nonzero if A[y] == y] for a, A in coded}
+    implications = {}  # (member name, state code) -> action of the implication
 
     def impl_to_point(a, y):
-        key = (a.name, state_id(alg, y))
+        key = (a.name, y)
         if key not in implications:
-            implications[key] = implication(alg, a, point(y))
+            implications[key] = alg.action(implication(alg, a, point(y)))
         return implications[key]
 
     wit_a, wit_b, wit_c = [], [], []
     checked_a = checked_b = checked_c = 0
     for x in nonzero:
-        for a in ms:
-            ax = apply(alg, a, x)
-            if ax == alg.zero:
+        for a, A in coded:
+            ax = A[x]
+            if ax == zero:
                 continue
             checked_a += 1
-            if apply(alg, impl_to_point(a, ax), x) != x:
-                wit_a.append((state_id(alg, x), a.name))
+            if impl_to_point(a, ax)[x] != x:
+                wit_a.append((label(x), a.name))
 
             checked_b += 1
             candidates = fixed_by[a.name]
             if ax not in candidates:
                 candidates = candidates + [ax]
-            hits = [y for y in candidates if apply(alg, impl_to_point(a, y), x) == x]
+            hits = [y for y in candidates if impl_to_point(a, y)[x] == x]
             if set(hits) != {ax}:
-                wit_b.append((state_id(alg, x), a.name))
+                wit_b.append((label(x), a.name))
 
-            nax = apply(alg, negation_of(alg, a), x)
-            if nax == alg.zero:
+            nax = alg.action(negation_of(alg, a))[x]
+            if nax == zero:
                 continue
             checked_c += 1
             decomposition = disjunction(alg, point(ax), point(nax))
-            if apply(alg, decomposition, x) != x:
-                wit_c.append((state_id(alg, x), a.name))
+            if alg.action(decomposition)[x] != x:
+                wit_c.append((label(x), a.name))
 
     return [
         check_result("pointsep_implication", wit_a, checked_a, alg.exact),

@@ -13,8 +13,9 @@ operands in ``int`` and builds each output ``Fraction`` once.  Each
 ``Subspace`` caches the scaled form of its projection, so projecting a ray is
 an integer mat-vec followed by a gcd and sign normalisation (d never matters
 for a direction), and membership tests compare N·u with d·u.  Projected rays
-are memoised per ``Subspace`` instance, keyed by the ray's direction; the memo
-lives as long as that instance and takes no part in its equality or hash.
+are memoised per ``Subspace`` instance in one ``Ray``-keyed memo,
+``ray_images``, which the ray backend hands out as a measurement's action; the
+memo lives as long as that instance and takes no part in its equality or hash.
 """
 
 from __future__ import annotations
@@ -324,9 +325,9 @@ class Subspace:
         return scale_to_int(self.projection)
 
     @cached_property
-    def _ray_images(self) -> dict:
-        """Memo of ``project_ray``: ray direction -> image ray."""
-        return {}
+    def ray_images(self) -> "RayImages":
+        """Memo of ``project_ray``: ray -> image ray."""
+        return RayImages(self)
 
     @cached_property
     def orthocomplement(self) -> "Subspace":
@@ -350,7 +351,7 @@ class Subspace:
             raise InputError(f"ray of dimension {ray.dim} in Q^{self.dim}")
         if ray.is_zero:
             return ray
-        image = self._ray_images.get(ray.direction)
+        image = self.ray_images.get(ray)
         if image is None:
             w = [sum(map(mul, row, ray.direction)) for row in self.scaled_projection[0]]
             g = math.gcd(*w)
@@ -360,7 +361,7 @@ class Subspace:
                 if next(x for x in w if x) < 0:
                     g = -g
                 image = Ray(self.dim, tuple(x // g for x in w))
-            self._ray_images[ray.direction] = image
+            self.ray_images[ray] = image
         return image
 
     def _fixes(self, u: Sequence[int]) -> bool:
@@ -413,6 +414,20 @@ class Subspace:
         if self.is_zero:
             return "span{}"
         return "span{" + ";".join("(" + ",".join(str(x) for x in b) + ")" for b in self.basis) + "}"
+
+
+class RayImages(dict):
+    """Images of rays under one subspace's projection, the zero ray's
+    included; a missing ray is projected through ``Subspace.project_ray``,
+    which checks its dimension."""
+
+    def __init__(self, subspace: Subspace):
+        zero = Ray.zero(subspace.dim)
+        super().__init__({zero: zero})
+        self._project = subspace.project_ray
+
+    def __missing__(self, ray: Ray) -> Ray:
+        return self._project(ray)
 
 
 def _check_window(k: int, height: int) -> None:

@@ -77,6 +77,37 @@ def test_orders_that_disagree_are_a_property_failure(tmp_path, capsys):
     assert err == "property failure: the two order definitions disagree on ('m0', 'm3')\n"
 
 
+def test_failing_derived_composite_is_a_property_failure(tmp_path, capsys):
+    # e2 and m1 commute, so the implication is asked of a named commuting
+    # pair; its composite with m1's negation (m0) is e2, which has no
+    # negation.  A failure among the derived composites is a verdict on the
+    # algebra (exit 1), not a refused input: m0 is no pair the user named.
+    states = ["0", "s1", "s2", "s3", "s4"]
+
+    def table(*images):
+        return dict(zip(states, ("0",) + images))
+
+    model = write_model(tmp_path, {
+        "kind": "table", "states": states, "zero": "0",
+        "measurements": {
+            "top": table("s1", "s2", "s3", "s4"),
+            "bot": table("0", "0", "0", "0"),
+            "e1": table("s1", "0", "0", "0"),
+            "e2": table("0", "s2", "0", "0"),
+            "e3": table("0", "0", "s3", "0"),
+            "e4": table("0", "0", "0", "s4"),
+            "m0": table("s2", "s2", "0", "0"),
+            "m1": table("s4", "0", "s3", "s4"),
+            "m2": table("s2", "s2", "0", "0"),
+            "m3": table("s4", "s4", "0", "s4"),
+            "m4": table("s2", "s2", "s3", "s2"),
+        },
+    })
+    code, out, err = run(capsys, "connective", model, "--expr", "a -> b", "--bind", "a=e2,b=m1")
+    assert (code, out) == (1, "")
+    assert err == "property failure: no negation for measurement 'e2'\n"
+
+
 def test_failure_report_in_json(capsys):
     code, out, _ = run(
         capsys, "check", fixture_path("t2"), "--axioms", "separability",

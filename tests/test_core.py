@@ -30,7 +30,7 @@ from malgebra.core import (
 )
 from malgebra.connectives import is_classical
 from malgebra.errors import InputError, NegationViolation
-from malgebra.models import FIXTURES, build_table, fixture_t2
+from malgebra.models import FIXTURES, build_table, fixture_r3, fixture_t2
 from malgebra.ratlin import Ray, zero_matrix
 
 R = Ray.from_vector
@@ -45,6 +45,20 @@ def tables_of(alg):
 
 def test_apply_projects_and_canonicalizes(r2):
     assert apply(r2, "pd", R([1, 0])) == R([1, 1])
+
+
+def test_ray_action_and_projection_share_one_memo():
+    alg = fixture_r3()  # a fresh model: its subspaces have projected nothing yet
+    m = alg.measurement("pxy")
+    action = alg.action(m)
+    by_action, by_call = R((1, 2, 3)), R((3, 1, 1))
+    assert by_action not in action and by_call not in action
+    assert action[by_action] == m(by_action) == R((1, 2, 0))
+    m(by_call)
+    assert by_call in action
+    assert action is alg.action(m) is m.subspace.ray_images
+    with pytest.raises(InputError):
+        action[R((1, 0))]
 
 
 def test_apply_fixes_zero_everywhere(r2, t2):

@@ -16,7 +16,10 @@ The plain ``order`` report on ``golden/broken_order.json`` was captured
 before the order and ortho laws moved onto one instance loop; that model
 fails ``order_bounds`` (antisymmetry of m0 and m2), ``ortho_involution``
 and ``ortho_orthomodular``, so the report pins their witnesses.  It runs
-without ``--strong-sep``, which refuses the model (exit 2).
+without ``--strong-sep``, which refuses the model (exit 2).  The
+``order-height3`` report on ``r3_full`` was captured before the
+point-separation laws moved onto state codes; at height 3 it pins 1,510
+uniqueness instances, where the height-2 reports stop.
 Regenerate (only when a report is meant to change) with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -39,6 +42,7 @@ COMMANDS = {
     "lemmas": ["lemmas"],
     "order": ["order", "--strong-sep"],
     "order-plain": ["order"],
+    "order-height3": ["order", "--strong-sep", "--height", "3"],
     "tautology": ["tautology", "--depth", "3", "--slots", "3"],
     "connective": ["connective"],
 }
@@ -54,6 +58,7 @@ CASES = (
     + [("tautology", fx) for fx in COMMUTING]
     + [("check", "broken"), ("lemmas", "broken"), ("order-plain", "broken_order")]
     + [("connective", fx) for fx in CONNECTIVE]
+    + [("order-height3", "r3_full")]
 )
 
 
@@ -71,7 +76,7 @@ def argv_for(command: str, fixture: str) -> list[str]:
     elif command == "connective":
         expr, bind = CONNECTIVE[fixture]
         argv += ["--expr", expr, "--bind", bind]
-    elif fixture.startswith("r"):
+    elif fixture.startswith("r") and "--height" not in flags:
         argv += ["--height", "2"]
     return argv
 

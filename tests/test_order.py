@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malgebra import models
-from malgebra.connectives import conjunction, disjunction
+from malgebra.connectives import conjunction, disjunction, implication
 from malgebra.core import (
+    Budget,
     apply,
     check_result,
     commutes,
     negation_of,
     point_measurement,
+    state_id,
     top_bot,
 )
 from malgebra.errors import NotStronglySeparable
@@ -208,6 +210,111 @@ def test_strong_sep_precondition(r2):
     with pytest.raises(NotStronglySeparable) as err:
         strong_sep_check(r2)
     assert err.value.state
+
+
+def reference_strong_sep_check(alg, budget=None):
+    """The state-level loop that ``strong_sep_check`` replaced by a loop over
+    state codes: every image comes from ``apply`` and every memo is keyed by
+    ``state_id``."""
+    budget = budget or Budget()
+    nonzero = [alg.state(x) for x in alg.state_domain(budget) if x != alg.zero_code]
+
+    points = {}
+
+    def point(x):
+        key = state_id(alg, x)
+        if key not in points:
+            e = point_measurement(alg, x)
+            if e is None:
+                raise NotStronglySeparable(key)
+            points[key] = e
+        return points[key]
+
+    for x in nonzero:
+        point(x)
+
+    ms = alg.sorted_measurements()
+    fixed_by = {a.name: [y for y in nonzero if apply(alg, a, y) == y] for a in ms}
+    implications = {}
+
+    def impl_to_point(a, y):
+        key = (a.name, state_id(alg, y))
+        if key not in implications:
+            implications[key] = implication(alg, a, point(y))
+        return implications[key]
+
+    wit_a, wit_b, wit_c = [], [], []
+    checked_a = checked_b = checked_c = 0
+    for x in nonzero:
+        for a in ms:
+            ax = apply(alg, a, x)
+            if ax == alg.zero:
+                continue
+            checked_a += 1
+            if apply(alg, impl_to_point(a, ax), x) != x:
+                wit_a.append((state_id(alg, x), a.name))
+
+            checked_b += 1
+            candidates = fixed_by[a.name]
+            if ax not in candidates:
+                candidates = candidates + [ax]
+            hits = [y for y in candidates if apply(alg, impl_to_point(a, y), x) == x]
+            if set(hits) != {ax}:
+                wit_b.append((state_id(alg, x), a.name))
+
+            nax = apply(alg, negation_of(alg, a), x)
+            if nax == alg.zero:
+                continue
+            checked_c += 1
+            decomposition = disjunction(alg, point(ax), point(nax))
+            if apply(alg, decomposition, x) != x:
+                wit_c.append((state_id(alg, x), a.name))
+
+    return [
+        check_result("pointsep_implication", wit_a, checked_a, alg.exact),
+        check_result("pointsep_uniqueness", wit_b, checked_b, alg.exact),
+        check_result("pointsep_decomposition", wit_c, checked_c, alg.exact),
+    ]
+
+
+def sep_outcome(check, alg, budget=None):
+    """The results of a point-separation check, or the type and message of
+    the exception it raised."""
+    try:
+        return check(alg, budget)
+    except Exception as exc:  # compared by type and message against the reference
+        return type(exc), str(exc)
+
+
+def test_strong_sep_matches_reference_on_fixtures(f1, t2, t2max, r2, r2full, r3full):
+    assert strong_sep_check(t2max) == reference_strong_sep_check(t2max)
+    # t2 and r2 lack point measurements: the same state must be named first
+    for alg in (f1, t2, r2):
+        assert sep_outcome(strong_sep_check, alg) == sep_outcome(reference_strong_sep_check, alg)
+    for alg in (r2full, r3full):
+        for height in (1, 2, 3):
+            budget = Budget(height=height)
+            assert strong_sep_check(alg, budget) == reference_strong_sep_check(alg, budget)
+
+
+@st.composite
+def tables_with_points(draw):
+    """A drawn table model plus, for every nonzero state s, a point
+    measurement: it fixes only zero and s, and sends each other state to
+    one of the two.  The drawn members need not obey the laws, so the
+    connectives may raise inside the check."""
+    alg = draw(tables_with_top_and_bot())
+    tables = {m.name: {s: m(s) for s in alg.states} for m in alg.sorted_measurements()}
+    for s in alg.states[1:]:
+        image = st.sampled_from(["0", s])
+        tables[f"e_{s}"] = {t: t if t in ("0", s) else draw(image) for t in alg.states}
+    return models.build_table(alg.states, "0", tables)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_with_points())
+def test_strong_sep_matches_reference_on_random_tables(alg):
+    assert sep_outcome(strong_sep_check, alg) == sep_outcome(reference_strong_sep_check, alg)
 
 
 def test_worked_decomposition(r3full):
