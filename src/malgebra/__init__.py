@@ -53,14 +53,8 @@ from .errors import (
     NotStronglySeparable,
     OrderViolation,
 )
-from .logic import (
-    TautologyVerdict,
-    format_formula,
-    is_tautology,
-    parse_formula,
-    verify_schemes,
-    verify_tautology_theorem,
-)
+from .formulas import TautologyVerdict, format_formula, is_tautology, parse_formula
+from .logic import verify_schemes, verify_tautology_theorem
 from .models import (
     FIXTURES,
     build_propositional,

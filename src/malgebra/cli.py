@@ -174,6 +174,14 @@ def cmd_lemmas(args) -> int:
     return _emit(args, model_summary(alg), lemma_suite(alg, budget))
 
 
+def _commuting_set(alg, names) -> CommutingSet:
+    """The named set; only a pair the user named is bad input (exit 2)."""
+    try:
+        return CommutingSet(alg, names)
+    except NotCommutingError as exc:
+        raise InputError(str(exc)) from None
+
+
 def cmd_connective(args) -> int:
     alg = load_model_file(args.model)
     binding = {}
@@ -184,7 +192,7 @@ def cmd_connective(args) -> int:
         if slot in binding:
             raise InputError(f"slot {slot!r} is bound twice")
         binding[slot] = name
-    cs = CommutingSet(alg, sorted(set(binding.values())))
+    cs = _commuting_set(alg, sorted(set(binding.values())))
     result = eval_formula(alg, cs, args.expr, binding)
     fp, z, _ = extent(alg, result)
     payload = {
@@ -210,7 +218,7 @@ def cmd_tautology(args) -> int:
     names = [n.strip() for n in args.commuting.split(",") if n.strip()]
     if not names:
         raise InputError("--commuting needs at least one measurement name")
-    cs = CommutingSet(alg, names)
+    cs = _commuting_set(alg, names)
     checks = [verify_tautology_theorem(alg, cs, args.depth, args.slots)]
     checks.extend(verify_schemes(alg, cs))
     return _emit(args, model_summary(alg), checks)
@@ -280,15 +288,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse reads "--opt=--" as an empty list instead of a value
+    listed = [dest for dest, value in vars(args).items() if isinstance(value, list)]
+    if listed:
+        print(f"error: --{listed[0].replace('_', '-')} needs a value, not '--'", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (InputError, NotCommutingError, NotStronglySeparable) as exc:
+    except (InputError, NotStronglySeparable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ClosureViolation, NegationViolation, OrderViolation) as exc:
+    except (ClosureViolation, NegationViolation, NotCommutingError, OrderViolation) as exc:
         print(f"property failure: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # a fault of the program, never a verdict

@@ -429,8 +429,9 @@ class RayAlgebra(MAlgebra):
         self.sample_height = sample_height
         self.zero = self.zero_code = Ray.zero(dim)
         self._samples: dict[int, list[Ray]] = {}
-        self._subspace_names: dict[Subspace, str] = {
-            m.subspace: m.name for m in reversed(self.sorted_measurements())
+        # the listed member (first by name), or the one a full lattice synthesized
+        self._by_subspace: dict[Subspace, Measurement] = {
+            m.subspace: m for m in reversed(self.sorted_measurements())
         }
 
     def sample_states(self, height: int | None = None) -> list[Ray]:
@@ -450,12 +451,10 @@ class RayAlgebra(MAlgebra):
         return self._samples[h]
 
     def measurement_for_subspace(self, sub: Subspace) -> Measurement | None:
-        name = self._subspace_names.get(sub)
-        if name is not None:
-            return self._measurements[name]
-        if self.full_lattice:
-            return ProjectionMeasurement(_subspace_label(sub), sub)
-        return None
+        m = self._by_subspace.get(sub)
+        if m is None and self.full_lattice:
+            m = self._by_subspace[sub] = ProjectionMeasurement(_subspace_label(sub), sub)
+        return m
 
     # law-check protocol (see MAlgebra)
 

@@ -132,11 +132,15 @@ def parse_formula(text: str) -> Formula:
         return tok
 
     def parse_implies():
-        left = parse_or()
-        if peek() == "->":
+        # a loop folded to the right, so long chains cannot exhaust the stack
+        operands = [parse_or()]
+        while peek() == "->":
             take()
-            return Implies(left, parse_implies())
-        return left
+            operands.append(parse_or())
+        node = operands.pop()
+        while operands:
+            node = Implies(operands.pop(), node)
+        return node
 
     def parse_or():
         node = parse_and()
@@ -216,6 +220,7 @@ def slots_of(f: Formula) -> tuple[str, ...]:
 
 
 def evaluate(f: Formula, assignment: dict[str, bool]) -> bool:
+    """The value of ``f`` under one assignment; :func:`truth_mask` is tested against it."""
     if isinstance(f, Slot):
         try:
             return assignment[f.name]
@@ -228,11 +233,6 @@ def evaluate(f: Formula, assignment: dict[str, bool]) -> bool:
     if isinstance(f, Or):
         return evaluate(f.left, assignment) or evaluate(f.right, assignment)
     return (not evaluate(f.left, assignment)) or evaluate(f.right, assignment)
-
-
-def _assignment(slot_order: tuple[str, ...], row: int) -> dict[str, bool]:
-    k = len(slot_order)
-    return {s: bool((row >> (k - 1 - j)) & 1) for j, s in enumerate(slot_order)}
 
 
 def slot_masks(slot_order: tuple[str, ...]) -> dict[str, int]:
@@ -258,8 +258,11 @@ def truth_mask(f: Formula, slot_order: tuple[str, ...]) -> int:
     each slot is its column from :func:`slot_masks` and the connectives are
     bit operations.  A slot missing from ``slot_order`` raises.
     """
-    columns = slot_masks(slot_order)
-    full = (1 << (1 << len(slot_order))) - 1
+    return _walk(f, slot_masks(slot_order), (1 << (1 << len(slot_order))) - 1)
+
+
+def _walk(f: Formula, columns: dict[str, int], full: int) -> int:
+    """The truth mask of ``f`` with each slot read as its column in ``columns``."""
 
     def walk(node):
         if isinstance(node, Slot):
@@ -298,8 +301,9 @@ def is_tautology(f: Formula | str) -> TautologyVerdict:
     mask = truth_mask(f, slots)
     if mask == (1 << (1 << len(slots))) - 1:
         return TautologyVerdict(f, True, None)
-    first_false = ((mask + 1) & ~mask).bit_length() - 1
-    return TautologyVerdict(f, False, _assignment(slots, first_false))
+    row = ((mask + 1) & ~mask).bit_length() - 1  # the first false row
+    falsifying = {s: bool(column >> row & 1) for s, column in slot_masks(slots).items()}
+    return TautologyVerdict(f, False, falsifying)
 
 
 def essential_function(f: Formula) -> tuple[tuple[str, ...], int]:
@@ -308,36 +312,22 @@ def essential_function(f: Formula) -> tuple[tuple[str, ...], int]:
     Returns the sorted tuple of slots the value actually depends on, and the
     truth mask over those slots.  Logically equivalent formulas yield the
     same pair, whatever slots they mention syntactically.
+
+    Slot ``j`` of ``k`` is irrelevant exactly when the table on the rows where
+    it is true, shifted down ``2**(k-1-j)`` rows, equals the table on the rows
+    where it is false; one more walk with those slots held false reduces it.
     """
     slots = slots_of(f)
-    mask = truth_mask(f, slots)
-    changed = True
-    while changed and slots:
-        changed = False
-        k = len(slots)
-        for j in range(k):
-            bit = 1 << (k - 1 - j)
-            relevant = any(
-                bool(mask >> row & 1) != bool(mask >> (row | bit) & 1)
-                for row in range(1 << k)
-                if not row & bit
-            )
-            if not relevant:
-                new_mask = 0
-                for row in range(1 << k):
-                    if not row & bit and mask >> row & 1:
-                        new_mask |= 1 << _drop_bit(row, k - 1 - j)
-                mask = new_mask
-                slots = slots[:j] + slots[j + 1:]
-                changed = True
-                break
-    return slots, mask
-
-
-def _drop_bit(value: int, position: int) -> int:
-    high = value >> (position + 1)
-    low = value & ((1 << position) - 1)
-    return (high << position) | low
+    k = len(slots)
+    columns = slot_masks(slots)
+    full = (1 << (1 << k)) - 1
+    mask = _walk(f, columns, full)
+    kept = tuple(s for j, s in enumerate(slots)
+                 if (mask & columns[s]) >> (1 << (k - 1 - j)) != mask & (full ^ columns[s]))
+    if len(kept) == k:
+        return slots, mask
+    held = dict.fromkeys(slots, 0) | slot_masks(kept)
+    return kept, _walk(f, held, (1 << (1 << len(kept))) - 1)
 
 
 def entails(fn_a: tuple[tuple[str, ...], int], fn_b: tuple[tuple[str, ...], int]) -> bool:

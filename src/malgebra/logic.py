@@ -5,9 +5,6 @@ enumerated tautology evaluates to a measurement fixing every state compares
 two genuinely independent computations.  The converse is not claimed: a
 measurement may fix every state without its formula being a tautology (bind
 a slot to the identity measurement).
-
-The formula syntax itself (parser, AST, truth tables) lives in
-:mod:`malgebra.formulas` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -22,26 +19,7 @@ from .core import (
     negation_of,
 )
 from .errors import InputError
-from .formulas import (  # noqa: F401  (public logic API)
-    And,
-    Formula,
-    Implies,
-    Not,
-    Or,
-    ParseError,
-    Slot,
-    TautologyVerdict,
-    entails,
-    enumerate_formulas,
-    essential_function,
-    evaluate,
-    format_formula,
-    is_tautology,
-    parse_formula,
-    shadow_on,
-    slots_of,
-    truth_mask,
-)
+from .formulas import enumerate_formulas, essential_function, format_formula, shadow_on
 
 
 def verify_tautology_theorem(alg: MAlgebra, cs: CommutingSet,

@@ -146,12 +146,7 @@ def measurement_for(alg: FiniteAlgebra, text: str):
     unknown = [s for s in formulas.slots_of(f) if s not in atoms]
     if unknown:
         raise InputError(f"unknown atom {unknown[0]!r}")
-    mask = 0
-    k = len(atoms)
-    for row in range(1 << k):
-        env = {a: bool(row >> (k - 1 - j) & 1) for j, a in enumerate(atoms)}
-        if formulas.evaluate(f, env):
-            mask |= 1 << row
+    mask = formulas.truth_mask(f, atoms)
     by_mask = {m: name for name, m in alg.meta["model_masks"].items()}
     return alg.measurement(by_mask[mask])
 

@@ -108,6 +108,23 @@ def test_failing_derived_composite_is_a_property_failure(tmp_path, capsys):
     assert err == "property failure: no negation for measurement 'e2'\n"
 
 
+def test_derived_pair_that_does_not_commute_is_a_property_failure(tmp_path, capsys):
+    # m1 and m2 commute, so the set the user named is sound; n1 = ~m1 is
+    # derived by the formula, and a derived pair that does not commute is a
+    # verdict on the algebra (exit 1), not a refused input
+    model = write_model(tmp_path, {
+        "kind": "table", "states": ["0", "s1", "s2", "s3"], "zero": "0",
+        "measurements": {
+            "m1": {"0": "0", "s1": "s1", "s2": "0", "s3": "s1"},
+            "n1": {"0": "0", "s1": "0", "s2": "s2", "s3": "s2"},
+            "m2": {"0": "0", "s1": "0", "s2": "s2", "s3": "0"},
+        },
+    })
+    code, out, err = run(capsys, "connective", model, "--expr", "b & ~a", "--bind", "a=m1,b=m2")
+    assert (code, out) == (1, "")
+    assert err == "property failure: measurements 'm2' and 'n1' do not commute\n"
+
+
 def test_failure_report_in_json(capsys):
     code, out, _ = run(
         capsys, "check", fixture_path("t2"), "--axioms", "separability",
@@ -229,10 +246,29 @@ def test_non_string_atoms_exit_two(tmp_path, capsys):
     "~" * 5000 + "a",
     "(" * 5000 + "a" + ")" * 5000,
     "a" + " & a" * 5000,
-], ids=["negations", "parentheses", "conjunctions"])
+    "a" + " -> a" * 5000,
+], ids=["negations", "parentheses", "conjunctions", "implications"])
 def test_deeply_nested_formula_exits_two(capsys, expr):
     result = run(capsys, "connective", fixture_path("t2"), "--expr", expr, "--bind", "a=p")
     assert_refused(result, "deeper than")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "r2", "--height=--"),
+    ("check", "r2", "--loop-n=--"),
+    ("check", "r2", "--axioms=--"),
+    ("order", "t2", "--format=--"),
+    ("tautology", "t2", "--commuting=--"),
+    ("tautology", "t2", "--commuting=p,q", "--depth=--"),
+    ("connective", "t2", "--expr=a", "--bind=--"),
+    ("connective", "t2", "--expr=--", "--bind=a=p"),
+], ids=lambda argv: " ".join(argv))
+def test_option_given_double_dash_exits_two(capsys, argv):
+    # argparse reads "--opt=--" as an empty list, which no option accepts
+    command, model, *options = argv
+    code, out, err = run(capsys, command, fixture_path(model), *options)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("bind", ["a=p,a=q", "a=p, a =p"])

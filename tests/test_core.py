@@ -193,6 +193,15 @@ def test_negation_is_formula_negation(t2):
     assert negation_of(t2, "p&q").name == "~(p&q)"
 
 
+def test_full_lattice_synthesizes_one_measurement_per_subspace(r3full):
+    # (1, 2, 3) spans no listed subspace, nor does its orthocomplement
+    x = R([1, 2, 3])
+    point = point_measurement(r3full, x)
+    assert point.name not in r3full.measurements
+    assert point_measurement(r3full, x) is point
+    assert negation_of(r3full, point) is negation_of(r3full, point)
+
+
 def test_top_and_bottom(f1, t2, r2):
     for alg in (f1, t2, r2):
         top, bot = top_bot(alg)

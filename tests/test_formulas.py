@@ -141,6 +141,50 @@ def test_essential_function_drops_irrelevant_slots():
     assert essential_function(g) == (("a", "b"), 0b1000)
 
 
+def reference_essential_function(f):
+    """The former drop-one-slot-and-restart row scan, kept as the reference."""
+    slots = slots_of(f)
+    mask = truth_mask(f, slots)
+    changed = True
+    while changed and slots:
+        changed = False
+        k = len(slots)
+        for j in range(k):
+            bit = 1 << (k - 1 - j)
+            relevant = any(
+                bool(mask >> row & 1) != bool(mask >> (row | bit) & 1)
+                for row in range(1 << k)
+                if not row & bit
+            )
+            if not relevant:
+                new_mask = 0
+                for row in range(1 << k):
+                    if not row & bit and mask >> row & 1:
+                        new_mask |= 1 << _drop_bit(row, k - 1 - j)
+                mask = new_mask
+                slots = slots[:j] + slots[j + 1:]
+                changed = True
+                break
+    return slots, mask
+
+
+def _drop_bit(value, position):
+    high = value >> (position + 1)
+    low = value & ((1 << position) - 1)
+    return (high << position) | low
+
+
+@pytest.mark.parametrize("alphabet,depth,max_slots,count", [
+    (("a", "b", "c", "d"), 3, 3, 3772),
+    (("a", "b", "c", "d", "e"), 3, 5, 8585),
+], ids=["four-letters", "five-letters"])
+def test_essential_function_matches_the_row_scan(alphabet, depth, max_slots, count):
+    fs = enumerate_formulas(alphabet, depth, max_slots)
+    assert len(fs) == count
+    for f in fs:
+        assert essential_function(f) == reference_essential_function(f), format_formula(f)
+
+
 def test_entailment_oracle():
     a_and_b = essential_function(parse_formula("a & b"))
     a = essential_function(parse_formula("a"))
