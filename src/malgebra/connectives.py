@@ -68,11 +68,15 @@ def conjunction(alg: MAlgebra, a, b) -> Measurement:
     return _composite(alg, *_binary(alg, a, b))
 
 
+def _join(alg, a, b) -> Measurement:
+    """The disjunction of a pair the caller has already found commuting."""
+    return negation_of(alg, _composite(alg, negation_of(alg, a), negation_of(alg, b)))
+
+
 def disjunction(alg: MAlgebra, a, b) -> Measurement:
     """Dual of conjunction: the unique measurement whose zeros are the
     intersection of the two zero sets."""
-    a, b = _binary(alg, a, b)
-    return negation_of(alg, _composite(alg, negation_of(alg, a), negation_of(alg, b)))
+    return _join(alg, *_binary(alg, a, b))
 
 
 def implication(alg: MAlgebra, a, b) -> Measurement:

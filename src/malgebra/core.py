@@ -668,6 +668,19 @@ def bit_positions(mask: int):
         mask ^= low
 
 
+def bit_rows(n: int, fact):
+    """The bit rows and columns of a relation over the indices ``range(n)``,
+    asked row by row: bit j of ``rows[i]`` and bit i of ``cols[j]`` hold
+    ``fact(i, j)``."""
+    rows, cols = [0] * n, [0] * n
+    for i in range(n):
+        for j in range(n):
+            if fact(i, j):
+                rows[i] |= 1 << j
+                cols[j] |= 1 << i
+    return rows, cols
+
+
 def check_result(property_id, witnesses, checked, complete=True, vacuous=False,
                  note="") -> CheckResult:
     """The one status rule: any witness fails; otherwise a law whose premise
@@ -881,82 +894,71 @@ def _definiteness(alg, ms, dom, budget, dual=False):
     return witnesses, checked
 
 
-class _Pair(NamedTuple):
-    """Facts of one ordered pair (a, b); the pair lemmas read only these."""
-
-    a: Measurement
-    b: Measurement
-    ab: Measurement | None  # the member equal to "apply a, then b"
-    ba: Measurement | None
-    a_keeps_b: bool  # a preserves FP(b)
-    b_keeps_a: bool
-    fp_ab: bool  # FP(a) is included in FP(b)
-    fp_ba: bool
-    z_ab: bool  # Z(a) is included in Z(b)
-    z_ba: bool
-    commute: bool
-
-    def flip(self) -> "_Pair":
-        return _Pair(self.b, self.a, self.ba, self.ab, self.b_keeps_a, self.a_keeps_b,
-                     self.fp_ba, self.fp_ab, self.z_ba, self.z_ab, self.commute)
-
-
-# (id, over unordered pairs, premise or None, violation); a premise that
-# never holds makes the lemma vacuous.  The composition axiom rides along, so
-# the lemma suite reads its prerequisite from the same pass.
-_PAIR_LEMMAS = (
-    ("composition", False, None, lambda alg, p: p.a_keeps_b and p.ba is None),
-    ("fp_determines", True, lambda alg, p: p.fp_ab and p.fp_ba, lambda alg, p: p.a != p.b),
-    ("fp_zero_duality", False, None, lambda alg, p: p.fp_ab != p.z_ba),
-    ("preservation_symmetry", True, None, lambda alg, p: p.a_keeps_b != p.b_keeps_a),
-    # A composite fixes every common fixpoint, so only FP(ab) within FP(a)
-    # and FP(b) can fail.
-    ("composition_fixpoints", False, lambda alg, p: p.ab is not None,
-     lambda alg, p: not (alg.fp_subset(p.ab, p.a) and alg.fp_subset(p.ab, p.b))),
-    ("composition_preserves", False, lambda alg, p: p.ab is not None,
-     lambda alg, p: not p.b_keeps_a),
-    ("composition_iff_preservation", False, None,
-     lambda alg, p: (p.ab is not None) != p.b_keeps_a),
-    ("composition_order_symmetry", True, None, lambda alg, p: (p.ab is None) != (p.ba is None)),
-    ("composition_iff_commutation", False, None,
-     lambda alg, p: (p.ab is not None) != p.commute),
-    ("fp_inclusion_absorbs", False, lambda alg, p: p.fp_ab,
-     lambda alg, p: not (p.ab == p.a == p.ba)),
+# (id, over unordered pairs, has a premise); a law whose premise never holds
+# is vacuous.  ``_pair_lemmas`` lists their rows in this order.  The
+# composition axiom rides along, so the lemma suite reads its prerequisite
+# from the same pass.
+_PAIR_LAWS = (
+    ("composition", False, False),
+    ("fp_determines", True, True),
+    ("fp_zero_duality", False, False),
+    ("preservation_symmetry", True, False),
+    ("composition_fixpoints", False, True),
+    ("composition_preserves", False, True),
+    ("composition_iff_preservation", False, False),
+    ("composition_order_symmetry", True, False),
+    ("composition_iff_commutation", False, False),
+    ("fp_inclusion_absorbs", False, True),
 )
 
 
 def _pair_lemmas(alg, ms) -> dict[str, tuple[list, int, bool]]:
-    """Every pair law in one pass over the ordered pairs of ``ms``.
+    """Every pair law, read off bit rows over the member indices.
 
-    The facts of a pair are computed once per direction and dropped after
-    use.  Returns each law's witnesses, instance count and vacuity.
+    Each pair fact is one row set (bit j of ``keeps[i]`` holds "ms[i]
+    preserves FP(ms[j])", bit j of ``keeps_t[i]`` the reverse), and each law
+    a premise row and a violation row per member.  Returns each law's
+    witnesses, instance count and vacuity.
     """
-    found = {pid: [] for pid, *_ in _PAIR_LEMMAS}
-    fired = set()
-    for i, a in enumerate(ms):
-        for j in range(i, len(ms)):
-            b = ms[j]
-            ab, a_keeps_b = compose_member(alg, a, b), preserves(alg, a, b)
-            if i == j:  # inclusion and commutation hold trivially
-                p = _Pair(a, a, ab, ab, a_keeps_b, a_keeps_b, True, True, True, True, True)
-                ordered, unordered = (p,), ()
-            else:
-                p = _Pair(a, b, ab, compose_member(alg, b, a), a_keeps_b, preserves(alg, b, a),
-                          alg.fp_subset(a, b), alg.fp_subset(b, a),
-                          alg.z_subset(a, b), alg.z_subset(b, a), commutes(alg, a, b))
-                ordered, unordered = (p, p.flip()), (p,)
-            for pid, over_unordered, premise, violation in _PAIR_LEMMAS:
-                for q in unordered if over_unordered else ordered:
-                    if premise is None or premise(alg, q):
-                        fired.add(pid)
-                        if violation(alg, q):
-                            found[pid].append((q.a.name, q.b.name))
     n = len(ms)
-    return {
-        pid: (found[pid], n * (n - 1) // 2 if over_unordered else n * n,
-              premise is not None and pid not in fired)
-        for pid, over_unordered, premise, _ in _PAIR_LEMMAS
-    }
+    every = (1 << n) - 1
+    composite = [[compose_member(alg, a, b) for b in ms] for a in ms]
+    has, has_t = bit_rows(n, lambda i, j: composite[i][j] is not None)
+    keeps, keeps_t = bit_rows(n, lambda i, j: preserves(alg, ms[i], ms[j]))
+    fp, fp_t = bit_rows(n, lambda i, j: alg.fp_subset(ms[i], ms[j]))
+    _, z_t = bit_rows(n, lambda i, j: alg.z_subset(ms[i], ms[j]))
+    # commutation is asked once per unordered pair and holds on the diagonal
+    above, below = bit_rows(n, lambda i, j: i < j and commutes(alg, ms[i], ms[j]))
+
+    def where(row, test):
+        return sum(1 << j for j in bit_positions(row) if test(j))
+
+    found = {pid: [] for pid, *_ in _PAIR_LAWS}
+    held = dict.fromkeys(found, 0)
+    for i, a in enumerate(ms):
+        later = every >> (i + 1) << (i + 1)  # the unordered pairs (i, j > i)
+        both_fp, ab = fp[i] & fp_t[i] & later, composite[i]
+        # (premise, violation); a law without a premise has its pairs as
+        # premise.  A composite fixes every common fixpoint, so only FP(ab)
+        # within FP(a) and FP(b) can fail.
+        rows = (
+            (every, keeps[i] & ~has_t[i]),
+            (both_fp, where(both_fp, lambda j: a != ms[j])),
+            (every, fp[i] ^ z_t[i]),
+            (later, (keeps[i] ^ keeps_t[i]) & later),
+            (has[i], where(has[i], lambda j: not (alg.fp_subset(ab[j], a)
+                                                  and alg.fp_subset(ab[j], ms[j])))),
+            (has[i], has[i] & ~keeps_t[i]),
+            (every, has[i] ^ keeps_t[i]),
+            (later, (has[i] ^ has_t[i]) & later),
+            (every, has[i] ^ (above[i] | below[i] | 1 << i)),
+            (fp[i], where(fp[i], lambda j: not (ab[j] == a == composite[j][i]))),
+        )
+        for (pid, *_), (premise, violation) in zip(_PAIR_LAWS, rows):
+            held[pid] |= premise
+            found[pid] += [(a.name, ms[j].name) for j in bit_positions(violation)]
+    return {pid: (found[pid], n * (n - 1) // 2 if unordered else n * n, premised and not held[pid])
+            for pid, unordered, premised in _PAIR_LAWS}
 
 
 def _pair_lemma(pid, alg, ms, dom, budget):
@@ -979,7 +981,7 @@ _LAWS = {
     "double_negation": (_double_negation, 0),
     "definiteness": (_definiteness, 1),
     "definiteness_dual": (partial(_definiteness, dual=True), 1),
-    **{pid: (partial(_pair_lemma, pid), 0) for pid, *_ in _PAIR_LEMMAS},
+    **{pid: (partial(_pair_lemma, pid), 0) for pid, *_ in _PAIR_LAWS},
 }
 
 

@@ -476,15 +476,14 @@ def minimal_formula_names(atoms: tuple[str, ...]) -> dict[int, Formula]:
     best: dict[int, Formula] = {}
     by_size: list[list[tuple[Formula, int]]] = [[]]
 
-    def record(size_bucket, node, mask):
-        if mask in best:
-            return
-        best[mask] = node
-        size_bucket.append((node, mask))
+    def record(size_bucket, mask, make, *children):  # builds the node only for a new mask
+        if mask not in best:
+            node = best[mask] = make(*children)
+            size_bucket.append((node, mask))
 
     bucket = []
     for name in atoms:
-        record(bucket, Slot(name), atom_mask[name])
+        record(bucket, atom_mask[name], Slot, name)
     by_size.append(bucket)
 
     size = 1
@@ -492,16 +491,16 @@ def minimal_formula_names(atoms: tuple[str, ...]) -> dict[int, Formula]:
         size += 1
         bucket = []
         for f, m in by_size[size - 1]:
-            record(bucket, Not(f), full ^ m)
+            record(bucket, full ^ m, Not, f)
         for left_size in range(1, size - 1):
             right_size = size - 1 - left_size
             if right_size < 1 or right_size >= len(by_size):
                 continue
             for f, fm in by_size[left_size]:
                 for g, gm in by_size[right_size]:
-                    record(bucket, And(f, g), fm & gm)
-                    record(bucket, Or(f, g), fm | gm)
-                    record(bucket, Implies(f, g), (full ^ fm) | gm)
+                    record(bucket, fm & gm, And, f, g)
+                    record(bucket, fm | gm, Or, f, g)
+                    record(bucket, (full ^ fm) | gm, Implies, f, g)
         by_size.append(bucket)
     if len(best) < (1 << n_rows):
         raise RuntimeError("formula naming search did not converge")

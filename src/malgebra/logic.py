@@ -23,8 +23,7 @@ from .formulas import enumerate_formulas, essential_function, format_formula, sh
 
 
 def verify_tautology_theorem(alg: MAlgebra, cs: CommutingSet,
-                             max_depth: int = 3, max_slots: int = 3,
-                             cap: int = 10**6) -> CheckResult:
+                             max_depth: int = 3, max_slots: int = 3) -> CheckResult:
     """Every enumerated truth-table tautology must fix every state.
 
     Enumerates all formulas over the commuting set up to the depth bound,
@@ -38,7 +37,7 @@ def verify_tautology_theorem(alg: MAlgebra, cs: CommutingSet,
     if max_depth < 1 or max_slots < 1:
         raise InputError("depth and slot bounds must be positive")
     alphabet = cs.names
-    formulas_list = enumerate_formulas(alphabet, max_depth, min(max_slots, len(alphabet)), cap)
+    formulas_list = enumerate_formulas(alphabet, max_depth, min(max_slots, len(alphabet)))
     evaluate_member = formula_walker(alg, {name: name for name in alphabet})
 
     witnesses = []

@@ -9,12 +9,13 @@ non-commuting pairs.
 
 from __future__ import annotations
 
-from .connectives import conjunction, disjunction, implication, is_classical
+from .connectives import _composite, _join, conjunction, disjunction, implication, is_classical
 from .core import (
     Budget,
     CheckResult,
     MAlgebra,
     bit_positions,
+    bit_rows,
     check_instances,
     check_result,
     commutes,
@@ -53,12 +54,7 @@ def bounds_check(alg: MAlgebra) -> CheckResult:
     # the order as bit rows over the member indices: bit j of up[i] holds
     # ms[i] <= ms[j], bit i of down[j] the same fact
     n = len(ms)
-    up, down = [0] * n, [0] * n
-    for i, a in enumerate(ms):
-        for j, b in enumerate(ms):
-            if leq(alg, a, b):
-                up[i] |= 1 << j
-                down[j] |= 1 << i
+    up, down = bit_rows(n, lambda i, j: leq(alg, ms[i], ms[j]))
     index = {id(m): i for i, m in enumerate(ms)}
 
     def rows(m):
@@ -78,11 +74,9 @@ def bounds_check(alg: MAlgebra) -> CheckResult:
             witnesses.append(("reflexivity", a.name))
         if not (up_bot >> i & 1 and down_top >> i & 1):
             witnesses.append(("bounded", a.name))
-    for i, a in enumerate(ms):
         for j in bit_positions(up[i] & down[i]):
             if a != ms[j]:
                 witnesses.append(("antisymmetry", a.name, ms[j].name))
-    for i, a in enumerate(ms):
         for j in bit_positions(up[i]):
             checked += n
             for k in bit_positions(up[j] & ~up[i]):
@@ -95,8 +89,8 @@ def bounds_check(alg: MAlgebra) -> CheckResult:
                 continue
             checked += 1
             pair = 1 << i | 1 << j
-            glb_up, glb_down = rows(conjunction(alg, a, b))
-            lub_up, lub_down = rows(disjunction(alg, a, b))
+            glb_up, glb_down = rows(_composite(alg, a, b))
+            lub_up, lub_down = rows(_join(alg, a, b))
             if glb_up & pair != pair:
                 witnesses.append(("glb_below", a.name, b.name))
             if lub_down & pair != pair:

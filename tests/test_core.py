@@ -1,6 +1,9 @@
 """Core algebra operations and the axiom engine, on the bundled fixtures."""
 
+import json
 import random
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from malgebra.core import (
     Budget,
     Measurement,
     TableMeasurement,
+    _pair_lemmas,
     apply,
     check_axiom,
     check_axioms,
@@ -29,9 +33,17 @@ from malgebra.core import (
     top_bot,
 )
 from malgebra.connectives import is_classical
-from malgebra.errors import InputError, NegationViolation
-from malgebra.models import FIXTURES, build_table, fixture_r3, fixture_t2
+from malgebra.errors import (
+    ClosureViolation,
+    InputError,
+    NegationViolation,
+    NotCommutingError,
+    OrderViolation,
+)
+from malgebra.models import FIXTURES, build_ray, build_table, fixture_r3, fixture_t2, load_model
+from malgebra.order import bounds_check
 from malgebra.ratlin import Ray, zero_matrix
+from test_order import tables_with_top_and_bot
 
 R = Ray.from_vector
 
@@ -451,6 +463,179 @@ def test_lemma_composition_fixpoints_instance(r2):
     assert composed.name == "bot"
     inter = r2.measurement("pd").subspace.intersect(r2.measurement("pdp").subspace)
     assert inter.is_zero
+
+
+class _Pair(NamedTuple):
+    a: Measurement
+    b: Measurement
+    ab: Measurement | None  # the member equal to "apply a, then b"
+    ba: Measurement | None
+    a_keeps_b: bool  # a preserves FP(b)
+    b_keeps_a: bool
+    fp_ab: bool  # FP(a) is included in FP(b)
+    fp_ba: bool
+    z_ab: bool  # Z(a) is included in Z(b)
+    z_ba: bool
+    commute: bool
+
+    def flip(self):
+        return _Pair(self.b, self.a, self.ba, self.ab, self.b_keeps_a, self.a_keeps_b,
+                     self.fp_ba, self.fp_ab, self.z_ba, self.z_ab, self.commute)
+
+
+# (id, over unordered pairs, premise or None, violation)
+REFERENCE_PAIR_LAWS = (
+    ("composition", False, None, lambda alg, p: p.a_keeps_b and p.ba is None),
+    ("fp_determines", True, lambda alg, p: p.fp_ab and p.fp_ba, lambda alg, p: p.a != p.b),
+    ("fp_zero_duality", False, None, lambda alg, p: p.fp_ab != p.z_ba),
+    ("preservation_symmetry", True, None, lambda alg, p: p.a_keeps_b != p.b_keeps_a),
+    ("composition_fixpoints", False, lambda alg, p: p.ab is not None,
+     lambda alg, p: not (alg.fp_subset(p.ab, p.a) and alg.fp_subset(p.ab, p.b))),
+    ("composition_preserves", False, lambda alg, p: p.ab is not None,
+     lambda alg, p: not p.b_keeps_a),
+    ("composition_iff_preservation", False, None,
+     lambda alg, p: (p.ab is not None) != p.b_keeps_a),
+    ("composition_order_symmetry", True, None, lambda alg, p: (p.ab is None) != (p.ba is None)),
+    ("composition_iff_commutation", False, None,
+     lambda alg, p: (p.ab is not None) != p.commute),
+    ("fp_inclusion_absorbs", False, lambda alg, p: p.fp_ab,
+     lambda alg, p: not (p.ab == p.a == p.ba)),
+)
+
+
+def reference_pair_lemmas(alg, ms):
+    """The streaming pass over ordered pairs that ``_pair_lemmas`` replaced
+    by bit rows: one fact record per pair, flipped for the reverse
+    direction, and a premise and a violation predicate per law."""
+    found = {pid: [] for pid, *_ in REFERENCE_PAIR_LAWS}
+    fired = set()
+    for i, a in enumerate(ms):
+        for j in range(i, len(ms)):
+            b = ms[j]
+            ab, a_keeps_b = compose_member(alg, a, b), preserves(alg, a, b)
+            if i == j:  # inclusion and commutation hold trivially
+                p = _Pair(a, a, ab, ab, a_keeps_b, a_keeps_b, True, True, True, True, True)
+                ordered, unordered = (p,), ()
+            else:
+                p = _Pair(a, b, ab, compose_member(alg, b, a), a_keeps_b, preserves(alg, b, a),
+                          alg.fp_subset(a, b), alg.fp_subset(b, a),
+                          alg.z_subset(a, b), alg.z_subset(b, a), commutes(alg, a, b))
+                ordered, unordered = (p, p.flip()), (p,)
+            for pid, over_unordered, premise, violation in REFERENCE_PAIR_LAWS:
+                for q in unordered if over_unordered else ordered:
+                    if premise is None or premise(alg, q):
+                        fired.add(pid)
+                        if violation(alg, q):
+                            found[pid].append((q.a.name, q.b.name))
+    n = len(ms)
+    return {
+        pid: (found[pid], n * (n - 1) // 2 if over_unordered else n * n,
+              premise is not None and pid not in fired)
+        for pid, over_unordered, premise, _ in REFERENCE_PAIR_LAWS
+    }
+
+
+def pair_outcome(pass_, alg):
+    """Each law's sorted witnesses, instance count and vacuity, or the type
+    of the exception the pass raised."""
+    try:
+        found = pass_(alg, alg.sorted_measurements())
+    except Exception as exc:  # compared by type against the reference
+        return type(exc)
+    return {pid: (sorted(w), checked, vacuous) for pid, (w, checked, vacuous) in found.items()}
+
+
+BROKEN = Path(__file__).resolve().parent / "golden" / "broken.json"
+
+
+def test_pair_rows_match_reference_on_fixtures():
+    # a full-lattice window: the two planes compose to the unlisted x axis,
+    # and the diagonal line does not commute with the xz plane
+    window = build_ray(3, {
+        "bot": [], "top": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "pxy": [[1, 0, 0], [0, 1, 0]], "pxz": [[1, 0, 0], [0, 0, 1]], "pd": [[1, 1, 0]],
+    }, full_lattice=True, sample_height=1)
+    algs = [FIXTURES[name]() for name in sorted(FIXTURES)]
+    algs += [load_model(json.loads(BROKEN.read_text())), window]
+    assert len(algs) == 9
+    for alg in algs:
+        assert pair_outcome(_pair_lemmas, alg) == pair_outcome(reference_pair_lemmas, alg)
+    assert compose_member(window, "pxy", "pxz").name == "P[(1,0,0)]"
+    assert compose_member(window, "pd", "pxz") is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_with_top_and_bot())
+def test_pair_rows_match_reference_on_random_tables(alg):
+    assert pair_outcome(_pair_lemmas, alg) == pair_outcome(reference_pair_lemmas, alg)
+
+
+# relabelling invariance -------------------------------------------------------
+
+
+@st.composite
+def relabelled_tables(draw):
+    """A drawn table model and a copy whose state labels (the zero state
+    included) and measurement names are permuted, the states declared in a
+    shuffled order; plus the map from new labels back to the old ones."""
+    alg = draw(tables_with_top_and_bot())
+    states, names = list(alg.states), list(alg.names)
+    state_to = dict(zip(states, draw(st.permutations([f"x{k}" for k in range(len(states))]))))
+    name_to = dict(zip(names, draw(st.permutations([f"n{k}" for k in range(len(names))]))))
+    tables = {name_to[m.name]: {state_to[s]: state_to[m(s)] for s in states}
+              for m in alg.sorted_measurements()}
+    declared = draw(st.permutations([state_to[s] for s in states]))
+    copy = build_table(declared, state_to[alg.zero], tables)
+    back = {new: old for old, new in (*state_to.items(), *name_to.items())}
+    return alg, copy, back
+
+
+# Laws over unordered pairs name the two measurements in name order, which a
+# relabelling may swap.
+UNORDERED_PAIR_LAWS = {"cumulativity", "fp_determines", "preservation_symmetry",
+                       "composition_order_symmetry"}
+
+
+def is_violating_cycle(alg, x, names):
+    """Each image of x is fixed by the next measurement, cyclically, and
+    the images differ somewhere: the definition of an l-cumulativity
+    violation."""
+    ms = [alg.measurement(name) for name in names]
+    images = [m(x) for m in ms]
+    return len(set(images)) > 1 and all(
+        ms[(t + 1) % len(ms)](y) == y for t, y in enumerate(images))
+
+
+def order_verdict(alg):
+    """``bounds_check``'s status and count; a failing law it meets on the
+    way (it stops at the first, in name order) is a property failure."""
+    try:
+        result = bounds_check(alg)
+    except (ClosureViolation, NegationViolation, NotCommutingError, OrderViolation):
+        return "property failure"
+    return result.status, result.checked_count
+
+
+@settings(max_examples=200, deadline=None)
+@given(relabelled_tables())
+def test_verdicts_are_invariant_under_relabelling(case):
+    alg, copy, back = case
+    results = {a: check_axioms(a, ALL_AXIOMS) + lemma_suite(a) for a in (alg, copy)}
+    assert [(r.property_id, r.status, r.checked_count, r.advisory) for r in results[alg]] == \
+        [(r.property_id, r.status, r.checked_count, r.advisory) for r in results[copy]]
+    assert order_verdict(alg) == order_verdict(copy)
+    for result in results[copy]:
+        for witness in result.witnesses:
+            original = [back[field] for field in witness]
+            if result.property_id == "l_cumulativity":
+                # the cycle through a pair comes from a search in name order,
+                # so the original may report another cycle for the same pair
+                assert len(original) - 1 <= Budget().loop_n + 1
+                assert is_violating_cycle(alg, original[0], original[1:]), original
+                continue
+            if result.property_id in UNORDERED_PAIR_LAWS:
+                original[-2:] = sorted(original[-2:])
+            assert replay_witness(alg, result.property_id, tuple(original)), (result, original)
 
 
 # deterministic reports -------------------------------------------------------

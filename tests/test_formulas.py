@@ -271,6 +271,61 @@ def test_minimal_formula_names_three_atoms():
         assert truth_mask(formula, ("p", "q", "r")) == mask
 
 
+def reference_minimal_formula_names(atoms):
+    """The former search, which built every candidate node before asking
+    whether its mask was new; kept as the reference for the names."""
+    n_rows = 1 << len(atoms)
+    full = (1 << n_rows) - 1
+    atom_mask = formulas.slot_masks(atoms)
+    best, by_size = {}, [[]]
+
+    def record(size_bucket, node, mask):
+        if mask in best:
+            return
+        best[mask] = node
+        size_bucket.append((node, mask))
+
+    bucket = []
+    for name in atoms:
+        record(bucket, Slot(name), atom_mask[name])
+    by_size.append(bucket)
+    size = 1
+    while len(best) < (1 << n_rows) and size < 25:
+        size += 1
+        bucket = []
+        for f, m in by_size[size - 1]:
+            record(bucket, Not(f), full ^ m)
+        for left_size in range(1, size - 1):
+            right_size = size - 1 - left_size
+            if right_size < 1 or right_size >= len(by_size):
+                continue
+            for f, fm in by_size[left_size]:
+                for g, gm in by_size[right_size]:
+                    record(bucket, And(f, g), fm & gm)
+                    record(bucket, Or(f, g), fm | gm)
+                    record(bucket, Implies(f, g), (full ^ fm) | gm)
+        by_size.append(bucket)
+    return best
+
+
+@pytest.mark.parametrize("atoms", [("p",), ("p", "q"), ("p", "q", "r")])
+def test_minimal_formula_names_match_the_reference(atoms):
+    names = minimal_formula_names(atoms)
+    reference = reference_minimal_formula_names(atoms)
+    assert sorted((m, format_formula(f)) for m, f in names.items()) == \
+        sorted((m, format_formula(f)) for m, f in reference.items())
+
+
+def test_minimal_formula_names_build_one_node_per_mask(monkeypatch):
+    built = []
+    for ctor in ("Slot", "Not", "And", "Or", "Implies"):
+        original = getattr(formulas, ctor)
+        monkeypatch.setattr(formulas, ctor,
+                            lambda *args, _ctor=original: built.append(1) or _ctor(*args))
+    assert len(minimal_formula_names(("p", "q", "r"))) == 256
+    assert len(built) <= 256
+
+
 def _joint_masks(f, g):
     union = tuple(sorted(set(slots_of(f)) | set(slots_of(g))))
     return truth_mask(f, union), truth_mask(g, union), union

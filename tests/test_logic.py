@@ -63,7 +63,7 @@ def test_converse_is_not_claimed(t2):
 def test_harness_budget_error(t2):
     cs = CommutingSet(t2, ["p", "q", "top"])
     with pytest.raises(BudgetError):
-        verify_tautology_theorem(t2, cs, max_depth=6, max_slots=3, cap=10**4)
+        verify_tautology_theorem(t2, cs, max_depth=6, max_slots=3)
 
 
 def test_harness_surfaces_missing_negation():

@@ -162,6 +162,16 @@ def test_bit_rows_match_reference_on_random_tables(alg):
     assert outcome(bounds_check, alg) == outcome(reference_bounds_check, alg)
 
 
+def test_bounds_check_tests_each_pair_once(monkeypatch):
+    alg = models.fixture_t2()
+    calls = []
+    tested = alg.commutes
+    monkeypatch.setattr(alg, "commutes", lambda a, b: calls.append((a, b)) or tested(a, b))
+    assert bounds_check(alg).status == "pass"
+    n = len(alg.names)
+    assert len(calls) == n * (n + 1) // 2 == 136
+
+
 def test_bound_instances(f1, t2, r2):
     assert conjunction(r2, "pd", "pdp").name == "bot"
     assert disjunction(r2, "pd", "pdp").name == "top"
