@@ -16,7 +16,8 @@ rays by canonical direction, measurements by name), so reports are stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
+from operator import and_, or_
 from typing import NamedTuple
 
 from .errors import ClosureViolation, InputError, NegationViolation
@@ -162,6 +163,32 @@ class ProjectionMeasurement(Measurement):
         return hash(self.subspace)
 
 
+class PairRows(NamedTuple):
+    """Every pair fact over a list of members ``ms``, as bit rows.
+
+    Bit j of ``has[i]`` holds "ms[i], then ms[j]" is in M, ``keeps[i]``
+    "ms[i] preserves FP(ms[j])", ``fp[i]`` "FP(ms[i]) within FP(ms[j])" and
+    ``commute[i]`` "ms[i] and ms[j] commute"; bit j of a ``_t`` row holds the
+    fact with i and j swapped (``z_t[i]``: "Z(ms[j]) within Z(ms[i])").
+
+    ``composite[i][j]`` indexes the member equal to "ms[i], then ms[j]", or
+    is None.  Equal members share the least index, ``own[i]`` being that of
+    ms[i]; a composite outside ``ms`` gets an index past them, with an
+    ``fp`` row of its own.
+    """
+
+    composite: list[list[int | None]]
+    own: list[int]
+    has: list[int]
+    has_t: list[int]
+    keeps: list[int]
+    keeps_t: list[int]
+    fp: list[int]
+    fp_t: list[int]
+    z_t: list[int]
+    commute: list[int]
+
+
 class MAlgebra:
     """Base class: named measurements over a state space with a zero state.
 
@@ -196,7 +223,9 @@ class MAlgebra:
       fixes every state, annihilates every state, or does one of the two to
       each state;
     * ``commutation_probes(m)``: the unlisted measurements a full lattice
-      adds when asking whether ``m`` commutes with every measurement.
+      adds when asking whether ``m`` commutes with every measurement;
+    * ``pair_rows(ms)``: every pair fact over a list of members as bit rows
+      (see :class:`PairRows`), which the pair laws read.
     """
 
     kind = "abstract"
@@ -238,6 +267,31 @@ class MAlgebra:
         with every measurement; only a full lattice has any."""
         return []
 
+    def pair_rows(self, ms: list[Measurement]) -> PairRows:
+        """The pair facts asked of the protocol pair by pair, row by row."""
+        n = len(ms)
+        composites = [[compose_member(self, a, b) for b in ms] for a in ms]
+        has, has_t = bit_rows(n, lambda i, j: composites[i][j] is not None)
+        keeps, keeps_t = bit_rows(n, lambda i, j: preserves(self, ms[i], ms[j]))
+        fp, fp_t = bit_rows(n, lambda i, j: self.fp_subset(ms[i], ms[j]))
+        _, z_t = bit_rows(n, lambda i, j: self.z_subset(ms[i], ms[j]))
+        # commutation is asked once per unordered pair and holds on the diagonal
+        above, below = bit_rows(n, lambda i, j: i < j and commutes(self, ms[i], ms[j]))
+        # equal measurements share the least index; a composite outside ms
+        # gets the next free one and its own fp row
+        index: dict[Measurement, int] = {}
+        own = [index.setdefault(m, i) for i, m in enumerate(ms)]
+
+        def slot(c):
+            if c not in index:
+                index[c] = len(fp)
+                fp.append(sum(1 << j for j, b in enumerate(ms) if self.fp_subset(c, b)))
+            return index[c]
+
+        composite = [[None if c is None else slot(c) for c in row] for row in composites]
+        return PairRows(composite, own, has, has_t, keeps, keeps_t, fp, fp_t, z_t,
+                        [above[i] | below[i] | 1 << i for i in range(n)])
+
     def negation(self, m: Measurement) -> Measurement:
         """``find_negation``, cached for members; raises when there is none."""
         member = self._measurements.get(m.name) is m
@@ -252,24 +306,39 @@ class MAlgebra:
 
 
 class Compiled(NamedTuple):
-    """A finite measurement as integers over the declared state order."""
+    """A finite measurement as integers over the declared state order.
+
+    ``lane`` holds the codes again, as ``bytes`` over at most 256 states and
+    as a :class:`_TupleLane` above that; ``table`` is the lane as a
+    translate table, so "a, then b" is ``lane_a.translate(table_b)`` on both
+    lane types.  Over ``bytes`` the table is the lane padded to 256 entries,
+    above 256 states the lane's entries as a plain tuple.  The law loops
+    index ``codes``: a tuple indexes faster than ``bytes``.
+    """
 
     codes: tuple[int, ...]  # codes[i] is the index of the image of state i
+    lane: bytes | _TupleLane
+    table: bytes | tuple[int, ...]
     fp: int  # fixpoint bitmask
     z: int  # zero bitmask
     fixed: tuple[int, ...]  # fixpoint indices, ascending
 
 
-def _then(A, B):
-    """Codes of "apply A, then B"."""
-    return tuple(map(B.__getitem__, A))
+class _TupleLane(tuple):
+    """The codes of a measurement over more than 256 states, with the
+    ``bytes.translate`` call of the byte lanes."""
+
+    def translate(self, table):
+        return _TupleLane(map(table.__getitem__, self))
 
 
 class FiniteAlgebra(MAlgebra):
     """Extensional backend: states are identifier strings, actions are tables.
 
-    Each member is compiled once, at construction, to its codes; its masks
-    and the table index (codes to the first member by name) derive from them.
+    Each member is compiled once, at construction, to its codes, lane and
+    translate table (see :class:`Compiled`); its masks and the table index
+    (lanes to the first member by name) derive from them.  Composition,
+    commutation, membership and the pair rows run on the lanes.
     """
 
     def __init__(self, kind, states, zero, measurements, negation_hints=None, meta=None):
@@ -283,12 +352,17 @@ class FiniteAlgebra(MAlgebra):
         self._sorted_codes = tuple(sorted(range(len(self.states)), key=self.states.__getitem__))
         self.zero_code = self._state_index.get(zero)
         self.full_mask = (1 << len(self.states)) - 1
+        # the one size branch: the lane type and its translate-table padding
+        if len(self.states) <= 256:
+            self._lane, self._pad = bytes, bytes(range(len(self.states), 256))
+        else:
+            self._lane, self._pad = _TupleLane, ()
         # Keyed by object identity: while a member is alive no other object
         # shares its id, so a foreign measurement never hits this cache.
         self._compiled = {id(m): self._compile(m) for m in self._sorted}
-        self._table_index: dict[tuple, Measurement] = {}
+        self._table_index: dict[bytes | _TupleLane, Measurement] = {}
         for m in self._sorted:
-            self._table_index.setdefault(self._compiled[id(m)].codes, m)
+            self._table_index.setdefault(self._compiled[id(m)].lane, m)
 
     def _compile(self, m: Measurement) -> Compiled:
         try:
@@ -300,7 +374,8 @@ class FiniteAlgebra(MAlgebra):
         fixed = tuple(i for i, c in enumerate(codes) if c == i)
         fp = sum(1 << i for i in fixed)
         z = sum(1 << i for i, c in enumerate(codes) if c == self.zero_code)
-        return Compiled(codes, fp, z, fixed)
+        lane = self._lane(codes)
+        return Compiled(codes, lane, lane + self._pad, fp, z, fixed)
 
     def compiled(self, m: Measurement) -> Compiled:
         """The cached compile of a member; a measurement that is not the
@@ -367,8 +442,8 @@ class FiniteAlgebra(MAlgebra):
         return all(cb.fp >> A[x] & 1 for x in cb.fixed)
 
     def commutes(self, a: Measurement, b: Measurement) -> bool:
-        A, B = self.codes(a), self.codes(b)
-        return _then(A, B) == _then(B, A)
+        ca, cb = self.compiled(a), self.compiled(b)
+        return ca.lane.translate(cb.table) == cb.lane.translate(ca.table)
 
     def fp_subset(self, a: Measurement, b: Measurement) -> bool:
         return self.fp_mask(a) & ~self.fp_mask(b) == 0
@@ -383,11 +458,61 @@ class FiniteAlgebra(MAlgebra):
         missing = [s for s in self.states if s not in raw]
         if missing:
             raise InputError(f"raw map has no entry for state {missing[0]!r}")
-        index = self._state_index
-        return self._table_index.get(tuple(index.get(raw[s]) for s in self.states))
+        codes = [self._state_index.get(raw[s]) for s in self.states]
+        return None if None in codes else self._table_index.get(self._lane(codes))
 
     def compose_member(self, a: Measurement, b: Measurement) -> Measurement | None:
-        return self._table_index.get(_then(self.codes(a), self.codes(b)))
+        return self._table_index.get(self.compiled(a).lane.translate(self.compiled(b).table))
+
+    def pair_rows(self, ms: list[Measurement]) -> PairRows:
+        """The pair facts from the lanes and from per-state member columns.
+
+        Row i composes ms[i] with every member both ways, one translate
+        each; the dict lookups of the two composites give ``has`` and
+        ``has_t``, and their equality commutation.  Bit i of ``fixers[x]``
+        (of ``zeroers[x]``) holds "ms[i] fixes x" ("sends x to zero").  So
+        ms[i] preserves FP(ms[j]) unless some x fixed by ms[j] moves to a
+        state ms[j] does not fix, and FP(ms[i]) lies within FP(ms[j]) when
+        ms[j] fixes every x that ms[i] fixes.
+        """
+        n, every = len(ms), (1 << len(ms)) - 1
+        compiled = [self.compiled(m) for m in ms]
+        lanes = [c.lane for c in compiled]
+        index: dict[bytes | _TupleLane, int] = {}
+        own = [index.setdefault(lane, i) for i, lane in enumerate(lanes)]
+        fps = [c.fp for c in compiled]  # then the composites outside ms
+        members = self._table_index
+        tables = [c.table for c in compiled]
+        composite, has, has_t, commute = [], [], [], []
+        for A, T in zip(lanes, tables):
+            ab = [A.translate(U) for U in tables]
+            ba = [B.translate(T) for B in lanes]
+            row = [index.get(c) for c in ab]
+            if None in row:
+                for j, c in enumerate(ab):
+                    if row[j] is None and c in members:
+                        if c not in index:
+                            index[c] = len(fps)
+                            fps.append(self.compiled(members[c]).fp)
+                        row[j] = index[c]
+            composite.append(row)
+            has.append(sum(1 << j for j, k in enumerate(row) if k is not None))
+            has_t.append(sum(1 << j for j, c in enumerate(ba) if c in members))
+            commute.append(sum(1 << j for j, (x, y) in enumerate(zip(ab, ba)) if x == y))
+
+        fixers, zeroers = [0] * len(self.states), [0] * len(self.states)
+        for i, c in enumerate(compiled):
+            for x in c.fixed:
+                fixers[x] |= 1 << i
+            for x in bit_positions(c.z):
+                zeroers[x] |= 1 << i
+        keeps = [every & ~reduce(or_, (fixers[x] & ~fixers[y]
+                                       for x, y in enumerate(c.codes) if x != y), 0)
+                 for c in compiled]
+        fp = [reduce(and_, map(fixers.__getitem__, bit_positions(mask)), every) for mask in fps]
+        z = [reduce(and_, map(zeroers.__getitem__, bit_positions(c.z)), every) for c in compiled]
+        return PairRows(composite, own, has, has_t, keeps, bit_columns(keeps, n),
+                        fp, bit_columns(fp[:n], n), bit_columns(z, n), commute)
 
     def find_negation(self, m: Measurement) -> Measurement | None:
         hinted = self.negation_hints.get(m.name)
@@ -672,13 +797,21 @@ def bit_rows(n: int, fact):
     """The bit rows and columns of a relation over the indices ``range(n)``,
     asked row by row: bit j of ``rows[i]`` and bit i of ``cols[j]`` hold
     ``fact(i, j)``."""
-    rows, cols = [0] * n, [0] * n
-    for i in range(n):
-        for j in range(n):
-            if fact(i, j):
-                rows[i] |= 1 << j
-                cols[j] |= 1 << i
-    return rows, cols
+    rows = [sum(1 << j for j in range(n) if fact(i, j)) for i in range(n)]
+    return rows, bit_columns(rows, n)
+
+
+def bit_columns(rows: list[int], n: int) -> list[int]:
+    """The transpose of ``n`` bit rows over ``range(n)``: bit i of
+    ``cols[j]`` is bit j of ``rows[i]``.  A relation with more than half its
+    bits set is transposed through its complement."""
+    every = (1 << n) - 1
+    dense = sum(row.bit_count() for row in rows) * 2 > n * n
+    cols = [0] * n
+    for i, row in enumerate(rows):
+        for j in bit_positions(every ^ row if dense else row):
+            cols[j] |= 1 << i
+    return [every ^ col for col in cols] if dense else cols
 
 
 def check_result(property_id, witnesses, checked, complete=True, vacuous=False,
@@ -913,22 +1046,15 @@ _PAIR_LAWS = (
 
 
 def _pair_lemmas(alg, ms) -> dict[str, tuple[list, int, bool]]:
-    """Every pair law, read off bit rows over the member indices.
-
-    Each pair fact is one row set (bit j of ``keeps[i]`` holds "ms[i]
-    preserves FP(ms[j])", bit j of ``keeps_t[i]`` the reverse), and each law
-    a premise row and a violation row per member.  Returns each law's
-    witnesses, instance count and vacuity.
+    """Every pair law, read off the backend's pair rows over the member
+    indices (see :class:`PairRows`): each law is a premise row and a
+    violation row per member.  Returns each law's witnesses, instance count
+    and vacuity.
     """
     n = len(ms)
     every = (1 << n) - 1
-    composite = [[compose_member(alg, a, b) for b in ms] for a in ms]
-    has, has_t = bit_rows(n, lambda i, j: composite[i][j] is not None)
-    keeps, keeps_t = bit_rows(n, lambda i, j: preserves(alg, ms[i], ms[j]))
-    fp, fp_t = bit_rows(n, lambda i, j: alg.fp_subset(ms[i], ms[j]))
-    _, z_t = bit_rows(n, lambda i, j: alg.z_subset(ms[i], ms[j]))
-    # commutation is asked once per unordered pair and holds on the diagonal
-    above, below = bit_rows(n, lambda i, j: i < j and commutes(alg, ms[i], ms[j]))
+    r = alg.pair_rows(ms)
+    composite, own, fp = r.composite, r.own, r.fp
 
     def where(row, test):
         return sum(1 << j for j in bit_positions(row) if test(j))
@@ -937,22 +1063,23 @@ def _pair_lemmas(alg, ms) -> dict[str, tuple[list, int, bool]]:
     held = dict.fromkeys(found, 0)
     for i, a in enumerate(ms):
         later = every >> (i + 1) << (i + 1)  # the unordered pairs (i, j > i)
-        both_fp, ab = fp[i] & fp_t[i] & later, composite[i]
+        has, keeps, keeps_t = r.has[i], r.keeps[i], r.keeps_t[i]
+        both_fp, ab = fp[i] & r.fp_t[i] & later, composite[i]
         # (premise, violation); a law without a premise has its pairs as
         # premise.  A composite fixes every common fixpoint, so only FP(ab)
         # within FP(a) and FP(b) can fail.
         rows = (
-            (every, keeps[i] & ~has_t[i]),
-            (both_fp, where(both_fp, lambda j: a != ms[j])),
-            (every, fp[i] ^ z_t[i]),
-            (later, (keeps[i] ^ keeps_t[i]) & later),
-            (has[i], where(has[i], lambda j: not (alg.fp_subset(ab[j], a)
-                                                  and alg.fp_subset(ab[j], ms[j])))),
-            (has[i], has[i] & ~keeps_t[i]),
-            (every, has[i] ^ keeps_t[i]),
-            (later, (has[i] ^ has_t[i]) & later),
-            (every, has[i] ^ (above[i] | below[i] | 1 << i)),
-            (fp[i], where(fp[i], lambda j: not (ab[j] == a == composite[j][i]))),
+            (every, keeps & ~r.has_t[i]),
+            (both_fp, where(both_fp, lambda j: own[j] != own[i])),
+            (every, fp[i] ^ r.z_t[i]),
+            (later, (keeps ^ keeps_t) & later),
+            (has, sum(1 << j for j, k in enumerate(ab)
+                      if k is not None and ~fp[k] & (1 << i | 1 << j))),
+            (has, has & ~keeps_t),
+            (every, has ^ keeps_t),
+            (later, (has ^ r.has_t[i]) & later),
+            (every, has ^ r.commute[i]),
+            (fp[i], where(fp[i], lambda j: not (ab[j] == own[i] == composite[j][i]))),
         )
         for (pid, *_), (premise, violation) in zip(_PAIR_LAWS, rows):
             held[pid] |= premise

@@ -6,12 +6,14 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from malgebra.core import (
     ALL_AXIOMS,
     Budget,
+    FiniteAlgebra,
+    MAlgebra,
     Measurement,
     TableMeasurement,
     _pair_lemmas,
@@ -535,17 +537,19 @@ def reference_pair_lemmas(alg, ms):
     }
 
 
-def pair_outcome(pass_, alg):
+def pair_outcome(pass_, alg, ms=None):
     """Each law's sorted witnesses, instance count and vacuity, or the type
-    of the exception the pass raised."""
+    of the exception the pass raised; over every member unless ``ms`` is
+    given."""
     try:
-        found = pass_(alg, alg.sorted_measurements())
+        found = pass_(alg, alg.sorted_measurements() if ms is None else ms)
     except Exception as exc:  # compared by type against the reference
         return type(exc)
     return {pid: (sorted(w), checked, vacuous) for pid, (w, checked, vacuous) in found.items()}
 
 
 BROKEN = Path(__file__).resolve().parent / "golden" / "broken.json"
+T3 = Path(__file__).resolve().parent.parent / "fixtures" / "t3.json"
 
 
 def test_pair_rows_match_reference_on_fixtures():
@@ -568,6 +572,98 @@ def test_pair_rows_match_reference_on_fixtures():
 @given(tables_with_top_and_bot())
 def test_pair_rows_match_reference_on_random_tables(alg):
     assert pair_outcome(_pair_lemmas, alg) == pair_outcome(reference_pair_lemmas, alg)
+
+
+# the finite pair kernel at the edges of the byte lanes ------------------------
+
+
+@st.composite
+def lane_edge_tables(draw):
+    """A table model over exactly 1, 2, 255, 256 or 257 states (lanes are
+    ``bytes`` up to 256 states, tuples above), and its members in name
+    order, sometimes cut to a proper subset as replay passes them.
+
+    A member is an idempotent map that fixes none, some or all of the
+    nonzero states; an arbitrary map, mostly not idempotent; a copy of an
+    earlier table under its own name; or the composite of two distinct
+    earlier tables.  The composite members are always cut, so that
+    composites outside the subset occur; with none, a cut drops one drawn
+    member.
+    """
+    size = draw(st.sampled_from([1, 2, 255, 256, 257]))
+    states = ["0"] + [f"s{i}" for i in range(1, size)]
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    tables, composites = {}, set()
+    for k in range(draw(st.integers(1, 5))):
+        earlier = list(tables.values())
+        kinds = ["composite", "copy", "idempotent", "arbitrary"][max(0, 2 - len(earlier)):]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "idempotent":
+            share = draw(st.sampled_from([0.5, 0.0, 1.0]))
+            fixed = ["0"] + [s for s in states[1:] if rnd.random() < share]
+            table = {s: s if s in fixed else rnd.choice(fixed) for s in states}
+        elif kind == "arbitrary":
+            table = {s: rnd.choice(states) for s in states}
+        elif kind == "copy":
+            table = dict(draw(st.sampled_from(earlier)))
+        else:
+            a, b = draw(st.lists(st.sampled_from(earlier), min_size=2, max_size=2,
+                                 unique_by=id))
+            table = {s: b[a[s]] for s in states}
+            composites.add(f"m{k}")
+        tables[f"m{k}"] = table
+    alg = build_table(states, "0", tables)
+    ms = alg.sorted_measurements()
+    if composites or draw(st.booleans()):
+        dropped = composites or {draw(st.sampled_from(alg.names))}
+        ms = [m for m in ms if m.name not in dropped] or ms
+    return alg, ms
+
+
+# m0 and its copy m1 both compose with m0 to m2, outside the subset: one
+# row meets the same outside composite twice
+TWICE = build_table(["0", "s1", "s2"], "0", {
+    "m0": {"0": "0", "s1": "s2", "s2": "0"},
+    "m1": {"0": "0", "s1": "s2", "s2": "0"},
+    "m2": {"0": "0", "s1": "0", "s2": "0"},
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(lane_edge_tables())
+@example((TWICE, TWICE.sorted_measurements()[:2]))
+def test_finite_pair_kernel_matches_the_protocol_at_lane_edges(case):
+    alg, ms = case
+    assert isinstance(alg.compiled(ms[0]).lane, bytes) == (len(alg.states) <= 256)
+    # the default rows ask compose_member, preserves, fp_subset, z_subset
+    # and commutes pair by pair
+    assert alg.pair_rows(ms) == MAlgebra.pair_rows(alg, ms)
+    assert pair_outcome(_pair_lemmas, alg, ms) == pair_outcome(reference_pair_lemmas, alg, ms)
+    S, members = alg.states, alg.sorted_measurements()
+    for a in ms:
+        for b in ms:
+            table = {x: b(a(x)) for x in S}
+            assert compose_member(alg, a, b) is next(
+                (m for m in members if m.mapping == table), None)
+            assert commutes(alg, a, b) == all(table[x] == a(b(x)) for x in S)
+
+
+def test_finite_pair_pass_makes_no_per_pair_call(monkeypatch):
+    # the finite pair rows come from lanes and state columns; a per-pair
+    # call for each of the 65,536 ordered pairs made `check t3 --axioms
+    # composition` take seconds
+    maximal = load_model({"kind": "propositional", "atoms": ["p", "q", "r"],
+                          "variant": "maximal_theories"})
+    t3 = load_model(json.loads(T3.read_text()))
+
+    def refuse(*args):
+        raise AssertionError("a per-pair protocol call")
+
+    for name in ("preserves", "commutes", "fp_subset", "z_subset"):
+        monkeypatch.setattr(FiniteAlgebra, name, refuse)
+    monkeypatch.setattr("malgebra.core.compose_member", refuse)
+    assert all(r.ok and not r.advisory for r in lemma_suite(maximal))
+    assert check_axiom(t3, "composition").status == "pass"
 
 
 # relabelling invariance -------------------------------------------------------
