@@ -167,9 +167,9 @@ class PairRows(NamedTuple):
     """Every pair fact over a list of members ``ms``, as bit rows.
 
     Bit j of ``has[i]`` holds "ms[i], then ms[j]" is in M, ``keeps[i]``
-    "ms[i] preserves FP(ms[j])", ``fp[i]`` "FP(ms[i]) within FP(ms[j])" and
-    ``commute[i]`` "ms[i] and ms[j] commute"; bit j of a ``_t`` row holds the
-    fact with i and j swapped (``z_t[i]``: "Z(ms[j]) within Z(ms[i])").
+    "ms[i] preserves FP(ms[j])", ``fp[i]`` "FP(ms[i]) within FP(ms[j])",
+    ``z[i]`` "Z(ms[i]) within Z(ms[j])" and ``commute[i]`` "ms[i] and ms[j]
+    commute".
 
     ``composite[i][j]`` indexes the member equal to "ms[i], then ms[j]", or
     is None.  Equal members share the least index, ``own[i]`` being that of
@@ -180,12 +180,9 @@ class PairRows(NamedTuple):
     composite: list[list[int | None]]
     own: list[int]
     has: list[int]
-    has_t: list[int]
     keeps: list[int]
-    keeps_t: list[int]
     fp: list[int]
-    fp_t: list[int]
-    z_t: list[int]
+    z: list[int]
     commute: list[int]
 
 
@@ -271,12 +268,11 @@ class MAlgebra:
         """The pair facts asked of the protocol pair by pair, row by row."""
         n = len(ms)
         composites = [[compose_member(self, a, b) for b in ms] for a in ms]
-        has, has_t = bit_rows(n, lambda i, j: composites[i][j] is not None)
-        keeps, keeps_t = bit_rows(n, lambda i, j: preserves(self, ms[i], ms[j]))
-        fp, fp_t = bit_rows(n, lambda i, j: self.fp_subset(ms[i], ms[j]))
-        _, z_t = bit_rows(n, lambda i, j: self.z_subset(ms[i], ms[j]))
+        keeps = bit_rows(n, lambda i, j: preserves(self, ms[i], ms[j]))
+        fp = bit_rows(n, lambda i, j: self.fp_subset(ms[i], ms[j]))
+        z = bit_rows(n, lambda i, j: self.z_subset(ms[i], ms[j]))
         # commutation is asked once per unordered pair and holds on the diagonal
-        above, below = bit_rows(n, lambda i, j: i < j and commutes(self, ms[i], ms[j]))
+        above = bit_rows(n, lambda i, j: i < j and commutes(self, ms[i], ms[j]))
         # equal measurements share the least index; a composite outside ms
         # gets the next free one and its own fp row
         index: dict[Measurement, int] = {}
@@ -289,8 +285,10 @@ class MAlgebra:
             return index[c]
 
         composite = [[None if c is None else slot(c) for c in row] for row in composites]
-        return PairRows(composite, own, has, has_t, keeps, keeps_t, fp, fp_t, z_t,
-                        [above[i] | below[i] | 1 << i for i in range(n)])
+        has = [sum(1 << j for j, k in enumerate(row) if k is not None) for row in composite]
+        return PairRows(composite, own, has, keeps, fp, z,
+                        [row | col | 1 << i for i, (row, col)
+                         in enumerate(zip(above, bit_columns(above)))])
 
     def negation(self, m: Measurement) -> Measurement:
         """``find_negation``, cached for members; raises when there is none."""
@@ -309,16 +307,17 @@ class Compiled(NamedTuple):
     """A finite measurement as integers over the declared state order.
 
     ``lane`` holds the codes again, as ``bytes`` over at most 256 states and
-    as a :class:`_TupleLane` above that; ``table`` is the lane as a
-    translate table, so "a, then b" is ``lane_a.translate(table_b)`` on both
-    lane types.  Over ``bytes`` the table is the lane padded to 256 entries,
-    above 256 states the lane's entries as a plain tuple.  The law loops
-    index ``codes``: a tuple indexes faster than ``bytes``.
+    as a :class:`_TupleLane` above that.  ``table`` is the lane padded to
+    256 entries with ``bytes(range(|X|, 256))``, each padding entry its own
+    image (above 256 states there is no padding), so "a, then b" is
+    ``lane_a.translate(table_b)`` on both lane types.  The lanes stay
+    unpadded, so a composite over few states is short to build and hash.
+    The law loops index ``codes``: a tuple indexes faster than ``bytes``.
     """
 
     codes: tuple[int, ...]  # codes[i] is the index of the image of state i
     lane: bytes | _TupleLane
-    table: bytes | tuple[int, ...]
+    table: bytes | _TupleLane
     fp: int  # fixpoint bitmask
     z: int  # zero bitmask
     fixed: tuple[int, ...]  # fixpoint indices, ascending
@@ -352,11 +351,9 @@ class FiniteAlgebra(MAlgebra):
         self._sorted_codes = tuple(sorted(range(len(self.states)), key=self.states.__getitem__))
         self.zero_code = self._state_index.get(zero)
         self.full_mask = (1 << len(self.states)) - 1
-        # the one size branch: the lane type and its translate-table padding
-        if len(self.states) <= 256:
-            self._lane, self._pad = bytes, bytes(range(len(self.states), 256))
-        else:
-            self._lane, self._pad = _TupleLane, ()
+        # the one size branch: the lane type (past 256 states the padding is empty)
+        self._lane = bytes if len(self.states) <= 256 else _TupleLane
+        self._pad = tuple(range(len(self.states), 256))
         # Keyed by object identity: while a member is alive no other object
         # shares its id, so a foreign measurement never hits this cache.
         self._compiled = {id(m): self._compile(m) for m in self._sorted}
@@ -374,8 +371,7 @@ class FiniteAlgebra(MAlgebra):
         fixed = tuple(i for i, c in enumerate(codes) if c == i)
         fp = sum(1 << i for i in fixed)
         z = sum(1 << i for i, c in enumerate(codes) if c == self.zero_code)
-        lane = self._lane(codes)
-        return Compiled(codes, lane, lane + self._pad, fp, z, fixed)
+        return Compiled(codes, self._lane(codes), self._lane(codes + self._pad), fp, z, fixed)
 
     def compiled(self, m: Measurement) -> Compiled:
         """The cached compile of a member; a measurement that is not the
@@ -468,14 +464,14 @@ class FiniteAlgebra(MAlgebra):
         """The pair facts from the lanes and from per-state member columns.
 
         Row i composes ms[i] with every member both ways, one translate
-        each; the dict lookups of the two composites give ``has`` and
-        ``has_t``, and their equality commutation.  Bit i of ``fixers[x]``
+        each; the dict lookup of "ms[i], then ms[j]" gives ``has``, and the
+        equality of the two composites commutation.  Bit i of ``fixers[x]``
         (of ``zeroers[x]``) holds "ms[i] fixes x" ("sends x to zero").  So
         ms[i] preserves FP(ms[j]) unless some x fixed by ms[j] moves to a
         state ms[j] does not fix, and FP(ms[i]) lies within FP(ms[j]) when
         ms[j] fixes every x that ms[i] fixes.
         """
-        n, every = len(ms), (1 << len(ms)) - 1
+        every = (1 << len(ms)) - 1
         compiled = [self.compiled(m) for m in ms]
         lanes = [c.lane for c in compiled]
         index: dict[bytes | _TupleLane, int] = {}
@@ -483,7 +479,7 @@ class FiniteAlgebra(MAlgebra):
         fps = [c.fp for c in compiled]  # then the composites outside ms
         members = self._table_index
         tables = [c.table for c in compiled]
-        composite, has, has_t, commute = [], [], [], []
+        composite, has, commute = [], [], []
         for A, T in zip(lanes, tables):
             ab = [A.translate(U) for U in tables]
             ba = [B.translate(T) for B in lanes]
@@ -497,7 +493,6 @@ class FiniteAlgebra(MAlgebra):
                         row[j] = index[c]
             composite.append(row)
             has.append(sum(1 << j for j, k in enumerate(row) if k is not None))
-            has_t.append(sum(1 << j for j, c in enumerate(ba) if c in members))
             commute.append(sum(1 << j for j, (x, y) in enumerate(zip(ab, ba)) if x == y))
 
         fixers, zeroers = [0] * len(self.states), [0] * len(self.states)
@@ -511,8 +506,7 @@ class FiniteAlgebra(MAlgebra):
                  for c in compiled]
         fp = [reduce(and_, map(fixers.__getitem__, bit_positions(mask)), every) for mask in fps]
         z = [reduce(and_, map(zeroers.__getitem__, bit_positions(c.z)), every) for c in compiled]
-        return PairRows(composite, own, has, has_t, keeps, bit_columns(keeps, n),
-                        fp, bit_columns(fp[:n], n), bit_columns(z, n), commute)
+        return PairRows(composite, own, has, keeps, fp, z, commute)
 
     def find_negation(self, m: Measurement) -> Measurement | None:
         hinted = self.negation_hints.get(m.name)
@@ -793,25 +787,25 @@ def bit_positions(mask: int):
         mask ^= low
 
 
-def bit_rows(n: int, fact):
-    """The bit rows and columns of a relation over the indices ``range(n)``,
-    asked row by row: bit j of ``rows[i]`` and bit i of ``cols[j]`` hold
-    ``fact(i, j)``."""
-    rows = [sum(1 << j for j in range(n) if fact(i, j)) for i in range(n)]
-    return rows, bit_columns(rows, n)
+def bit_rows(n: int, fact) -> list[int]:
+    """The bit rows of a relation over the indices ``range(n)``, asked row
+    by row: bit j of ``rows[i]`` holds ``fact(i, j)``."""
+    return [sum(1 << j for j in range(n) if fact(i, j)) for i in range(n)]
 
 
-def bit_columns(rows: list[int], n: int) -> list[int]:
-    """The transpose of ``n`` bit rows over ``range(n)``: bit i of
-    ``cols[j]`` is bit j of ``rows[i]``.  A relation with more than half its
-    bits set is transposed through its complement."""
+def bit_columns(rows: list[int]) -> list[int]:
+    """The transpose of the bit rows of a relation over ``range(len(rows))``:
+    bit i of ``cols[j]`` is bit j of ``rows[i]``.  It sets bits one by one,
+    so a relation with more than half its bits set is transposed through
+    its complement."""
+    n = len(rows)
     every = (1 << n) - 1
-    dense = sum(row.bit_count() for row in rows) * 2 > n * n
+    flip = every if sum(row.bit_count() for row in rows) * 2 > n * n else 0
     cols = [0] * n
     for i, row in enumerate(rows):
-        for j in bit_positions(every ^ row if dense else row):
+        for j in bit_positions(row ^ flip):
             cols[j] |= 1 << i
-    return [every ^ col for col in cols] if dense else cols
+    return [col ^ flip for col in cols]
 
 
 def check_result(property_id, witnesses, checked, complete=True, vacuous=False,
@@ -1055,6 +1049,8 @@ def _pair_lemmas(alg, ms) -> dict[str, tuple[list, int, bool]]:
     every = (1 << n) - 1
     r = alg.pair_rows(ms)
     composite, own, fp = r.composite, r.own, r.fp
+    # the facts with i and j swapped: bit j of z_t[i] holds "Z(ms[j]) within Z(ms[i])"
+    has_t, keeps_t, fp_t, z_t = map(bit_columns, (r.has, r.keeps, fp[:n], r.z))
 
     def where(row, test):
         return sum(1 << j for j in bit_positions(row) if test(j))
@@ -1063,21 +1059,21 @@ def _pair_lemmas(alg, ms) -> dict[str, tuple[list, int, bool]]:
     held = dict.fromkeys(found, 0)
     for i, a in enumerate(ms):
         later = every >> (i + 1) << (i + 1)  # the unordered pairs (i, j > i)
-        has, keeps, keeps_t = r.has[i], r.keeps[i], r.keeps_t[i]
-        both_fp, ab = fp[i] & r.fp_t[i] & later, composite[i]
+        has, keeps = r.has[i], r.keeps[i]
+        both_fp, ab = fp[i] & fp_t[i] & later, composite[i]
         # (premise, violation); a law without a premise has its pairs as
         # premise.  A composite fixes every common fixpoint, so only FP(ab)
         # within FP(a) and FP(b) can fail.
         rows = (
-            (every, keeps & ~r.has_t[i]),
+            (every, keeps & ~has_t[i]),
             (both_fp, where(both_fp, lambda j: own[j] != own[i])),
-            (every, fp[i] ^ r.z_t[i]),
-            (later, (keeps ^ keeps_t) & later),
+            (every, fp[i] ^ z_t[i]),
+            (later, (keeps ^ keeps_t[i]) & later),
             (has, sum(1 << j for j, k in enumerate(ab)
                       if k is not None and ~fp[k] & (1 << i | 1 << j))),
-            (has, has & ~keeps_t),
-            (every, has ^ keeps_t),
-            (later, (has ^ r.has_t[i]) & later),
+            (has, has & ~keeps_t[i]),
+            (every, has ^ keeps_t[i]),
+            (later, (has ^ has_t[i]) & later),
             (every, has ^ r.commute[i]),
             (fp[i], where(fp[i], lambda j: not (ab[j] == own[i] == composite[j][i]))),
         )

@@ -14,6 +14,7 @@ from .core import (
     Budget,
     CheckResult,
     MAlgebra,
+    bit_columns,
     bit_positions,
     bit_rows,
     check_instances,
@@ -54,7 +55,8 @@ def bounds_check(alg: MAlgebra) -> CheckResult:
     # the order as bit rows over the member indices: bit j of up[i] holds
     # ms[i] <= ms[j], bit i of down[j] the same fact
     n = len(ms)
-    up, down = bit_rows(n, lambda i, j: leq(alg, ms[i], ms[j]))
+    up = bit_rows(n, lambda i, j: leq(alg, ms[i], ms[j]))
+    down = bit_columns(up)
     index = {id(m): i for i, m in enumerate(ms)}
 
     def rows(m):

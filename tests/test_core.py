@@ -18,6 +18,7 @@ from malgebra.core import (
     TableMeasurement,
     _pair_lemmas,
     apply,
+    bit_columns,
     check_axiom,
     check_axioms,
     check_instances,
@@ -572,6 +573,26 @@ def test_pair_rows_match_reference_on_fixtures():
 @given(tables_with_top_and_bot())
 def test_pair_rows_match_reference_on_random_tables(alg):
     assert pair_outcome(_pair_lemmas, alg) == pair_outcome(reference_pair_lemmas, alg)
+
+
+@st.composite
+def relations(draw):
+    """The bit rows of a relation over 0-12 indices with none, a fifth,
+    half, four fifths or all of its bits set: sparse and dense relations,
+    which ``bit_columns`` transposes through the set bits and through the
+    complement respectively."""
+    n = draw(st.integers(0, 12))
+    share = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return [sum(1 << j for j in range(n) if rnd.random() < share) for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(relations())
+def test_bit_columns_is_the_transpose(rows):
+    n = len(rows)
+    assert bit_columns(rows) == [sum((rows[i] >> j & 1) << i for i in range(n))
+                                 for j in range(n)]
 
 
 # the finite pair kernel at the edges of the byte lanes ------------------------
