@@ -25,7 +25,6 @@ from .core import (
     Measurement,
     OPTIONAL_AXIOMS,
     ProjectionMeasurement,
-    RayAlgebra,
     StateSet,
     TableMeasurement,
     apply,
@@ -70,7 +69,6 @@ from .models import (
     fixture_t2_maximal,
     load_model,
     measurement_for,
-    sample_states,
 )
 from .order import (
     bounds_check,
@@ -80,5 +78,6 @@ from .order import (
     strong_sep_check,
 )
 from .ratlin import Ray, Subspace, projection_matrix, rational
+from .rays import RayAlgebra
 
 __version__ = "0.1.0"

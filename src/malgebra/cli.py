@@ -19,7 +19,6 @@ from .core import (
     Budget,
     CheckResult,
     DEFINING_AXIOMS,
-    RayAlgebra,
     check_axiom,
     extent,
     lemma_suite,
@@ -91,24 +90,6 @@ class Report:
         return "pass" if all(c.ok for c in self.checks) else "fail"
 
 
-def model_summary(alg) -> dict:
-    if isinstance(alg, RayAlgebra):
-        return {
-            "kind": "ray",
-            "dimension": alg.dim,
-            "full_lattice": alg.full_lattice,
-            "states": len(alg.sample_states()),
-            "sampled": True,
-            "measurements": len(alg.measurements),
-        }
-    return {
-        "kind": alg.kind,
-        "states": len(alg.states),
-        "sampled": False,
-        "measurements": len(alg.measurements),
-    }
-
-
 def format_report(report: Report, fmt: str) -> str:
     """Render a report; the JSON form is canonical and byte-stable."""
     if fmt == "json":
@@ -162,16 +143,16 @@ def _parse_axiom_list(text: str) -> list[str]:
 
 def cmd_check(args) -> int:
     alg = load_model_file(args.model)
-    axioms = _parse_axiom_list(args.axioms) if args.axioms else list(DEFINING_AXIOMS)
+    axioms = list(DEFINING_AXIOMS) if args.axioms is None else _parse_axiom_list(args.axioms)
     budget = Budget(height=args.height, loop_n=args.loop_n)
     checks = [check_axiom(alg, pid, budget) for pid in axioms]
-    return _emit(args, model_summary(alg), checks)
+    return _emit(args, alg.summary(), checks)
 
 
 def cmd_lemmas(args) -> int:
     alg = load_model_file(args.model)
     budget = Budget(height=args.height, loop_n=args.loop_n)
-    return _emit(args, model_summary(alg), lemma_suite(alg, budget))
+    return _emit(args, alg.summary(), lemma_suite(alg, budget))
 
 
 def _commuting_set(alg, names) -> CommutingSet:
@@ -221,7 +202,7 @@ def cmd_tautology(args) -> int:
     cs = _commuting_set(alg, names)
     checks = [verify_tautology_theorem(alg, cs, args.depth, args.slots)]
     checks.extend(verify_schemes(alg, cs))
-    return _emit(args, model_summary(alg), checks)
+    return _emit(args, alg.summary(), checks)
 
 
 def cmd_order(args) -> int:
@@ -230,7 +211,7 @@ def cmd_order(args) -> int:
     checks.extend(order.orthomodular_check(alg))
     if args.strong_sep:
         checks.extend(order.strong_sep_check(alg, Budget(height=args.height)))
-    return _emit(args, model_summary(alg), checks)
+    return _emit(args, alg.summary(), checks)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,9 +18,10 @@ from __future__ import annotations
 import itertools
 
 from . import formulas
-from .core import FiniteAlgebra, ProjectionMeasurement, RayAlgebra, TableMeasurement
+from .core import FiniteAlgebra, ProjectionMeasurement, TableMeasurement
 from .errors import InputError
 from .ratlin import Subspace, format_rational, rational
+from .rays import RayAlgebra
 
 MAX_ATOMS = 3
 
@@ -95,6 +96,9 @@ def build_propositional(atoms, variant="all_theories"):
         )
     if len(set(atoms)) != len(atoms):
         raise InputError("atom names must be unique")
+    reserved = [a for a in atoms if a in ("top", "bot")]
+    if reserved:
+        raise InputError(f"atom {reserved[0]!r} takes the name of a trivial measurement")
     if variant not in ("all_theories", "maximal_theories"):
         raise InputError(f"unknown variant {variant!r}")
 
@@ -193,13 +197,6 @@ def build_ray(dimension, subspaces, full_lattice=False, sample_height=3):
 
     return RayAlgebra(dimension, measurements, full_lattice=full_lattice,
                       sample_height=sample_height)
-
-
-def sample_states(alg: RayAlgebra, height: int):
-    """Deterministic ray window of the given height; larger heights nest."""
-    if not isinstance(alg, RayAlgebra):
-        raise InputError("sampling applies to ray algebras")
-    return alg.sample_states(height)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +362,7 @@ def _is_str_map(value) -> bool:
 
 def dump_model(alg) -> dict:
     """Serialize an algebra back to the model-file form."""
-    if isinstance(alg, RayAlgebra):
+    if alg.kind == "ray":
         return {
             "kind": "ray",
             "dimension": alg.dim,

@@ -173,6 +173,10 @@ def test_unknown_axiom_exits_two(capsys):
     assert "bogus" in err
 
 
+def test_empty_axiom_list_exits_two(capsys):
+    assert_refused(run(capsys, "check", fixture_path("f1"), "--axioms", ""), "--axioms")
+
+
 def test_non_commuting_binding_exits_two(capsys):
     code, _, err = run(
         capsys, "connective", fixture_path("r2"),
@@ -240,6 +244,11 @@ def test_negations_that_are_not_a_name_map_exit_two(tmp_path, capsys):
 def test_non_string_atoms_exit_two(tmp_path, capsys):
     model = write_model(tmp_path, {"kind": "propositional", "atoms": [1, 2]})
     assert_refused(run(capsys, "check", model), "atoms")
+
+
+def test_atom_named_top_exits_two(tmp_path, capsys):
+    model = write_model(tmp_path, {"kind": "propositional", "atoms": ["top"]})
+    assert_refused(run(capsys, "check", model), "atom 'top'")
 
 
 @pytest.mark.parametrize("expr", [

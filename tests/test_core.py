@@ -15,6 +15,7 @@ from malgebra.core import (
     FiniteAlgebra,
     MAlgebra,
     Measurement,
+    ProjectionMeasurement,
     TableMeasurement,
     _pair_lemmas,
     apply,
@@ -45,7 +46,8 @@ from malgebra.errors import (
 )
 from malgebra.models import FIXTURES, build_ray, build_table, fixture_r3, fixture_t2, load_model
 from malgebra.order import bounds_check
-from malgebra.ratlin import Ray, zero_matrix
+from malgebra.ratlin import Ray, Subspace, zero_matrix
+from malgebra.rays import RayAlgebra
 from test_order import tables_with_top_and_bot
 
 R = Ray.from_vector
@@ -339,6 +341,26 @@ def test_idempotence_mutant_fails_where_images_land():
     # mutated fixpoint
     assert state in {"{v00,v01,v11}", "{v00,v11}", "{v01,v11}"}
     assert replay_witness(mutant, "idempotence", result.witnesses[0])
+
+
+class _Doubled(ProjectionMeasurement):
+    """A ray member whose matrix is twice its projection: not idempotent."""
+
+    @property
+    def matrix(self):
+        return tuple(tuple(2 * x for x in row) for row in self.subspace.projection)
+
+
+def test_ray_idempotence_fails_on_a_matrix_that_is_not_idempotent():
+    line = {"bot": [], "px": [[1, 0]], "py": [[0, 1]], "top": [[1, 0], [0, 1]]}
+    members = [(_Doubled if name == "px" else ProjectionMeasurement)(
+        name, Subspace.from_generators(2, gens)) for name, gens in line.items()]
+    alg = RayAlgebra(2, members)
+    result = check_axiom(alg, "idempotence")
+    assert (result.status, result.witnesses) == ("fail", [("px",)])
+    assert (result.checked_count, result.note) == (4, "decided on projection matrices")
+    assert replay_witness(alg, "idempotence", ("px",))
+    assert not replay_witness(alg, "idempotence", ("py",))
 
 
 def test_broken_negation_after_duplicating_fixpoints():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from malgebra.core import RayAlgebra, check_axioms, extent
+from malgebra.core import check_axioms, extent
 from malgebra.errors import InputError
 from malgebra.models import (
     FIXTURES,
@@ -14,6 +14,7 @@ from malgebra.models import (
     measurement_for,
 )
 from malgebra.ratlin import Ray
+from malgebra.rays import RayAlgebra
 
 R = Ray.from_vector
 
@@ -201,14 +202,16 @@ def test_sample_injects_listed_basis_rays():
     assert R([7, -5]) in alg.sample_states(1)
 
 
-def test_sample_states_function(r2, t2):
-    from malgebra.models import sample_states
+def test_sample_states_function(r2):
+    assert r2.sample_states() == r2.sample_states(r2.sample_height)
+    with pytest.raises(InputError):
+        r2.sample_states(0)
 
-    assert sample_states(r2, 2) == r2.sample_states(2)
-    with pytest.raises(InputError):
-        sample_states(t2, 2)
-    with pytest.raises(InputError):
-        sample_states(r2, 0)
+
+@pytest.mark.parametrize("atoms", [["top"], ["p", "bot"]])
+def test_atom_named_like_a_trivial_measurement_is_refused(atoms):
+    with pytest.raises(InputError, match=f"atom {atoms[-1]!r}"):
+        load_model({"kind": "propositional", "atoms": atoms})
 
 
 def test_single_atom_build():
