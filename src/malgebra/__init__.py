@@ -25,7 +25,6 @@ from .core import (
     Measurement,
     OPTIONAL_AXIOMS,
     ProjectionMeasurement,
-    StateSet,
     TableMeasurement,
     apply,
     check_axiom,

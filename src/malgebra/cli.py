@@ -68,10 +68,19 @@ def load_model_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle, object_pairs_hook=_reject_duplicate_keys)
+        # a lone surrogate escape decodes to a string that no report can print
+        json.dumps(data, ensure_ascii=False).encode("utf-8")
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    except UnicodeEncodeError as exc:
+        bad = exc.object[exc.start:exc.end]
+        raise InputError(f"{path}: the string escape {bad!r} is a lone surrogate") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply") from exc
     try:
         return models.load_model(data)
     except InputError as exc:
@@ -151,8 +160,7 @@ def cmd_check(args) -> int:
 
 def cmd_lemmas(args) -> int:
     alg = load_model_file(args.model)
-    budget = Budget(height=args.height, loop_n=args.loop_n)
-    return _emit(args, alg.summary(), lemma_suite(alg, budget))
+    return _emit(args, alg.summary(), lemma_suite(alg, Budget(height=args.height)))
 
 
 def _commuting_set(alg, names) -> CommutingSet:
@@ -179,16 +187,16 @@ def cmd_connective(args) -> int:
     payload = {
         "expr": args.expr,
         "result": result.name,
-        "fp": sorted(state_id(alg, s) for s in fp.members),
-        "fp_complete": fp.complete,
-        "z": sorted(state_id(alg, s) for s in z.members),
-        "z_complete": z.complete,
+        "fp": sorted(state_id(alg, s) for s in fp),
+        "fp_complete": alg.exact,
+        "z": sorted(state_id(alg, s) for s in z),
+        "z_complete": alg.exact,
     }
     if args.format == "json":
         sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
     else:
         sys.stdout.write(f"result: {result.name}\n")
-        suffix = "" if fp.complete else " (sampled)"
+        suffix = "" if alg.exact else " (sampled)"
         sys.stdout.write("FP{}: {}\n".format(suffix, ", ".join(payload["fp"])))
         sys.stdout.write("Z{}: {}\n".format(suffix, ", ".join(payload["z"])))
     return 0
@@ -238,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lemmas", help="run the derived-law suite")
     common(p)
     p.add_argument("--height", type=int, default=None)
-    p.add_argument("--loop-n", type=int, default=3, dest="loop_n")
     p.set_defaults(func=cmd_lemmas)
 
     p = sub.add_parser("connective", help="evaluate a formula over bound measurements")

@@ -72,19 +72,6 @@ class Budget:
             raise InputError(f"loop length must be at least 1, got {self.loop_n}")
 
 
-@dataclass(frozen=True)
-class StateSet:
-    """An extent (fixpoint or zero set), possibly sampled.
-
-    On the ray backend the exact extent is the attached subspace and
-    ``members`` is the sampled window inside it.
-    """
-
-    members: frozenset
-    complete: bool
-    subspace: Subspace | None = None
-
-
 @dataclass
 class CheckResult:
     property_id: str
@@ -188,35 +175,38 @@ class MAlgebra:
     Each backend implements one protocol; code outside the two backend
     classes never asks which backend it runs on.  The law checks handle
     states as codes: declared-order indices on finite backends, the rays
-    themselves on the ray backend.
+    themselves on the ray backend.  Both backends define:
 
     * ``action(m)``: a mapping from each state code to the code of its image;
     * ``state_domain(budget)``, ``fixpoint_domain(m, budget)`` and
       ``zero_domain(m, budget)``: the state codes a law ranges over;
-    * ``zero_code``, and ``exact``: whether those domains are complete;
-    * ``summary()``: the model's kind and sizes, as a report prints them;
-    * ``state(code)``, ``state_label(code)`` and ``state_code(label)``: the
-      conversions between codes, states and their identifiers.
-
-    The measurement-level operations take resolved measurements; the module
-    functions of the same names resolve names first, then call these.
-
+    * ``zero_code``, ``exact`` (whether those domains are complete),
+      ``state(code)`` and ``state_code(label)``;
     * ``has_state(state)``: whether ``apply`` accepts the state;
-    * ``extent(m)``: fixpoint set, zero set and their union;
-    * ``preserves(a, b)``, ``commutes(a, b)``, ``fp_subset(a, b)`` and
-      ``z_subset(a, b)``: relations between two members;
-    * ``compose_raw(a, b)``, ``membership(raw)`` and ``compose_member(a, b)``:
-      the raw composite "a, then b" and the member equal to it, if any;
+    * ``commutes(a, b)``, ``fp_subset(a, b)``, ``z_subset(a, b)``, and
+      ``compose_raw(a, b)`` and ``membership(raw)``: the raw map "a, then
+      b" and the member equal to a raw map, or None;
     * ``find_negation(m)`` and ``point_measurement(x)``: the member with
-      swapped fixpoints and zeros, and the one fixing only zero and ``x``,
-      or None;
+      swapped fixpoints and zeros, the one fixing only zero and ``x``, or None;
     * ``is_full(m)``, ``is_zero(m)`` and ``is_classical(m)``: whether ``m``
-      fixes every state, annihilates every state, or does one of the two to
-      each state;
-    * ``commutation_probes(m)``: the unlisted measurements a full lattice
-      adds when asking whether ``m`` commutes with every measurement;
-    * ``pair_rows(ms)``: every pair fact over a list of members as bit rows
-      (see :class:`PairRows`), which the pair laws read.
+      fixes every state, annihilates every state, or one of the two each.
+
+    The rest have a default here, over those; the override is named:
+
+    * ``summary()``: kind and sizes for a report (rays add the dimension);
+    * ``state_label(code)``: ``str`` of the code's state (none);
+    * ``preserves(a, b)``: the pointwise rule of ``preserves_pointwise``,
+      exact on an exact backend (rays test the subspaces);
+    * ``compose_member(a, b)``: ``membership`` of ``compose_raw`` (the
+      finite backend reads its lanes);
+    * ``commutation_probes(m)``: the unlisted members a full lattice adds
+      when asking whether ``m`` commutes with every member (rays);
+    * ``pair_rows(ms)``: the pair facts of :class:`PairRows`, asked pair by
+      pair (the finite backend reads its lanes).
+
+    Measurement-level methods take resolved measurements; the module
+    functions of the same names resolve names first.  ``extent`` is a module
+    function only, read off the domains.
     """
 
     kind = "abstract"
@@ -256,6 +246,16 @@ class MAlgebra:
     def summary(self) -> dict:
         return {"kind": self.kind, "states": len(self.state_domain(Budget())),
                 "sampled": not self.exact, "measurements": len(self._measurements)}
+
+    def state_label(self, code) -> str:
+        return str(self.state(code))
+
+    def preserves(self, a: Measurement, b: Measurement) -> bool:
+        return preserves_pointwise(self, a, b)
+
+    def compose_member(self, a: Measurement, b: Measurement) -> Measurement | None:
+        # through the module functions, so that their per-layer spans count it
+        return membership(self, compose_raw(self, a, b))
 
     def commutation_probes(self, m: Measurement) -> list[Measurement]:
         """Unlisted measurements that ``m`` must commute with if it commutes
@@ -409,8 +409,6 @@ class FiniteAlgebra(MAlgebra):
     def state(self, code: int) -> str:
         return self.states[code]
 
-    state_label = state
-
     def state_code(self, label: str) -> int:
         try:
             return self._state_index[label]
@@ -424,16 +422,6 @@ class FiniteAlgebra(MAlgebra):
             return state in self._state_index
         except TypeError:  # an unhashable value is no state
             return False
-
-    def extent(self, m: Measurement) -> tuple[StateSet, StateSet, StateSet]:
-        c = self.compiled(m)
-        fp = frozenset(self.states[i] for i in c.fixed)
-        z = frozenset(s for i, s in enumerate(self.states) if c.z >> i & 1)
-        return StateSet(fp, True), StateSet(z, True), StateSet(fp | z, True)
-
-    def preserves(self, a: Measurement, b: Measurement) -> bool:
-        A, cb = self.codes(a), self.compiled(b)
-        return all(cb.fp >> A[x] & 1 for x in cb.fixed)
 
     def commutes(self, a: Measurement, b: Measurement) -> bool:
         ca, cb = self.compiled(a), self.compiled(b)
@@ -540,9 +528,13 @@ def apply(alg: MAlgebra, m, state):
     return m(state)
 
 
-def extent(alg: MAlgebra, m) -> tuple[StateSet, StateSet, StateSet]:
-    """Fixpoint set, zero set and their union (the states with a definite value)."""
-    return alg.extent(alg.resolve(m))
+def extent(alg: MAlgebra, m) -> tuple[frozenset, frozenset, frozenset]:
+    """Fixpoint set, zero set and their union (the states with a definite
+    value), over the backend's domains: complete exactly when ``alg.exact``."""
+    m = alg.resolve(m)
+    fp = frozenset(map(alg.state, alg.fixpoint_domain(m, Budget())))
+    z = frozenset(map(alg.state, alg.zero_domain(m, Budget())))
+    return fp, z, fp | z
 
 
 def preserves(alg: MAlgebra, a, b) -> bool:

@@ -29,6 +29,9 @@ MAX_ATOMS = 3
 def build_table(states, zero, measurements, negations=None, kind="table", meta=None):
     """Finite algebra from explicit tables.  No law is assumed to hold."""
     states = list(states)
+    # witnesses name states by ``str``, and replay reads those names back
+    if not all(isinstance(s, str) for s in states):
+        raise InputError("state ids must be strings")
     known = set(states)
     if len(known) != len(states):
         dupe = next(s for s in states if states.count(s) > 1)
@@ -99,6 +102,14 @@ def build_propositional(atoms, variant="all_theories"):
     reserved = [a for a in atoms if a in ("top", "bot")]
     if reserved:
         raise InputError(f"atom {reserved[0]!r} takes the name of a trivial measurement")
+    for atom in atoms:
+        try:
+            read = formulas.parse_formula(atom)
+        except InputError:
+            read = None
+        if read != formulas.Slot(atom):
+            raise InputError(f"atom {atom!r} is not a formula atom: a letter or '_', "
+                             "then letters, digits or '_'")
     if variant not in ("all_theories", "maximal_theories"):
         raise InputError(f"unknown variant {variant!r}")
 

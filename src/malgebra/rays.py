@@ -10,8 +10,7 @@ measurement classes by name finds both there.
 
 from __future__ import annotations
 
-from .core import Budget, MAlgebra, Measurement, ProjectionMeasurement, StateSet
-from .core import compose_raw, membership, point_measurement
+from .core import Budget, MAlgebra, Measurement, ProjectionMeasurement, point_measurement
 from .errors import InputError
 from .ratlin import Matrix, Ray, RayImages, Subspace, is_symmetric_idempotent, mat_mul
 from .ratlin import parse_ray, primitive_vectors, subspace_rays
@@ -20,10 +19,11 @@ from .ratlin import parse_ray, primitive_vectors, subspace_rays
 class RayAlgebra(MAlgebra):
     """Ray backend: canonical rays of Q^n acted on by exact projections.
 
-    Measurement-level relations are decided exactly on the subspaces; extents
-    list the sampled window inside them.  With ``full_lattice`` the listed
-    measurements are just a named window: membership and negation may
-    synthesize projections onto any rational subspace on demand.
+    Measurement-level relations are decided exactly on the subspaces; the
+    fixpoint and zero domains list the sampled window inside them.  With
+    ``full_lattice`` the listed measurements are just a named window:
+    membership and negation may synthesize projections onto any rational
+    subspace on demand.
     """
 
     kind = "ray"
@@ -89,9 +89,6 @@ class RayAlgebra(MAlgebra):
     def state(self, code: Ray) -> Ray:
         return code
 
-    def state_label(self, code: Ray) -> str:
-        return str(code)
-
     def state_code(self, label: str) -> Ray:
         return parse_ray(label, self.dim)
 
@@ -99,13 +96,6 @@ class RayAlgebra(MAlgebra):
 
     def has_state(self, state) -> bool:
         return isinstance(state, Ray) and state.dim == self.dim
-
-    def extent(self, m: Measurement) -> tuple[StateSet, StateSet, StateSet]:
-        sub, perp = m.subspace, m.subspace.orthocomplement
-        fp = self.fixpoint_domain(m, Budget())
-        z = self.zero_domain(m, Budget())
-        return (StateSet(frozenset(fp), False, sub), StateSet(frozenset(z), False, perp),
-                StateSet(frozenset(fp + z), False))
 
     def preserves(self, a: Measurement, b: Measurement) -> bool:
         """The projection of b's subspace under a lands inside both subspaces;
@@ -131,10 +121,6 @@ class RayAlgebra(MAlgebra):
         if not is_symmetric_idempotent(raw):
             return None
         return self.measurement_for_subspace(Subspace.from_projection(raw))
-
-    def compose_member(self, a: Measurement, b: Measurement) -> Measurement | None:
-        # through the module functions, so that their per-layer spans count it
-        return membership(self, compose_raw(self, a, b))
 
     def find_negation(self, m: Measurement) -> Measurement | None:
         return self.measurement_for_subspace(m.subspace.orthocomplement)

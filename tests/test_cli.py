@@ -214,6 +214,32 @@ def assert_refused(result, phrase):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",
+    b"[" * 100_000,
+    b'{"kind": "table", "states": ["0", "\\ud800"], "zero": "0", "measurements": '
+    b'{"top": {"0": "0", "\\ud800": "\\ud800"}, "bot": {"0": "0", "\\ud800": "0"}}}',
+], ids=["not-utf8", "nested-too-deep", "lone-surrogate"])
+def test_malformed_model_file_exits_two(tmp_path, capsys, content):
+    path = tmp_path / "model.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "connective", str(path), "--expr", "a", "--bind", "a=top")
+    assert_refused((code, out, err), str(path))
+    assert "internal error" not in err
+
+
+def test_formula_text_as_atom_exits_two(tmp_path, capsys):
+    model = write_model(tmp_path, {"kind": "propositional", "atoms": ["p", "~p"]})
+    assert_refused(run(capsys, "check", model), "atom '~p' is not a formula atom")
+
+
+def test_lemmas_takes_no_loop_length(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["lemmas", fixture_path("t2"), "--loop-n", "2"])
+    assert exit_info.value.code == 2
+    assert "--loop-n" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("height", ["0", "-2"])
 def test_height_below_one_exits_two(capsys, height):
     assert_refused(

@@ -142,8 +142,8 @@ def test_zeros_of_implication(t2):
     # zeros of a->b are a's fixpoints that b annihilates
     for a, b in commuting_pairs(t2):
         imp = implication(t2, a, b)
-        fp_a, z_b = extent(t2, a)[0].members, extent(t2, b)[1].members
-        assert extent(t2, imp)[1].members == fp_a & z_b
+        fp_a, z_b = extent(t2, a)[0], extent(t2, b)[1]
+        assert extent(t2, imp)[1] == fp_a & z_b
 
 
 # refusal and commuting sets -------------------------------------------------------

@@ -108,23 +108,24 @@ def test_table_backend_refuses_unhashable_states(t2, call):
 
 def test_extent_of_identity(f1):
     fp, z, deff = extent(f1, "top")
-    assert fp.members == {"0", "a"} and fp.complete
-    assert z.members == {"0"}
-    assert deff.members == {"0", "a"}
+    assert fp == {"0", "a"} and f1.exact
+    assert z == {"0"}
+    assert deff == {"0", "a"}
 
 
 def test_extent_enumerates_theories(t2):
     fp, _, _ = extent(t2, "p")
-    assert fp.members == {"{}", "{v10}", "{v11}", "{v10,v11}"}
+    assert fp == {"{}", "{v10}", "{v11}", "{v10,v11}"}
 
 
 def test_extent_on_rays_is_analytic(r2):
     fp, z, _ = extent(r2, "px")
-    assert fp.subspace == r2.measurement("px").subspace
-    assert z.subspace == fp.subspace.orthocomplement
-    assert fp.members == {Ray.zero(2), R([1, 0])}
-    assert z.members == {Ray.zero(2), R([0, 1])}
-    assert not fp.complete
+    sub = r2.measurement("px").subspace
+    assert all(sub.contains_ray(x) for x in fp)
+    assert all(sub.orthocomplement.contains_ray(x) for x in z)
+    assert fp == {Ray.zero(2), R([1, 0])}
+    assert z == {Ray.zero(2), R([0, 1])}
+    assert not r2.exact
 
 
 # preserves / commutes --------------------------------------------------------

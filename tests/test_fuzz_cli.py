@@ -56,12 +56,14 @@ def option_argvs(draw):
     def option(flag, good):
         return f"--{flag}=" + draw(values(good))
 
-    command = draw(st.sampled_from(["connective", "check", "order", "tautology"]))
+    command = draw(st.sampled_from(["connective", "check", "lemmas", "order", "tautology"]))
     if command == "connective":
         options = [option("expr", "a & b"), option("bind", valid["bind"])]
     elif command == "check":
         options = [option("axioms", "idempotence,negation"), option("height", "1"),
                    option("loop-n", "2")]
+    elif command == "lemmas":
+        options = [option("height", "1")]
     elif command == "order":
         options = [option("height", "1")] + draw(st.sampled_from([[], ["--strong-sep"]]))
     else:

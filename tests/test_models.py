@@ -1,5 +1,7 @@
 """Model builders: validation, structure, sampling, serialization."""
 
+import re
+
 import pytest
 
 from malgebra.core import check_axioms, extent
@@ -39,6 +41,11 @@ def test_table_rejects_bad_zero_and_duplicate_states():
         build_table(["a", "b"], "0", {"m": {"a": "a", "b": "b"}})
     with pytest.raises(InputError, match="duplicate state"):
         build_table(["0", "a", "a"], "0", {"m": {"0": "0", "a": "a"}})
+
+
+def test_table_rejects_state_ids_that_are_not_strings():
+    with pytest.raises(InputError, match="state ids must be strings"):
+        build_table([0, 1], 0, {"top": {0: 0, 1: 1}, "bot": {0: 0, 1: 0}})
 
 
 def test_table_accepts_lawless_models():
@@ -214,6 +221,20 @@ def test_atom_named_like_a_trivial_measurement_is_refused(atoms):
         load_model({"kind": "propositional", "atoms": atoms})
 
 
+@pytest.mark.parametrize("atoms,bad", [
+    (["a b"], "a b"),
+    (["(p)"], "(p)"),
+    (["p", "~p"], "~p"),
+    (["p&q", "p", "q"], "p&q"),
+    (["p", ""], ""),
+    (["p", " q"], " q"),
+])
+def test_atom_that_is_no_formula_atom_is_refused(atoms, bad):
+    # a formula text as an atom took the name of another class's measurement
+    with pytest.raises(InputError, match=f"atom {re.escape(repr(bad))} is not a formula atom"):
+        load_model({"kind": "propositional", "atoms": atoms})
+
+
 def test_single_atom_build():
     alg = build_propositional(["p"])
     assert len(alg.states) == 4
@@ -258,5 +279,5 @@ def test_load_model_schema_errors():
 
 def test_extent_example_from_maximal_fixture(t2max):
     fp, z, _ = extent(t2max, "p")
-    assert fp.members == {"{}", "{v10}", "{v11}"}
-    assert z.members == {"{}", "{v00}", "{v01}"}
+    assert fp == {"{}", "{v10}", "{v11}"}
+    assert z == {"{}", "{v00}", "{v01}"}
