@@ -6,6 +6,9 @@ measurements, and a tautology harness comparing algebra evaluation against
 an independent truth-table oracle.
 """
 
+import importlib.util
+import sys
+
 from .connectives import (
     CommutingSet,
     conjunction,
@@ -76,7 +79,30 @@ from .order import (
     orthomodular_check,
     strong_sep_check,
 )
-from .ratlin import Ray, Subspace, projection_matrix, rational
-from .rays import RayAlgebra
 
 __version__ = "0.1.0"
+
+
+def _lazy(name):
+    """The submodule ``name``, registered now and executed on first use.
+
+    A run that only reads tables never executes ``ratlin`` or ``rays``, while
+    code that looks a submodule up in ``sys.modules`` after ``import
+    malgebra`` (the tracer in ``perfbench/``) still finds it there.
+    """
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ratlin, rays = _lazy("ratlin"), _lazy("rays")
+_RAY_NAMES = {"Ray": ratlin, "Subspace": ratlin, "projection_matrix": ratlin,
+              "rational": ratlin, "RayAlgebra": rays}
+
+
+def __getattr__(name):
+    if name in _RAY_NAMES:
+        return getattr(_RAY_NAMES[name], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -214,11 +214,12 @@ def cmd_tautology(args) -> int:
 
 
 def cmd_order(args) -> int:
+    budget = Budget(height=args.height)  # a bad height is refused before any work
     alg = load_model_file(args.model)
     checks = [order.bounds_check(alg)]
     checks.extend(order.orthomodular_check(alg))
     if args.strong_sep:
-        checks.extend(order.strong_sep_check(alg, Budget(height=args.height)))
+        checks.extend(order.strong_sep_check(alg, budget))
     return _emit(args, alg.summary(), checks)
 
 

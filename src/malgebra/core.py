@@ -24,7 +24,6 @@ from operator import and_, or_
 from typing import NamedTuple
 
 from .errors import ClosureViolation, InputError, NegationViolation
-from .ratlin import Matrix, Ray, Subspace
 
 DEFINING_AXIOMS = (
     "illegitimate",
@@ -691,6 +690,49 @@ def check_instances(property_id, instances, violation, premise=None) -> CheckRes
 # measurements and the states named in one witness.  Actions and domains come
 # from the backend protocol, so the same loop runs on table codes and on ray
 # memos.
+#
+# The per-state laws are stated pointwise: at a state x each member a sends x
+# to a(x), and the law asks which members fix that image.  So at one state,
+# members with the same image are interchangeable.  ``_class_kernel`` groups
+# them: ``classes(x)`` maps each image v of x to the bit row (over the indices
+# of ``ms``) of the members with image v, and ``fixing(v)`` is the bit row of
+# the members that fix v, memoised per image.  A law then reads one AND of
+# two rows per class or per pair of classes, not a pair of members (only
+# l-cumulativity searches members, at a state that violates it).  Only one
+# state's classes are alive at a time, so a law holds one state's classes
+# and the memo besides its witnesses.  Separability reads the same kind of
+# row the other way round: per separator, the bit row of the states it fixes.
+
+
+def _class_kernel(alg, ms):
+    """``classes(x)`` and ``fixing(v)`` over the members ``ms`` (see above)."""
+    actions = [(1 << i, alg.action(m)) for i, m in enumerate(ms)]
+    rows = {}
+
+    def classes(x):
+        found = {}
+        for bit, A in actions:
+            v = A[x]
+            found[v] = found.get(v, 0) | bit
+        return found
+
+    def fixing(v):
+        row = rows.get(v)
+        if row is None:
+            row = rows[v] = sum(bit for bit, A in actions if A[v] == v)
+        return row
+
+    return classes, fixing
+
+
+def _by_state(ms, domain):
+    """Each state of the domains ``domain(m)``, with the members whose domain
+    holds it, so that a law builds each state's classes once."""
+    found = {}
+    for m in ms:
+        for x in domain(m):
+            found.setdefault(x, []).append(m)
+    return found.items()
 
 
 def _illegitimate(alg, ms, dom, budget):
@@ -709,32 +751,35 @@ def _idempotence(alg, ms, dom, budget):
 
 
 def _interference(alg, ms, dom, budget):
-    witnesses, checked, label = [], 0, alg.state_label
-    coded = [(m.name, alg.action(m)) for m in ms]
-    for a in ms:
-        A, fixed = alg.action(a), dom.fixpoint_domain(a, budget)
-        checked += len(fixed) * len(coded)
-        for b_name, B in coded:
-            for x in fixed:
-                y = B[x]
+    # a fixes x; b in the class of y = b(x) violates when it fixes t = a(y) != y
+    witnesses, checked = [], 0
+    classes, fixing = _class_kernel(alg, ms)
+    for x, fixers in _by_state(ms, lambda a: dom.fixpoint_domain(a, budget)):
+        checked += len(fixers) * len(ms)
+        label, found = alg.state_label(x), classes(x)
+        for a in fixers:
+            A = alg.action(a)
+            for y, C in found.items():
                 t = A[y]
-                if B[t] == t and t != y:
-                    witnesses.append((label(x), a.name, b_name))
+                if t != y:
+                    witnesses += [(label, a.name, ms[j].name) for j in bit_positions(C & fixing(t))]
     return witnesses, checked
 
 
 def _cumulativity(alg, ms, dom, budget):
-    witnesses, label = [], alg.state_label
-    states = dom.state_domain(budget)
-    coded = [(m.name, alg.action(m)) for m in ms]
-    for i, (a_name, A) in enumerate(coded):
-        later = coded[i + 1:]
-        for x in states:
-            ax = A[x]
-            for b_name, B in later:
-                bx = B[x]
-                if B[ax] == ax and A[bx] == bx and ax != bx:
-                    witnesses.append((label(x), a_name, b_name))
+    # a in the class of v and b in that of w != v violate when each fixes
+    # the other's image
+    witnesses, states = [], dom.state_domain(budget)
+    classes, fixing = _class_kernel(alg, ms)
+    for x in states:
+        label, found = alg.state_label(x), list(classes(x).items())
+        for k, (v, Cv) in enumerate(found):
+            fix_v = fixing(v)
+            for w, Cw in found[k + 1:]:
+                w_fix_v, v_fix_w = Cw & fix_v, Cv & fixing(w)
+                if w_fix_v and v_fix_w:
+                    witnesses += [(label, ms[min(i, j)].name, ms[max(i, j)].name)
+                                  for i in bit_positions(v_fix_w) for j in bit_positions(w_fix_v)]
     return witnesses, len(states) * len(ms) * (len(ms) - 1) // 2
 
 
@@ -750,19 +795,23 @@ def _negation(alg, ms, dom, budget):
 
 def _separability(alg, ms, dom, budget):
     # The separators are every member, or on a full lattice the point
-    # measurement of x (there states and their codes are the same rays).
-    witnesses, checked, label = [], 0, alg.state_label
-    nonzero = [x for x in dom.state_domain(budget) if x != alg.zero_code]
-    members = [alg.action(m) for m in alg.sorted_measurements()]
-    for x in nonzero:
-        separators = [alg.action(point_measurement(alg, x))] if alg.full_lattice else members
-        for y in nonzero:
-            if x == y:
-                continue
-            checked += 1
-            if not any(S[x] == x and S[y] != y for S in separators):
-                witnesses.append((label(x), label(y)))
-    return witnesses, checked
+    # measurement of x (there states and their codes are the same rays).  A
+    # witness of x is a state that every separator fixing x fixes too.  A
+    # replayed witness may name one state twice; it is one state.
+    nonzero = list(dict.fromkeys(x for x in dom.state_domain(budget) if x != alg.zero_code))
+    labels, every = list(map(alg.state_label, nonzero)), (1 << len(nonzero)) - 1
+
+    def fixed(m):
+        S = alg.action(m)
+        return sum(1 << j for j, y in enumerate(nonzero) if S[y] == y)
+
+    rows = None if alg.full_lattice else list(map(fixed, alg.sorted_measurements()))
+    witnesses = []
+    for i, x in enumerate(nonzero):
+        separators = [fixed(point_measurement(alg, x))] if rows is None else rows
+        left = reduce(and_, (r for r in separators if r >> i & 1), every) & ~(1 << i)
+        witnesses += [(labels[i], labels[j]) for j in bit_positions(left)]
+    return witnesses, len(nonzero) * (len(nonzero) - 1)
 
 
 def _strong_separability(alg, ms, dom, budget):
@@ -780,28 +829,36 @@ def _l_cumulativity(alg, ms, dom, budget):
     violating cycle of length at most n+1 through two differing measurements
     exists exactly when their round-trip distance in the "image fixed by"
     digraph is at most n+1, so shortest paths decide the bound exactly.
+
+    A member's out-edges depend on its image only, so each state is decided
+    on the graph of its image classes first: image v points to image u when
+    a member with image u fixes v.  Two members of classes v != w round-trip
+    within n+1 steps for some choice of members exactly when v and w do, so
+    only a state whose classes do searches its members, in name order, for
+    the cycles it reports.
     """
-    witnesses, checked = [], 0
-    coded = [(m.name, alg.action(m)) for m in ms]
-    names = [name for name, _ in coded]
-    max_len = budget.loop_n + 1
+    witnesses, checked, n = [], 0, len(ms)
+    names, max_len = [m.name for m in ms], budget.loop_n + 1
+    classes, fixing = _class_kernel(alg, ms)
     for x in dom.state_domain(budget):
-        images = {name: A[x] for name, A in coded}
-        adjacency = {
-            a: [b for b, B in coded if B[images[a]] == images[a]] for a in names
-        }
-        dist, parent = _all_bfs(names, adjacency)
-        for a in names:
-            for b in names:
-                if a >= b or images[a] == images[b]:
-                    continue
-                checked += 1
-                d_ab = dist[a].get(b)
-                d_ba = dist[b].get(a)
-                if d_ab is not None and d_ba is not None and d_ab + d_ba <= max_len:
-                    cycle = _bfs_path(parent, a, b) + _bfs_path(parent, b, a)[1:-1]
-                    witnesses.append((alg.state_label(x), *cycle))
+        found = classes(x)
+        checked += sum(c * (n - c) for c in map(int.bit_count, found.values())) // 2
+        dist, _ = _all_bfs(found, {v: [u for u, C in found.items() if C & fixing(v)] for v in found})
+        if not _round_trips(dist, max_len):
+            continue
+        image = {names[j]: v for v, C in found.items() for j in bit_positions(C)}
+        dist, parent = _all_bfs(names, {a: [names[j] for j in bit_positions(fixing(image[a]))]
+                                        for a in names})
+        witnesses += [(alg.state_label(x), *_bfs_path(parent, a, b), *_bfs_path(parent, b, a)[1:-1])
+                      for a, b in _round_trips(dist, max_len) if a < b and image[a] != image[b]]
     return witnesses, checked
+
+
+def _round_trips(dist, max_len):
+    """The pairs u != v that shortest paths ``dist`` join both ways within
+    ``max_len`` steps in all."""
+    return [(u, v) for u in dist for v, d in dist[u].items()
+            if u != v and d + dist[v].get(u, max_len) <= max_len]
 
 
 def _all_bfs(names, adjacency):
@@ -846,18 +903,19 @@ def _double_negation(alg, ms, dom, budget):
 def _definiteness(alg, ms, dom, budget, dual=False):
     # Straight form: a state satisfying b cannot be sent by any measurement
     # to a state where b is impossible.  Dual form swaps fixpoints and zeros.
-    witnesses, checked, label = [], 0, alg.state_label
-    zero = alg.zero_code
-    coded = [(m.name, alg.action(m)) for m in ms]
-    for b in ms:
-        B = alg.action(b)
-        domain = dom.zero_domain(b, budget) if dual else dom.fixpoint_domain(b, budget)
-        checked += len(domain) * len(coded)
-        for a_name, A in coded:
-            for x in domain:
-                ax = A[x]
-                if ax != zero and (B[ax] == ax if dual else B[ax] == zero):
-                    witnesses.append((label(x), a_name, b.name))
+    # Every member of a class whose image v != zero b sends to zero (fixes)
+    # is a witness.
+    witnesses, checked, zero = [], 0, alg.zero_code
+    classes, _ = _class_kernel(alg, ms)
+    domain = dom.zero_domain if dual else dom.fixpoint_domain
+    for x, bs in _by_state(ms, lambda b: domain(b, budget)):
+        checked += len(bs) * len(ms)
+        label, found = alg.state_label(x), classes(x)
+        for b in bs:
+            B = alg.action(b)
+            for v, C in found.items():
+                if v != zero and B[v] == (v if dual else zero):
+                    witnesses += [(label, ms[j].name, b.name) for j in bit_positions(C)]
     return witnesses, checked
 
 

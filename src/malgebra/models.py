@@ -20,8 +20,9 @@ import itertools
 from . import formulas
 from .core import FiniteAlgebra, ProjectionMeasurement, TableMeasurement
 from .errors import InputError
-from .ratlin import Subspace, format_rational, rational
-from .rays import RayAlgebra
+
+# ``ratlin`` and ``rays`` are imported where a ray model is built or dumped,
+# so that a process that only reads tables never loads them.
 
 MAX_ATOMS = 3
 
@@ -173,6 +174,9 @@ def build_ray(dimension, subspaces, full_lattice=False, sample_height=3):
     orthocomplement and under composition of commuting pairs; the error
     names the missing subspace.
     """
+    from .ratlin import Subspace
+    from .rays import RayAlgebra
+
     if dimension < 1:
         raise InputError("dimension must be positive")
     if sample_height < 1:
@@ -314,6 +318,8 @@ def load_model(data: dict):
                                "an object mapping names to names", None),
         )
     if kind == "ray":
+        from .ratlin import rational
+
         subspaces = _require(data, "subspaces", _is_generator_map,
                              "an object mapping names to lists of vectors")
         return build_ray(
@@ -374,6 +380,8 @@ def _is_str_map(value) -> bool:
 def dump_model(alg) -> dict:
     """Serialize an algebra back to the model-file form."""
     if alg.kind == "ray":
+        from .ratlin import format_rational, rational
+
         return {
             "kind": "ray",
             "dimension": alg.dim,

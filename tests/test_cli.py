@@ -249,6 +249,12 @@ def test_height_below_one_exits_two(capsys, height):
     )
 
 
+@pytest.mark.parametrize("model,height", [("t2", "0"), ("r3_full", "-1")])
+def test_order_refuses_height_below_one_without_strong_sep(capsys, model, height):
+    # the height only matters with --strong-sep, but a bad one is refused anyway
+    assert_refused(run(capsys, "order", fixture_path(model), "--height", height), "height")
+
+
 @pytest.mark.parametrize("height", ["abc", True, 2.5])
 def test_non_integer_sample_height_exits_two(tmp_path, capsys, height):
     model = write_model(tmp_path, {

@@ -2,6 +2,7 @@
 
 import json
 import random
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from malgebra.core import (
+    _LAWS,
     ALL_AXIOMS,
     Budget,
     FiniteAlgebra,
@@ -17,6 +19,9 @@ from malgebra.core import (
     Measurement,
     ProjectionMeasurement,
     TableMeasurement,
+    _Pinned,
+    _all_bfs,
+    _bfs_path,
     _pair_lemmas,
     apply,
     bit_columns,
@@ -907,3 +912,168 @@ def test_ray_relations_match_pointwise_definitions(fixture):
 def test_apply_on_rays_refuses_what_is_not_a_state(r2, state):
     with pytest.raises(InputError, match="not a state"):
         apply(r2, "px", state)
+
+
+# the per-state laws on image classes against their member loops ---------------
+
+
+def reference_interference(alg, ms, dom, budget):
+    """The member-pair loop that ``_interference`` replaced by image classes."""
+    witnesses, checked, label = [], 0, alg.state_label
+    coded = [(m.name, alg.action(m)) for m in ms]
+    for a in ms:
+        A, fixed = alg.action(a), dom.fixpoint_domain(a, budget)
+        checked += len(fixed) * len(coded)
+        for b_name, B in coded:
+            for x in fixed:
+                y = B[x]
+                t = A[y]
+                if B[t] == t and t != y:
+                    witnesses.append((label(x), a.name, b_name))
+    return witnesses, checked
+
+
+def reference_cumulativity(alg, ms, dom, budget):
+    """The member-pair loop that ``_cumulativity`` replaced by class pairs."""
+    witnesses, label = [], alg.state_label
+    states = dom.state_domain(budget)
+    coded = [(m.name, alg.action(m)) for m in ms]
+    for i, (a_name, A) in enumerate(coded):
+        later = coded[i + 1:]
+        for x in states:
+            ax = A[x]
+            for b_name, B in later:
+                bx = B[x]
+                if B[ax] == ax and A[bx] == bx and ax != bx:
+                    witnesses.append((label(x), a_name, b_name))
+    return witnesses, len(states) * len(ms) * (len(ms) - 1) // 2
+
+
+def reference_definiteness(alg, ms, dom, budget, dual=False):
+    """The member loop that ``_definiteness`` replaced by image classes."""
+    witnesses, checked, label = [], 0, alg.state_label
+    zero = alg.zero_code
+    coded = [(m.name, alg.action(m)) for m in ms]
+    for b in ms:
+        B = alg.action(b)
+        domain = dom.zero_domain(b, budget) if dual else dom.fixpoint_domain(b, budget)
+        checked += len(domain) * len(coded)
+        for a_name, A in coded:
+            for x in domain:
+                ax = A[x]
+                if ax != zero and (B[ax] == ax if dual else B[ax] == zero):
+                    witnesses.append((label(x), a_name, b.name))
+    return witnesses, checked
+
+
+def reference_separability(alg, ms, dom, budget):
+    """The state-pair loop over separators that ``_separability`` replaced by
+    fixpoint bit rows."""
+    witnesses, checked, label = [], 0, alg.state_label
+    nonzero = [x for x in dom.state_domain(budget) if x != alg.zero_code]
+    members = [alg.action(m) for m in alg.sorted_measurements()]
+    for x in nonzero:
+        separators = [alg.action(point_measurement(alg, x))] if alg.full_lattice else members
+        for y in nonzero:
+            if x == y:
+                continue
+            checked += 1
+            if not any(S[x] == x and S[y] != y for S in separators):
+                witnesses.append((label(x), label(y)))
+    return witnesses, checked
+
+
+def reference_l_cumulativity(alg, ms, dom, budget):
+    """The breadth-first search over members at every state that
+    ``_l_cumulativity`` now runs only where the class graph has a cycle."""
+    witnesses, checked = [], 0
+    coded = [(m.name, alg.action(m)) for m in ms]
+    names = [name for name, _ in coded]
+    max_len = budget.loop_n + 1
+    for x in dom.state_domain(budget):
+        images = {name: A[x] for name, A in coded}
+        adjacency = {
+            a: [b for b, B in coded if B[images[a]] == images[a]] for a in names
+        }
+        dist, parent = _all_bfs(names, adjacency)
+        for a in names:
+            for b in names:
+                if a >= b or images[a] == images[b]:
+                    continue
+                checked += 1
+                d_ab = dist[a].get(b)
+                d_ba = dist[b].get(a)
+                if d_ab is not None and d_ba is not None and d_ab + d_ba <= max_len:
+                    cycle = _bfs_path(parent, a, b) + _bfs_path(parent, b, a)[1:-1]
+                    witnesses.append((alg.state_label(x), *cycle))
+    return witnesses, checked
+
+
+# property id -> (the law, its member loop)
+CLASS_LAWS = {
+    "interference": (_LAWS["interference"][0], reference_interference),
+    "cumulativity": (_LAWS["cumulativity"][0], reference_cumulativity),
+    "definiteness": (_LAWS["definiteness"][0], reference_definiteness),
+    "definiteness_dual": (_LAWS["definiteness_dual"][0],
+                          partial(reference_definiteness, dual=True)),
+    "l_cumulativity": (_LAWS["l_cumulativity"][0], reference_l_cumulativity),
+    "separability": (_LAWS["separability"][0], reference_separability),
+}
+
+
+def class_law_outcomes(alg, ms, dom, budget):
+    """Per law, the sorted witnesses and the count of the kernel, then those
+    of the member loop."""
+    def outcome(law):
+        found, checked = law(alg, ms, dom, budget)
+        return sorted(found), checked
+
+    return {pid: (outcome(law), outcome(reference))
+            for pid, (law, reference) in CLASS_LAWS.items()}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES) + ["broken"])
+def test_class_kernel_matches_member_loops_on_fixtures(name):
+    alg = load_model(json.loads(BROKEN.read_text())) if name == "broken" else FIXTURES[name]()
+    for pid, (got, expected) in class_law_outcomes(
+            alg, alg.sorted_measurements(), alg, Budget()).items():
+        assert got == expected, pid
+    if name == "broken":  # the member search runs where the class graph finds a cycle
+        assert check_axiom(alg, "l_cumulativity").witnesses
+
+
+@st.composite
+def class_kernel_cases(draw):
+    """A table model over 2-6 states whose members are idempotent maps that
+    fix zero, or arbitrary maps; a loop length of 1-4; and either the full
+    domains and every member, or, as replay passes them, a pinned list of
+    states and a sub-list of the members."""
+    states = ["0"] + [f"s{i}" for i in range(1, draw(st.integers(2, 6)))]
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    idempotent = draw(st.booleans())
+    tables = {}
+    for k in range(draw(st.integers(1, 6))):
+        if idempotent:
+            fixed = ["0"] + [s for s in states[1:] if rnd.random() < 0.5]
+            tables[f"m{k}"] = {s: s if s in fixed else rnd.choice(fixed) for s in states}
+        else:
+            tables[f"m{k}"] = {s: rnd.choice(states) for s in states}
+    alg = build_table(states, "0", tables)
+    budget = Budget(loop_n=draw(st.integers(1, 4)))
+    if not draw(st.booleans()):
+        return alg, alg.sorted_measurements(), alg, budget
+    codes = draw(st.lists(st.sampled_from(range(len(states))), min_size=1, max_size=3,
+                          unique=True))
+    ms = [m for m in alg.sorted_measurements() if draw(st.booleans())]
+    return alg, ms or alg.sorted_measurements()[:1], _Pinned(alg, codes), budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_kernel_cases())
+def test_class_kernel_matches_member_loops_on_random_tables(case):
+    alg, ms, dom, budget = case
+    for pid, (got, expected) in class_law_outcomes(alg, ms, dom, budget).items():
+        assert got == expected, pid
+        if dom is alg:
+            for witness in got[0]:
+                assert replay_witness(alg, pid, witness), (pid, witness)

@@ -84,6 +84,7 @@ def assert_contract(argv):
     assert code in (0, 1, 2, 3), err
     assert "internal error" not in err
     assert "Traceback" not in err
+    return code
 
 
 @settings(max_examples=200, deadline=None)
@@ -95,4 +96,7 @@ def test_connective_expressions_keep_the_exit_code_contract(argv):
 @settings(max_examples=200, deadline=None)
 @given(option_argvs())
 def test_option_values_keep_the_exit_code_contract(argv):
-    assert_contract(argv)
+    code = assert_contract(argv)
+    # every command that takes a height refuses one below 1
+    if {"--height=0", "--height=-1"} & set(argv):
+        assert code == 2, argv

@@ -1,7 +1,13 @@
 """The backend seam, read off the source: code outside the backends asks the
-protocol, never a backend class, and ``core`` does not depend on ``rays``."""
+protocol, never a backend class, and ``core`` does not depend on ``rays``; a
+table run never executes the ray modules; ``core`` stays small enough for
+the parser's first token array."""
 
 import ast
+import os
+import subprocess
+import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -47,3 +53,43 @@ def test_core_never_compares_a_backend_kind():
     compares = [node.lineno for node in ast.walk(parse(PACKAGE / "core.py"))
                 if isinstance(node, ast.Compare) and "kind" in names_in(node)]
     assert compares == []
+
+
+def parser_tokens(path):
+    """The tokens the parser reads: ``tokenize``'s, without comments, blank
+    lines and the encoding marker."""
+    with path.open("rb") as handle:
+        return sum(1 for tok in tokenize.tokenize(handle.readline)
+                   if tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING))
+
+
+def test_core_stays_under_the_parser_token_step():
+    # Past 8,192 tokens CPython's parser doubles its token array, which adds
+    # 0.2-0.5 MB to the peak RSS of every run that compiles core.py.
+    assert parser_tokens(PACKAGE / "core.py") < 8192
+
+
+# Runs the CLI as ``python -m malgebra.cli`` does and prints the names of the
+# package files whose module code ran (the "exec" audit event of the import).
+RUN_CLI = """
+import os, runpy, sys
+ran = set()
+sys.addaudithook(lambda event, args: event == "exec" and ran.add(
+    os.path.basename(getattr(args[0], "co_filename", ""))))
+sys.argv = ["malgebra", *sys.argv[1:]]
+try:
+    runpy.run_module("malgebra.cli", run_name="__main__")
+finally:
+    print(sorted(ran & {"ratlin.py", "rays.py"}), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("model,ran", [("t2", "[]"), ("r2", "['ratlin.py', 'rays.py']")])
+def test_only_a_ray_model_executes_the_ray_modules(model, ran):
+    # ``malgebra`` registers ``ratlin`` and ``rays`` in sys.modules without
+    # running them, so a table run never compiles them
+    fixture = PACKAGE.parent.parent / "fixtures" / f"{model}.json"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", RUN_CLI, "check", str(fixture)],
+                          capture_output=True, text=True, env=env)
+    assert done.stderr.splitlines()[-1] == ran, done.stderr
