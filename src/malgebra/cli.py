@@ -153,7 +153,7 @@ def _parse_axiom_list(text: str) -> list[str]:
 def cmd_check(args) -> int:
     alg = load_model_file(args.model)
     axioms = list(DEFINING_AXIOMS) if args.axioms is None else _parse_axiom_list(args.axioms)
-    budget = Budget(height=args.height, loop_n=args.loop_n)
+    budget = Budget(height=args.height)
     checks = [check_axiom(alg, pid, budget) for pid in axioms]
     return _emit(args, alg.summary(), checks)
 
@@ -240,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axioms", help="comma separated axiom names, or 'all'")
     p.add_argument("--height", type=int, default=None,
                    help="ray sample height (default: the model's)")
-    p.add_argument("--loop-n", type=int, default=3, dest="loop_n",
-                   help="maximum cycle length for the loop law")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("lemmas", help="run the derived-law suite")

@@ -187,7 +187,7 @@ def test_criterion_8_mutation_sensitivity():
 def test_criterion_9_loop_cumulativity(r2, r3):
     with criterion(9, "loop cumulativity on ray models"):
         for alg in (r2, r3):
-            result = check_axiom(alg, "l_cumulativity", Budget(height=3, loop_n=3))
+            result = check_axiom(alg, "l_cumulativity", Budget(height=3))
             assert result.status == "sampled_pass", result.witnesses
 
 

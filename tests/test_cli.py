@@ -7,7 +7,9 @@ import pytest
 
 from malgebra import order
 from malgebra.cli import main
+from malgebra.core import replay_witness
 from malgebra.models import dump_model, load_model
+from test_core import ring_model
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -139,6 +141,16 @@ def test_failure_report_in_json(capsys):
     assert all(isinstance(w, list) for w in check["witnesses"])
 
 
+def test_ring_of_five_fails_the_loop_law(tmp_path, capsys):
+    code, out, _ = run(capsys, "check", write_model(tmp_path, ring_model(5)),
+                       "--axioms", "l_cumulativity", "--format", "json")
+    assert code == 1
+    [check] = json.loads(out)["checks"]
+    assert check["status"] == "fail"
+    alg = load_model(ring_model(5))
+    assert all(replay_witness(alg, "l_cumulativity", tuple(w)) for w in check["witnesses"])
+
+
 # exit code 2: input problems ------------------------------------------------------
 
 
@@ -192,15 +204,6 @@ def test_strong_sep_on_unsuitable_model_exits_two(capsys):
     assert "point measurement" in err
 
 
-def test_loop_n_below_one_exits_two(capsys):
-    code, out, err = run(
-        capsys, "check", fixture_path("r2"), "--axioms", "l_cumulativity", "--loop-n", "0"
-    )
-    assert code == 2
-    assert out == ""
-    assert "loop length" in err
-
-
 def write_model(tmp_path, data):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(data))
@@ -236,6 +239,13 @@ def test_formula_text_as_atom_exits_two(tmp_path, capsys):
 def test_lemmas_takes_no_loop_length(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["lemmas", fixture_path("t2"), "--loop-n", "2"])
+    assert exit_info.value.code == 2
+    assert "--loop-n" in capsys.readouterr().err
+
+
+def test_check_takes_no_loop_length(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", fixture_path("t2"), "--loop-n", "2"])
     assert exit_info.value.code == 2
     assert "--loop-n" in capsys.readouterr().err
 
@@ -296,7 +306,6 @@ def test_deeply_nested_formula_exits_two(capsys, expr):
 
 @pytest.mark.parametrize("argv", [
     ("check", "r2", "--height=--"),
-    ("check", "r2", "--loop-n=--"),
     ("check", "r2", "--axioms=--"),
     ("order", "t2", "--format=--"),
     ("tautology", "t2", "--commuting=--"),

@@ -388,7 +388,7 @@ def test_broken_negation_after_duplicating_fixpoints():
 def test_l_cumulativity_passes_on_fixtures(t2, r2, r3):
     assert check_axiom(t2, "l_cumulativity").status == "pass"
     for alg in (r2, r3):
-        assert check_axiom(alg, "l_cumulativity", Budget(height=3, loop_n=3)).status == "sampled_pass"
+        assert check_axiom(alg, "l_cumulativity", Budget(height=3)).status == "sampled_pass"
 
 
 def test_l_cumulativity_detects_cycles():
@@ -403,17 +403,38 @@ def test_l_cumulativity_detects_cycles():
             "m3": {**fix_rest, "x": "u"},
         },
     )
-    result = check_axiom(alg, "l_cumulativity", Budget(loop_n=3))
+    result = check_axiom(alg, "l_cumulativity")
     assert result.status == "fail"
     witness = result.witnesses[0]
     assert witness[0] == "x"
     assert replay_witness(alg, "l_cumulativity", witness)
 
 
-@pytest.mark.parametrize("loop_n", [0, -1])
-def test_budget_refuses_loop_length_below_one(loop_n):
-    with pytest.raises(InputError):
-        Budget(loop_n=loop_n)
+def ring_model(size):
+    """A ring of members m0..m{size-1} at the state x: m_i sends x to s_i and
+    fixes 0, s_i and s_{i-1}, and sends every other state to 0.  Only the
+    cycle through all of them, in ring order, goes round."""
+    ring = [f"s{i}" for i in range(size)]
+    return {"kind": "table", "states": ["0", "x", *ring], "zero": "0", "measurements": {
+        f"m{i}": {"0": "0", "x": ring[i],
+                  **{s: s if s in (ring[i], ring[i - 1]) else "0" for s in ring}}
+        for i in range(size)}}
+
+
+def test_l_cumulativity_decides_a_ring_of_five():
+    # each pair of the ring round-trips only in five steps; the law holds
+    # for cycles of every length, so the ring breaks it
+    alg = load_model(ring_model(5))
+    assert check_axiom(alg, "cumulativity").status == "pass"
+    result = check_axiom(alg, "l_cumulativity")
+    assert result.status == "fail"
+    assert result.witnesses[0] == ("x", "m0", "m1", "m2", "m3", "m4")
+    assert all(replay_witness(alg, "l_cumulativity", w) for w in result.witnesses)
+
+
+def test_budget_takes_no_loop_length():
+    with pytest.raises(TypeError):
+        Budget(loop_n=3)
 
 
 def test_cumulativity_mutant():
@@ -774,8 +795,9 @@ def test_verdicts_are_invariant_under_relabelling(case):
             original = [back[field] for field in witness]
             if result.property_id == "l_cumulativity":
                 # the cycle through a pair comes from a search in name order,
-                # so the original may report another cycle for the same pair
-                assert len(original) - 1 <= Budget().loop_n + 1
+                # so the original may report another cycle for the same pair;
+                # shortest paths both ways hold at most 2(|M| - 1) members
+                assert len(original) - 1 <= 2 * (len(alg.names) - 1)
                 assert is_violating_cycle(alg, original[0], original[1:]), original
                 continue
             if result.property_id in UNORDERED_PAIR_LAWS:
@@ -797,9 +819,8 @@ def test_checks_are_deterministic(t2):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_loop_law_at_length_one_is_the_exchange_law(data):
-    # a cycle bound of one admits exactly the two-measurement exchanges,
-    # so the loop verdict must coincide with plain cumulativity
+def test_a_cumulativity_failure_is_an_l_cumulativity_failure(data):
+    # an exchange of two measurements is a cycle of length two
     n_states = data.draw(st.integers(min_value=2, max_value=4))
     states = ["0"] + [f"s{i}" for i in range(1, n_states)]
     measurements = {
@@ -808,8 +829,8 @@ def test_loop_law_at_length_one_is_the_exchange_law(data):
     }
     alg = build_table(states=states, zero="0", measurements=measurements)
     plain = check_axiom(alg, "cumulativity")
-    looped = check_axiom(alg, "l_cumulativity", Budget(loop_n=1))
-    assert plain.ok == looped.ok
+    looped = check_axiom(alg, "l_cumulativity")
+    assert plain.ok or not looped.ok
 
 
 def draw_table_algebra(data):
@@ -989,7 +1010,6 @@ def reference_l_cumulativity(alg, ms, dom, budget):
     witnesses, checked = [], 0
     coded = [(m.name, alg.action(m)) for m in ms]
     names = [name for name, _ in coded]
-    max_len = budget.loop_n + 1
     for x in dom.state_domain(budget):
         images = {name: A[x] for name, A in coded}
         adjacency = {
@@ -1003,7 +1023,7 @@ def reference_l_cumulativity(alg, ms, dom, budget):
                 checked += 1
                 d_ab = dist[a].get(b)
                 d_ba = dist[b].get(a)
-                if d_ab is not None and d_ba is not None and d_ab + d_ba <= max_len:
+                if d_ab is not None and d_ba is not None:
                     cycle = _bfs_path(parent, a, b) + _bfs_path(parent, b, a)[1:-1]
                     witnesses.append((alg.state_label(x), *cycle))
     return witnesses, checked
@@ -1045,9 +1065,9 @@ def test_class_kernel_matches_member_loops_on_fixtures(name):
 @st.composite
 def class_kernel_cases(draw):
     """A table model over 2-6 states whose members are idempotent maps that
-    fix zero, or arbitrary maps; a loop length of 1-4; and either the full
-    domains and every member, or, as replay passes them, a pinned list of
-    states and a sub-list of the members."""
+    fix zero, or arbitrary maps; and either the full domains and every
+    member, or, as replay passes them, a pinned list of states and a
+    sub-list of the members."""
     states = ["0"] + [f"s{i}" for i in range(1, draw(st.integers(2, 6)))]
     rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
     idempotent = draw(st.booleans())
@@ -1059,20 +1079,19 @@ def class_kernel_cases(draw):
         else:
             tables[f"m{k}"] = {s: rnd.choice(states) for s in states}
     alg = build_table(states, "0", tables)
-    budget = Budget(loop_n=draw(st.integers(1, 4)))
     if not draw(st.booleans()):
-        return alg, alg.sorted_measurements(), alg, budget
+        return alg, alg.sorted_measurements(), alg
     codes = draw(st.lists(st.sampled_from(range(len(states))), min_size=1, max_size=3,
                           unique=True))
     ms = [m for m in alg.sorted_measurements() if draw(st.booleans())]
-    return alg, ms or alg.sorted_measurements()[:1], _Pinned(alg, codes), budget
+    return alg, ms or alg.sorted_measurements()[:1], _Pinned(alg, codes)
 
 
 @settings(max_examples=300, deadline=None)
 @given(class_kernel_cases())
 def test_class_kernel_matches_member_loops_on_random_tables(case):
-    alg, ms, dom, budget = case
-    for pid, (got, expected) in class_law_outcomes(alg, ms, dom, budget).items():
+    alg, ms, dom = case
+    for pid, (got, expected) in class_law_outcomes(alg, ms, dom, Budget()).items():
         assert got == expected, pid
         if dom is alg:
             for witness in got[0]:

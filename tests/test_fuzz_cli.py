@@ -60,8 +60,7 @@ def option_argvs(draw):
     if command == "connective":
         options = [option("expr", "a & b"), option("bind", valid["bind"])]
     elif command == "check":
-        options = [option("axioms", "idempotence,negation"), option("height", "1"),
-                   option("loop-n", "2")]
+        options = [option("axioms", "idempotence,negation"), option("height", "1")]
     elif command == "lemmas":
         options = [option("height", "1")]
     elif command == "order":

@@ -1,16 +1,21 @@
 """The backend seam, read off the source: code outside the backends asks the
 protocol, never a backend class, and ``core`` does not depend on ``rays``; a
 table run never executes the ray modules; ``core`` stays small enough for
-the parser's first token array."""
+the parser's first token array; the README's synopsis names the options the
+parser defines."""
 
+import argparse
 import ast
 import os
+import re
 import subprocess
 import sys
 import tokenize
 from pathlib import Path
 
 import pytest
+
+from malgebra.cli import build_parser
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "malgebra"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -93,3 +98,16 @@ def test_only_a_ray_model_executes_the_ray_modules(model, ran):
     done = subprocess.run([sys.executable, "-c", RUN_CLI, "check", str(fixture)],
                           capture_output=True, text=True, env=env)
     assert done.stderr.splitlines()[-1] == ran, done.stderr
+
+
+def test_readme_synopsis_names_each_commands_options():
+    # ``--format`` is documented once for every command; any other option a
+    # command drops must leave its synopsis line too
+    readme = PACKAGE.parent.parent / "README.md"
+    synopsis = {line.split()[1]: {"--format", *re.findall(r"--[a-z][a-z-]*", line.split("#")[0])}
+                for line in readme.read_text(encoding="utf-8").splitlines()
+                if line.startswith("malgebra ")}
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert synopsis == {name: {flag for action in p._actions for flag in action.option_strings}
+                        - {"-h", "--help"} for name, p in commands.items()}
