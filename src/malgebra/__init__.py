@@ -19,7 +19,6 @@ from .connectives import (
 )
 from .core import (
     ALL_AXIOMS,
-    Budget,
     CheckResult,
     DEFINING_AXIOMS,
     FiniteAlgebra,

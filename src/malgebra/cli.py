@@ -16,7 +16,6 @@ from . import models, order
 from .connectives import CommutingSet, eval_formula
 from .core import (
     ALL_AXIOMS,
-    Budget,
     CheckResult,
     DEFINING_AXIOMS,
     check_axiom,
@@ -64,7 +63,11 @@ def _reject_duplicate_keys(pairs):
     return out
 
 
-def load_model_file(path: str):
+def load_model_file(path: str, height: int | None = None):
+    """The model in a file; ``height`` (``--height``) replaces a ray model's
+    ``sample_height``, and a bad one is refused before the file is read."""
+    if height is not None and height < 1:
+        raise InputError(f"sample height must be at least 1, got {height}")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle, object_pairs_hook=_reject_duplicate_keys)
@@ -82,7 +85,7 @@ def load_model_file(path: str):
     except RecursionError as exc:
         raise InputError(f"{path}: JSON nested too deeply") from exc
     try:
-        return models.load_model(data)
+        return models.load_model(data, height)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -151,16 +154,15 @@ def _parse_axiom_list(text: str) -> list[str]:
 
 
 def cmd_check(args) -> int:
-    alg = load_model_file(args.model)
+    alg = load_model_file(args.model, args.height)
     axioms = list(DEFINING_AXIOMS) if args.axioms is None else _parse_axiom_list(args.axioms)
-    budget = Budget(height=args.height)
-    checks = [check_axiom(alg, pid, budget) for pid in axioms]
+    checks = [check_axiom(alg, pid) for pid in axioms]
     return _emit(args, alg.summary(), checks)
 
 
 def cmd_lemmas(args) -> int:
-    alg = load_model_file(args.model)
-    return _emit(args, alg.summary(), lemma_suite(alg, Budget(height=args.height)))
+    alg = load_model_file(args.model, args.height)
+    return _emit(args, alg.summary(), lemma_suite(alg))
 
 
 def _commuting_set(alg, names) -> CommutingSet:
@@ -214,12 +216,11 @@ def cmd_tautology(args) -> int:
 
 
 def cmd_order(args) -> int:
-    budget = Budget(height=args.height)  # a bad height is refused before any work
-    alg = load_model_file(args.model)
+    alg = load_model_file(args.model, args.height)
     checks = [order.bounds_check(alg)]
     checks.extend(order.orthomodular_check(alg))
     if args.strong_sep:
-        checks.extend(order.strong_sep_check(alg, budget))
+        checks.extend(order.strong_sep_check(alg))
     return _emit(args, alg.summary(), checks)
 
 
@@ -239,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--axioms", help="comma separated axiom names, or 'all'")
     p.add_argument("--height", type=int, default=None,
-                   help="ray sample height (default: the model's)")
+                   help="ray window height for this run (default: the model's sample_height)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("lemmas", help="run the derived-law suite")

@@ -54,20 +54,6 @@ LEMMA_IDS = (
 _WITNESS_CAP = 10
 
 
-@dataclass(frozen=True)
-class Budget:
-    """Bounds for sampled checks: the ray window height.
-
-    ``height=None`` defers to the algebra's own sample height.
-    """
-
-    height: int | None = None
-
-    def __post_init__(self):
-        if self.height is not None and self.height < 1:
-            raise InputError(f"sample height must be at least 1, got {self.height}")
-
-
 @dataclass
 class CheckResult:
     property_id: str
@@ -174,8 +160,8 @@ class MAlgebra:
     themselves on the ray backend.  Both backends define:
 
     * ``action(m)``: a mapping from each state code to the code of its image;
-    * ``state_domain(budget)``, ``fixpoint_domain(m, budget)`` and
-      ``zero_domain(m, budget)``: the state codes a law ranges over;
+    * ``state_domain()``, ``fixpoint_domain(m)`` and ``zero_domain(m)``: the
+      state codes a law ranges over (on rays, the algebra's one window);
     * ``zero_code``, ``exact`` (whether those domains are complete),
       ``state(code)`` and ``state_code(label)``;
     * ``has_state(state)``: whether ``apply`` accepts the state;
@@ -240,7 +226,7 @@ class MAlgebra:
         return list(self._sorted)
 
     def summary(self) -> dict:
-        return {"kind": self.kind, "states": len(self.state_domain(Budget())),
+        return {"kind": self.kind, "states": len(self.state_domain()),
                 "sampled": not self.exact, "measurements": len(self._measurements)}
 
     def state_label(self, code) -> str:
@@ -391,15 +377,15 @@ class FiniteAlgebra(MAlgebra):
     exact = True
     action = codes
 
-    def state_domain(self, budget: Budget) -> tuple[int, ...]:
+    def state_domain(self) -> tuple[int, ...]:
         """Every state, in identifier order: ``strong_sep_check`` names the
         first state that has no point measurement."""
         return self._sorted_codes
 
-    def fixpoint_domain(self, m: Measurement, budget: Budget) -> tuple[int, ...]:
+    def fixpoint_domain(self, m: Measurement) -> tuple[int, ...]:
         return self.compiled(m).fixed
 
-    def zero_domain(self, m: Measurement, budget: Budget) -> list[int]:
+    def zero_domain(self, m: Measurement) -> list[int]:
         return [x for x, y in enumerate(self.codes(m)) if y == self.zero_code]
 
     def state(self, code: int) -> str:
@@ -528,8 +514,8 @@ def extent(alg: MAlgebra, m) -> tuple[frozenset, frozenset, frozenset]:
     """Fixpoint set, zero set and their union (the states with a definite
     value), over the backend's domains: complete exactly when ``alg.exact``."""
     m = alg.resolve(m)
-    fp = frozenset(map(alg.state, alg.fixpoint_domain(m, Budget())))
-    z = frozenset(map(alg.state, alg.zero_domain(m, Budget())))
+    fp = frozenset(map(alg.state, alg.fixpoint_domain(m)))
+    z = frozenset(map(alg.state, alg.zero_domain(m)))
     return fp, z, fp | z
 
 
@@ -539,11 +525,11 @@ def preserves(alg: MAlgebra, a, b) -> bool:
     return alg.preserves(alg.resolve(a), alg.resolve(b))
 
 
-def preserves_pointwise(alg: MAlgebra, a, b, height: int | None = None) -> bool:
+def preserves_pointwise(alg: MAlgebra, a, b) -> bool:
     """The pointwise definition of preservation, sampled on the ray backend."""
     a, b = alg.resolve(a), alg.resolve(b)
     A, B = alg.action(a), alg.action(b)
-    return all(B[A[x]] == A[x] for x in alg.fixpoint_domain(b, Budget(height=height)))
+    return all(B[A[x]] == A[x] for x in alg.fixpoint_domain(b))
 
 
 def commutes(alg: MAlgebra, a, b) -> bool:
@@ -686,13 +672,14 @@ def check_instances(property_id, instances, violation, premise=None) -> CheckRes
 # ---------------------------------------------------------------------------
 # laws
 #
-# A law is one function ``law(alg, ms, dom, budget)`` that returns its
-# witnesses and the number of instances it checked.  Its instances range over
-# the measurements ``ms`` and over states drawn from the domains of ``dom``.
-# The checker passes every member and the algebra itself; replay passes the
-# measurements and the states named in one witness.  Actions and domains come
-# from the backend protocol, so the same loop runs on table codes and on ray
-# memos.
+# A law is one function ``law(alg, ms, dom)`` that returns its witnesses and
+# the number of instances it checked.  Its instances range over the
+# measurements ``ms`` and over states drawn from the domains of ``dom``.  The
+# checker passes every member and the algebra itself, whose domains on rays
+# are its one window, so a report's state count is the window every law ran
+# over; replay passes the measurements and the states named in one witness.
+# Actions and domains come from the backend protocol, so the same loop runs on
+# table codes and on ray memos.
 #
 # The per-state laws are stated pointwise: at a state x each member a sends x
 # to a(x), and the law asks which members fix that image.  So at one state,
@@ -738,26 +725,26 @@ def _by_state(ms, domain):
     return found.items()
 
 
-def _illegitimate(alg, ms, dom, budget):
+def _illegitimate(alg, ms, dom):
     z = alg.zero_code
     return [(m.name,) for m in ms if alg.action(m)[z] != z], len(ms)
 
 
-def _idempotence(alg, ms, dom, budget):
+def _idempotence(alg, ms, dom):
     if not alg.exact:
         return [(m.name,) for m in ms if compose_member(alg, m, m) != m], len(ms)
-    witnesses, states, label = [], dom.state_domain(budget), alg.state_label
+    witnesses, states, label = [], dom.state_domain(), alg.state_label
     for m in ms:
         M = alg.action(m)
         witnesses.extend((label(x), m.name) for x in states if M[M[x]] != M[x])
     return witnesses, len(ms) * len(states)
 
 
-def _interference(alg, ms, dom, budget):
+def _interference(alg, ms, dom):
     # a fixes x; b in the class of y = b(x) violates when it fixes t = a(y) != y
     witnesses, checked = [], 0
     classes, fixing = _class_kernel(alg, ms)
-    for x, fixers in _by_state(ms, lambda a: dom.fixpoint_domain(a, budget)):
+    for x, fixers in _by_state(ms, dom.fixpoint_domain):
         checked += len(fixers) * len(ms)
         label, found = alg.state_label(x), classes(x)
         for a in fixers:
@@ -769,10 +756,10 @@ def _interference(alg, ms, dom, budget):
     return witnesses, checked
 
 
-def _cumulativity(alg, ms, dom, budget):
+def _cumulativity(alg, ms, dom):
     # a in the class of v and b in that of w != v violate when each fixes
     # the other's image
-    witnesses, states = [], dom.state_domain(budget)
+    witnesses, states = [], dom.state_domain()
     classes, fixing = _class_kernel(alg, ms)
     for x in states:
         label, found = alg.state_label(x), list(classes(x).items())
@@ -786,7 +773,7 @@ def _cumulativity(alg, ms, dom, budget):
     return witnesses, len(states) * len(ms) * (len(ms) - 1) // 2
 
 
-def _negation(alg, ms, dom, budget):
+def _negation(alg, ms, dom):
     witnesses = []
     for m in ms:
         try:
@@ -796,12 +783,12 @@ def _negation(alg, ms, dom, budget):
     return witnesses, len(ms)
 
 
-def _separability(alg, ms, dom, budget):
+def _separability(alg, ms, dom):
     # The separators are every member, or on a full lattice the point
     # measurement of x (there states and their codes are the same rays).  A
     # witness of x is a state that every separator fixing x fixes too.  A
     # replayed witness may name one state twice; it is one state.
-    nonzero = list(dict.fromkeys(x for x in dom.state_domain(budget) if x != alg.zero_code))
+    nonzero = list(dict.fromkeys(x for x in dom.state_domain() if x != alg.zero_code))
     labels, every = list(map(alg.state_label, nonzero)), (1 << len(nonzero)) - 1
 
     def fixed(m):
@@ -817,14 +804,14 @@ def _separability(alg, ms, dom, budget):
     return witnesses, len(nonzero) * (len(nonzero) - 1)
 
 
-def _strong_separability(alg, ms, dom, budget):
-    nonzero = [x for x in dom.state_domain(budget) if x != alg.zero_code]
+def _strong_separability(alg, ms, dom):
+    nonzero = [x for x in dom.state_domain() if x != alg.zero_code]
     witnesses = [(alg.state_label(x),) for x in nonzero
                  if point_measurement(alg, alg.state(x)) is None]
     return witnesses, len(nonzero)
 
 
-def _l_cumulativity(alg, ms, dom, budget):
+def _l_cumulativity(alg, ms, dom):
     """Cyclic strengthening of the two-measurement exchange law.
 
     A violation is a cyclic sequence of measurements, of any length, each
@@ -843,7 +830,7 @@ def _l_cumulativity(alg, ms, dom, budget):
     witnesses, checked, n = [], 0, len(ms)
     names = [m.name for m in ms]
     classes, fixing = _class_kernel(alg, ms)
-    for x in dom.state_domain(budget):
+    for x in dom.state_domain():
         found = classes(x)
         checked += sum(c * (n - c) for c in map(int.bit_count, found.values())) // 2
         dist, _ = _all_bfs(found, {v: [u for u, C in found.items() if C & fixing(v)] for v in found})
@@ -890,7 +877,7 @@ def _bfs_path(parent, source, target):
     return path[::-1]
 
 
-def _double_negation(alg, ms, dom, budget):
+def _double_negation(alg, ms, dom):
     witnesses = []
     for a in ms:
         try:
@@ -901,7 +888,7 @@ def _double_negation(alg, ms, dom, budget):
     return witnesses, len(ms)
 
 
-def _definiteness(alg, ms, dom, budget, dual=False):
+def _definiteness(alg, ms, dom, dual=False):
     # Straight form: a state satisfying b cannot be sent by any measurement
     # to a state where b is impossible.  Dual form swaps fixpoints and zeros.
     # Every member of a class whose image v != zero b sends to zero (fixes)
@@ -909,7 +896,7 @@ def _definiteness(alg, ms, dom, budget, dual=False):
     witnesses, checked, zero = [], 0, alg.zero_code
     classes, _ = _class_kernel(alg, ms)
     domain = dom.zero_domain if dual else dom.fixpoint_domain
-    for x, bs in _by_state(ms, lambda b: domain(b, budget)):
+    for x, bs in _by_state(ms, domain):
         checked += len(bs) * len(ms)
         label, found = alg.state_label(x), classes(x)
         for b in bs:
@@ -983,7 +970,7 @@ def _pair_lemmas(alg, ms) -> dict[str, tuple[list, int, bool]]:
             for pid, unordered, premised in _PAIR_LAWS}
 
 
-def _pair_lemma(pid, alg, ms, dom, budget):
+def _pair_lemma(pid, alg, ms, dom):
     return _pair_lemmas(alg, ms)[pid][:2]
 
 
@@ -1008,40 +995,39 @@ _LAWS = {
 }
 
 
-def _check(alg, property_id, budget) -> CheckResult:
+def _check(alg, property_id) -> CheckResult:
     law, fields = _LAWS[property_id]
-    witnesses, checked = law(alg, alg.sorted_measurements(), alg, budget)
+    witnesses, checked = law(alg, alg.sorted_measurements(), alg)
     note = ("decided on projection matrices"
             if property_id == "idempotence" and not alg.exact else "")
     return check_result(property_id, witnesses, checked,
                         complete=alg.exact or not fields, note=note)
 
 
-def check_axiom(alg: MAlgebra, property_id: str, budget: Budget | None = None) -> CheckResult:
+def check_axiom(alg: MAlgebra, property_id: str) -> CheckResult:
     """Decide one of the nine named laws, with replayable witnesses on failure."""
     if property_id not in ALL_AXIOMS:
         raise InputError(f"unknown property {property_id!r}")
-    return _check(alg, property_id, budget or Budget())
+    return _check(alg, property_id)
 
 
-def check_axioms(alg, property_ids=DEFINING_AXIOMS, budget=None) -> list[CheckResult]:
-    return [check_axiom(alg, pid, budget) for pid in property_ids]
+def check_axioms(alg, property_ids=DEFINING_AXIOMS) -> list[CheckResult]:
+    return [check_axiom(alg, pid) for pid in property_ids]
 
 
-def lemma_suite(alg: MAlgebra, budget: Budget | None = None) -> list[CheckResult]:
+def lemma_suite(alg: MAlgebra) -> list[CheckResult]:
     """The twelve derived laws, instantiated over all measurement pairs.
 
     They are consequences of the six defining laws, so a failure on an
     algebra that passes those signals a bug in this library; when the
     prerequisites fail the results are marked advisory instead.
     """
-    budget = budget or Budget()
-    prereq = check_axioms(alg, [p for p in DEFINING_AXIOMS if p != "composition"], budget)
+    prereq = check_axioms(alg, [p for p in DEFINING_AXIOMS if p != "composition"])
     pairs = _pair_lemmas(alg, alg.sorted_measurements())
     prereq_ok = all(r.ok for r in prereq) and not pairs["composition"][0]
     results = [
         check_result(pid, *pairs[pid][:2], vacuous=pairs[pid][2]) if pid in pairs
-        else _check(alg, pid, budget)
+        else _check(alg, pid)
         for pid in LEMMA_IDS
     ]
     if not prereq_ok:
@@ -1059,14 +1045,14 @@ class _Pinned:
         self.alg = alg
         self.states = states
 
-    def state_domain(self, budget):
+    def state_domain(self):
         return self.states
 
-    def fixpoint_domain(self, m, budget):
+    def fixpoint_domain(self, m):
         M = self.alg.action(m)
         return [x for x in self.states if M[x] == x]
 
-    def zero_domain(self, m, budget):
+    def zero_domain(self, m):
         M = self.alg.action(m)
         return [x for x in self.states if M[x] == self.alg.zero_code]
 
@@ -1081,5 +1067,5 @@ def replay_witness(alg: MAlgebra, property_id: str, witness: tuple[str, ...]) ->
     states = [alg.state_code(sid) for sid in witness[:k]]
     named = {name: alg.measurement(name) for name in witness[k:]}
     ms = [named[name] for name in sorted(named)]
-    found, _ = law(alg, ms, _Pinned(alg, states), Budget())
+    found, _ = law(alg, ms, _Pinned(alg, states))
     return (*map(alg.state_label, states), *witness[k:]) in found

@@ -28,7 +28,8 @@ MAX_ATOMS = 3
 
 
 def build_table(states, zero, measurements, negations=None, kind="table", meta=None):
-    """Finite algebra from explicit tables.  No law is assumed to hold."""
+    """Finite algebra from explicit tables, given as a name -> table mapping
+    or as (name, table) pairs.  No law is assumed to hold."""
     states = list(states)
     # witnesses name states by ``str``, and replay reads those names back
     if not all(isinstance(s, str) for s in states):
@@ -40,8 +41,7 @@ def build_table(states, zero, measurements, negations=None, kind="table", meta=N
     if zero not in known:
         raise InputError(f"zero state {zero!r} is not among the states")
     table_measurements = []
-    for name in measurements:
-        table = measurements[name]
+    for name, table in measurements.items() if isinstance(measurements, dict) else measurements:
         missing = [s for s in states if s not in table]
         if missing:
             raise InputError(f"measurement {name!r} has no entry for state {missing[0]!r}")
@@ -133,13 +133,11 @@ def build_propositional(atoms, variant="all_theories"):
     names_by_mask[full] = "top"
     names_by_mask[0] = "bot"
 
-    measurements = {}
-    negations = {}
-    for model_mask in range(1 << n_valuations):
-        name = names_by_mask[model_mask]
-        table = {ids[t]: ids[t & model_mask] for t in state_masks}
-        measurements[name] = table
-        negations[name] = names_by_mask[full ^ model_mask]
+    # the tables are built one at a time as build_table copies them: on three
+    # atoms, holding all 256 at once would double the peak memory of the load
+    masks = range(1 << n_valuations)
+    negations = {names_by_mask[m]: names_by_mask[full ^ m] for m in masks}
+    measurements = ((names_by_mask[m], {ids[t]: ids[t & m] for t in state_masks}) for m in masks)
 
     return build_table(
         states=[ids[m] for m in state_masks],
@@ -179,8 +177,6 @@ def build_ray(dimension, subspaces, full_lattice=False, sample_height=3):
 
     if dimension < 1:
         raise InputError("dimension must be positive")
-    if sample_height < 1:
-        raise InputError("sample height must be at least 1")
     measurements = []
     by_subspace: dict[Subspace, str] = {}
     for name, generators in subspaces.items():
@@ -298,8 +294,9 @@ FIXTURES = {
 # model files
 
 
-def load_model(data: dict):
-    """Build an algebra from the structured model-file form."""
+def load_model(data: dict, height: int | None = None):
+    """Build an algebra from the structured model-file form; ``height``,
+    when given, replaces a ray model's ``sample_height``."""
     if not isinstance(data, dict):
         raise InputError("model file must hold an object")
     kind = data.get("kind")
@@ -322,6 +319,7 @@ def load_model(data: dict):
 
         subspaces = _require(data, "subspaces", _is_generator_map,
                              "an object mapping names to lists of vectors")
+        file_height = _require(data, "sample_height", _is_int, "an integer", 3)
         return build_ray(
             dimension=_require(data, "dimension", _is_int, "an integer"),
             subspaces={
@@ -329,7 +327,7 @@ def load_model(data: dict):
                 for name, vectors in subspaces.items()
             },
             full_lattice=_require(data, "full_lattice", bool, "true or false", False),
-            sample_height=_require(data, "sample_height", _is_int, "an integer", 3),
+            sample_height=file_height if height is None else height,
         )
     if kind == "propositional":
         return build_propositional(

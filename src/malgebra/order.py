@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .connectives import _composite, _join, conjunction, disjunction, implication, is_classical
 from .core import (
-    Budget,
     CheckResult,
     MAlgebra,
     bit_columns,
@@ -133,7 +132,7 @@ def orthomodular_check(alg: MAlgebra) -> list[CheckResult]:
     ]
 
 
-def strong_sep_check(alg: MAlgebra, budget: Budget | None = None) -> list[CheckResult]:
+def strong_sep_check(alg: MAlgebra) -> list[CheckResult]:
     """Point-measurement laws of strongly separable algebras.
 
     For every (sampled) nonzero state x and measurement a with a(x) nonzero:
@@ -148,9 +147,8 @@ def strong_sep_check(alg: MAlgebra, budget: Budget | None = None) -> list[CheckR
     Raises :class:`NotStronglySeparable` on the first state that has no
     point measurement.
     """
-    budget = budget or Budget()
     zero, label = alg.zero_code, alg.state_label
-    nonzero = [x for x in alg.state_domain(budget) if x != zero]
+    nonzero = [x for x in alg.state_domain() if x != zero]
 
     points = {}
 

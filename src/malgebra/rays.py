@@ -10,7 +10,7 @@ measurement classes by name finds both there.
 
 from __future__ import annotations
 
-from .core import Budget, MAlgebra, Measurement, ProjectionMeasurement, point_measurement
+from .core import MAlgebra, Measurement, ProjectionMeasurement, point_measurement
 from .errors import InputError
 from .ratlin import Matrix, Ray, RayImages, Subspace, is_symmetric_idempotent, mat_mul
 from .ratlin import parse_ray, primitive_vectors, subspace_rays
@@ -20,21 +20,23 @@ class RayAlgebra(MAlgebra):
     """Ray backend: canonical rays of Q^n acted on by exact projections.
 
     Measurement-level relations are decided exactly on the subspaces; the
-    fixpoint and zero domains list the sampled window inside them.  With
-    ``full_lattice`` the listed measurements are just a named window:
-    membership and negation may synthesize projections onto any rational
-    subspace on demand.
+    per-state laws range over one window of rays of height ``sample_height``,
+    built on first use.  With ``full_lattice`` the listed measurements are
+    just a named window: membership and negation may synthesize projections
+    onto any rational subspace on demand.
     """
 
     kind = "ray"
 
     def __init__(self, dim, measurements, full_lattice=False, sample_height=3):
+        if sample_height < 1:
+            raise InputError(f"sample height must be at least 1, got {sample_height}")
         super().__init__(measurements)
         self.dim = dim
         self.full_lattice = full_lattice
         self.sample_height = sample_height
         self.zero = self.zero_code = Ray.zero(dim)
-        self._samples: dict[int, list[Ray]] = {}
+        self._window: list[Ray] | None = None
         # the listed member (first by name), or the one a full lattice synthesized
         self._by_subspace: dict[Subspace, Measurement] = {
             m.subspace: m for m in reversed(self.sorted_measurements())
@@ -43,21 +45,15 @@ class RayAlgebra(MAlgebra):
     def summary(self) -> dict:
         return {**super().summary(), "dimension": self.dim, "full_lattice": self.full_lattice}
 
-    def sample_states(self, height: int | None = None) -> list[Ray]:
-        """Deterministic ray window: primitive vectors up to the height bound,
-        every basis ray of a listed subspace, and the zero ray."""
-        h = self.sample_height if height is None else height
-        if h < 1:
-            raise InputError("sample height must be at least 1")
-        if h not in self._samples:
-            rays = {Ray.zero(self.dim)}
-            for v in primitive_vectors(self.dim, h):
-                rays.add(Ray(self.dim, v))
-            for m in self._measurements.values():
-                for row in m.subspace.basis:
-                    rays.add(Ray.from_vector(row, self.dim))
-            self._samples[h] = sorted(rays, key=lambda r: r.sort_key)
-        return self._samples[h]
+    def sample_states(self) -> list[Ray]:
+        """Deterministic ray window: primitive vectors up to the sample
+        height, every basis ray of a listed subspace, and the zero ray."""
+        if self._window is None:
+            rays = {Ray(self.dim, v) for v in primitive_vectors(self.dim, self.sample_height)}
+            rays.update(Ray.from_vector(b, self.dim) for m in self._sorted for b in m.subspace.basis)
+            rays.add(self.zero)
+            self._window = sorted(rays, key=lambda r: r.sort_key)
+        return self._window
 
     def measurement_for_subspace(self, sub: Subspace) -> Measurement | None:
         m = self._by_subspace.get(sub)
@@ -73,18 +69,14 @@ class RayAlgebra(MAlgebra):
         """The memo of ray images that the measurement's subspace keeps."""
         return m.subspace.ray_images
 
-    def state_domain(self, budget: Budget) -> list[Ray]:
-        return self.sample_states(budget.height)
+    state_domain = sample_states
 
-    def fixpoint_domain(self, m: Measurement, budget: Budget) -> list[Ray]:
+    def fixpoint_domain(self, m: Measurement) -> list[Ray]:
         """The zero ray plus the window's rays inside the subspace."""
-        return [self.zero] + subspace_rays(m.subspace, self._height(budget))
+        return [self.zero] + subspace_rays(m.subspace, self.sample_height)
 
-    def zero_domain(self, m: Measurement, budget: Budget) -> list[Ray]:
-        return [self.zero] + subspace_rays(m.subspace.orthocomplement, self._height(budget))
-
-    def _height(self, budget: Budget) -> int:
-        return self.sample_height if budget.height is None else budget.height
+    def zero_domain(self, m: Measurement) -> list[Ray]:
+        return [self.zero] + subspace_rays(m.subspace.orthocomplement, self.sample_height)
 
     def state(self, code: Ray) -> Ray:
         return code

@@ -13,7 +13,6 @@ import pytest
 
 from malgebra.connectives import CommutingSet, disjunction
 from malgebra.core import (
-    Budget,
     DEFINING_AXIOMS,
     apply,
     check_axiom,
@@ -56,7 +55,7 @@ def test_criterion_1_axiom_suite(f1, t2, t2max, r2, r3):
             for result in check_axioms(alg, DEFINING_AXIOMS):
                 assert result.status == "pass", (alg.kind, result.property_id)
         for alg in (r2, r3):
-            for result in check_axioms(alg, DEFINING_AXIOMS, Budget(height=3)):
+            for result in check_axioms(alg, DEFINING_AXIOMS):
                 assert result.status in ("pass", "sampled_pass"), (
                     result.property_id,
                     result.witnesses,
@@ -74,13 +73,13 @@ def test_criterion_2_separability_verdicts(t2, t2max, r2full, r3full):
         assert check_axiom(t2max, "separability").status == "pass"
         assert check_axiom(t2max, "strong_separability").status == "pass"
         for alg in (r2full, r3full):
-            assert check_axiom(alg, "strong_separability", Budget(height=3)).status == "sampled_pass"
+            assert check_axiom(alg, "strong_separability").status == "sampled_pass"
 
 
 def test_criterion_3_lemma_suite(f1, t2, t2max, r2, r2full, r3, r3full):
     with criterion(3, "derived-law suite"):
         for alg in (f1, t2, t2max, r2, r2full, r3, r3full):
-            results = lemma_suite(alg, Budget(height=3))
+            results = lemma_suite(alg)
             assert len(results) == 12
             for result in results:
                 assert result.ok, (alg.kind, result.property_id, result.witnesses)
@@ -129,7 +128,7 @@ def test_criterion_6_orthomodularity(f1, t2, t2max, r2, r2full, r3, r3full):
 def test_criterion_7_point_measurement_theorems(r2full, r3full):
     with criterion(7, "point-measurement theorems"):
         for alg in (r2full, r3full):
-            results = strong_sep_check(alg, Budget(height=3))
+            results = strong_sep_check(alg)
             assert [r.property_id for r in results] == [
                 "pointsep_implication",
                 "pointsep_uniqueness",
@@ -187,7 +186,7 @@ def test_criterion_8_mutation_sensitivity():
 def test_criterion_9_loop_cumulativity(r2, r3):
     with criterion(9, "loop cumulativity on ray models"):
         for alg in (r2, r3):
-            result = check_axiom(alg, "l_cumulativity", Budget(height=3))
+            result = check_axiom(alg, "l_cumulativity")
             assert result.status == "sampled_pass", result.witnesses
 
 
@@ -197,5 +196,5 @@ def test_criterion_10_cross_oracle_preservation(r2, r2full, r3, r3full):
             for a in alg.names:
                 for b in alg.names:
                     analytic = preserves(alg, a, b)
-                    pointwise = preserves_pointwise(alg, a, b, height=3)
+                    pointwise = preserves_pointwise(alg, a, b)
                     assert analytic == pointwise, (alg.dim, a, b)

@@ -265,6 +265,48 @@ def test_order_refuses_height_below_one_without_strong_sep(capsys, model, height
     assert_refused(run(capsys, "order", fixture_path(model), "--height", height), "height")
 
 
+@pytest.mark.parametrize("command", ["check", "lemmas", "order"])
+@pytest.mark.parametrize("model", ["f1", "t2", "r3"])
+def test_bad_height_is_refused_before_the_model_is_read(capsys, monkeypatch, command, model):
+    # one refusal for every model kind, made before the file is opened
+    def unread(*args, **kwargs):
+        raise AssertionError("the model file was read")
+
+    monkeypatch.setattr("builtins.open", unread)
+    assert_refused(run(capsys, command, fixture_path(model), "--height", "0"),
+                   "sample height must be at least 1, got 0")
+
+
+def test_bad_height_on_a_missing_file_names_the_height(capsys, tmp_path):
+    code, out, err = run(capsys, "check", str(tmp_path / "missing.json"), "--height", "0")
+    assert_refused((code, out, err), "height")
+    assert "missing.json" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "lemmas", "order"])
+def test_height_with_a_model_file_that_is_not_an_object_exits_two(tmp_path, capsys, command):
+    assert_refused(run(capsys, command, write_model(tmp_path, [1, 2]), "--height", "2"),
+                   "must hold an object")
+
+
+def test_height_replaces_a_sample_height_but_a_bad_one_is_still_refused(tmp_path, capsys):
+    model = write_model(tmp_path, {
+        "kind": "ray", "dimension": 2, "sample_height": "abc",
+        "subspaces": {"bot": [], "top": [["1", "0"], ["0", "1"]]},
+    })
+    assert_refused(run(capsys, "check", model, "--height", "2"), "sample_height")
+
+
+def test_report_counts_the_window_the_laws_ran_over(capsys):
+    code, out, _ = run(capsys, "check", fixture_path("r3"), "--axioms", "separability",
+                       "--height", "2", "--format", "json")
+    assert code == 1  # the listed members separate few rays
+    report = json.loads(out)
+    states = report["model"]["states"]
+    # separability checks ordered pairs of distinct nonzero states
+    assert report["checks"][0]["checked"] == (states - 1) * (states - 2)
+
+
 @pytest.mark.parametrize("height", ["abc", True, 2.5])
 def test_non_integer_sample_height_exits_two(tmp_path, capsys, height):
     model = write_model(tmp_path, {

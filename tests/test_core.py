@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from malgebra.core import (
     _LAWS,
     ALL_AXIOMS,
-    Budget,
     FiniteAlgebra,
     MAlgebra,
     Measurement,
@@ -325,7 +324,7 @@ def test_strong_separability_fails_on_listed_rays(r2):
 
 
 def test_interference_sampled_on_rays(r2):
-    assert check_axiom(r2, "interference", Budget(height=3)).status == "sampled_pass"
+    assert check_axiom(r2, "interference").status == "sampled_pass"
 
 
 def test_unknown_property_is_an_input_error(f1):
@@ -388,7 +387,7 @@ def test_broken_negation_after_duplicating_fixpoints():
 def test_l_cumulativity_passes_on_fixtures(t2, r2, r3):
     assert check_axiom(t2, "l_cumulativity").status == "pass"
     for alg in (r2, r3):
-        assert check_axiom(alg, "l_cumulativity", Budget(height=3)).status == "sampled_pass"
+        assert check_axiom(alg, "l_cumulativity").status == "sampled_pass"
 
 
 def test_l_cumulativity_detects_cycles():
@@ -430,11 +429,6 @@ def test_l_cumulativity_decides_a_ring_of_five():
     assert result.status == "fail"
     assert result.witnesses[0] == ("x", "m0", "m1", "m2", "m3", "m4")
     assert all(replay_witness(alg, "l_cumulativity", w) for w in result.witnesses)
-
-
-def test_budget_takes_no_loop_length():
-    with pytest.raises(TypeError):
-        Budget(loop_n=3)
 
 
 def test_cumulativity_mutant():
@@ -938,12 +932,12 @@ def test_apply_on_rays_refuses_what_is_not_a_state(r2, state):
 # the per-state laws on image classes against their member loops ---------------
 
 
-def reference_interference(alg, ms, dom, budget):
+def reference_interference(alg, ms, dom):
     """The member-pair loop that ``_interference`` replaced by image classes."""
     witnesses, checked, label = [], 0, alg.state_label
     coded = [(m.name, alg.action(m)) for m in ms]
     for a in ms:
-        A, fixed = alg.action(a), dom.fixpoint_domain(a, budget)
+        A, fixed = alg.action(a), dom.fixpoint_domain(a)
         checked += len(fixed) * len(coded)
         for b_name, B in coded:
             for x in fixed:
@@ -954,10 +948,10 @@ def reference_interference(alg, ms, dom, budget):
     return witnesses, checked
 
 
-def reference_cumulativity(alg, ms, dom, budget):
+def reference_cumulativity(alg, ms, dom):
     """The member-pair loop that ``_cumulativity`` replaced by class pairs."""
     witnesses, label = [], alg.state_label
-    states = dom.state_domain(budget)
+    states = dom.state_domain()
     coded = [(m.name, alg.action(m)) for m in ms]
     for i, (a_name, A) in enumerate(coded):
         later = coded[i + 1:]
@@ -970,14 +964,14 @@ def reference_cumulativity(alg, ms, dom, budget):
     return witnesses, len(states) * len(ms) * (len(ms) - 1) // 2
 
 
-def reference_definiteness(alg, ms, dom, budget, dual=False):
+def reference_definiteness(alg, ms, dom, dual=False):
     """The member loop that ``_definiteness`` replaced by image classes."""
     witnesses, checked, label = [], 0, alg.state_label
     zero = alg.zero_code
     coded = [(m.name, alg.action(m)) for m in ms]
     for b in ms:
         B = alg.action(b)
-        domain = dom.zero_domain(b, budget) if dual else dom.fixpoint_domain(b, budget)
+        domain = dom.zero_domain(b) if dual else dom.fixpoint_domain(b)
         checked += len(domain) * len(coded)
         for a_name, A in coded:
             for x in domain:
@@ -987,11 +981,11 @@ def reference_definiteness(alg, ms, dom, budget, dual=False):
     return witnesses, checked
 
 
-def reference_separability(alg, ms, dom, budget):
+def reference_separability(alg, ms, dom):
     """The state-pair loop over separators that ``_separability`` replaced by
     fixpoint bit rows."""
     witnesses, checked, label = [], 0, alg.state_label
-    nonzero = [x for x in dom.state_domain(budget) if x != alg.zero_code]
+    nonzero = [x for x in dom.state_domain() if x != alg.zero_code]
     members = [alg.action(m) for m in alg.sorted_measurements()]
     for x in nonzero:
         separators = [alg.action(point_measurement(alg, x))] if alg.full_lattice else members
@@ -1004,13 +998,13 @@ def reference_separability(alg, ms, dom, budget):
     return witnesses, checked
 
 
-def reference_l_cumulativity(alg, ms, dom, budget):
+def reference_l_cumulativity(alg, ms, dom):
     """The breadth-first search over members at every state that
     ``_l_cumulativity`` now runs only where the class graph has a cycle."""
     witnesses, checked = [], 0
     coded = [(m.name, alg.action(m)) for m in ms]
     names = [name for name, _ in coded]
-    for x in dom.state_domain(budget):
+    for x in dom.state_domain():
         images = {name: A[x] for name, A in coded}
         adjacency = {
             a: [b for b, B in coded if B[images[a]] == images[a]] for a in names
@@ -1041,11 +1035,11 @@ CLASS_LAWS = {
 }
 
 
-def class_law_outcomes(alg, ms, dom, budget):
+def class_law_outcomes(alg, ms, dom):
     """Per law, the sorted witnesses and the count of the kernel, then those
     of the member loop."""
     def outcome(law):
-        found, checked = law(alg, ms, dom, budget)
+        found, checked = law(alg, ms, dom)
         return sorted(found), checked
 
     return {pid: (outcome(law), outcome(reference))
@@ -1055,8 +1049,7 @@ def class_law_outcomes(alg, ms, dom, budget):
 @pytest.mark.parametrize("name", sorted(FIXTURES) + ["broken"])
 def test_class_kernel_matches_member_loops_on_fixtures(name):
     alg = load_model(json.loads(BROKEN.read_text())) if name == "broken" else FIXTURES[name]()
-    for pid, (got, expected) in class_law_outcomes(
-            alg, alg.sorted_measurements(), alg, Budget()).items():
+    for pid, (got, expected) in class_law_outcomes(alg, alg.sorted_measurements(), alg).items():
         assert got == expected, pid
     if name == "broken":  # the member search runs where the class graph finds a cycle
         assert check_axiom(alg, "l_cumulativity").witnesses
@@ -1091,7 +1084,7 @@ def class_kernel_cases(draw):
 @given(class_kernel_cases())
 def test_class_kernel_matches_member_loops_on_random_tables(case):
     alg, ms, dom = case
-    for pid, (got, expected) in class_law_outcomes(alg, ms, dom, Budget()).items():
+    for pid, (got, expected) in class_law_outcomes(alg, ms, dom).items():
         assert got == expected, pid
         if dom is alg:
             for witness in got[0]:

@@ -24,7 +24,13 @@ uniqueness instances, where the height-2 reports stop.  The ``lemmas`` and
 edge of the byte-lane codes) were captured before the finite backend's pair
 facts moved from per-pair protocol calls onto byte lanes and state columns;
 ``t3`` is not in ``FIXTURES``, because ``check --axioms all`` on it includes
-a slow ``l_cumulativity`` run.
+a slow ``l_cumulativity`` run.  The ray fixture reports run at ``--height 2``
+(``order-height3`` at 3), and ``--height`` sets the window of the model
+itself, so their ``states`` is the window the laws ran over: 9 rays on the
+``r2`` models, 50 on the ``r3`` models.  Before the height moved onto the
+model, ``states`` counted the files' height-3 windows (17 and 146) while the
+laws ran at height 2; the ten ``check``, ``lemmas`` and ``order`` reports
+that name the count changed in that field only.
 Regenerate (only when a report is meant to change) with
 
     PYTHONPATH=src python tests/test_golden.py

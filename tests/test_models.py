@@ -184,35 +184,48 @@ def test_full_lattice_skips_closure():
 # sampling -----------------------------------------------------------------------
 
 
+def at_height(alg, height):
+    """The same ray family with its window at ``height``."""
+    return load_model({**dump_model(alg), "sample_height": height})
+
+
 def test_sample_window_height_one(r2):
-    assert r2.sample_states(1) == [
+    assert at_height(r2, 1).sample_states() == [
         Ray.zero(2), R([0, 1]), R([1, -1]), R([1, 0]), R([1, 1])
     ]
 
 
 def test_sample_monotone_in_height(r2, r3):
     for alg in (r2, r3):
-        small, mid, large = (set(alg.sample_states(h)) for h in (1, 2, 3))
+        small, mid, large = (set(at_height(alg, h).sample_states()) for h in (1, 2, 3))
         assert small <= mid <= large
 
 
 def test_sample_contains_all_ones_ray(r3):
-    assert R([1, 1, 1]) in r3.sample_states(1)
+    assert R([1, 1, 1]) in at_height(r3, 1).sample_states()
 
 
 def test_sample_injects_listed_basis_rays():
     alg = build_ray(
         2,
         {"bot": [], "p": [[5, 7]], "pp": [[7, -5]], "top": [[1, 0], [0, 1]]},
+        sample_height=1,
     )
-    assert R([5, 7]) in alg.sample_states(1)
-    assert R([7, -5]) in alg.sample_states(1)
+    assert R([5, 7]) in alg.sample_states()
+    assert R([7, -5]) in alg.sample_states()
 
 
 def test_sample_states_function(r2):
-    assert r2.sample_states() == r2.sample_states(r2.sample_height)
-    with pytest.raises(InputError):
-        r2.sample_states(0)
+    # one window per algebra, built once, at the algebra's own height
+    assert r2.sample_states() is r2.sample_states()
+    assert r2.sample_states() == at_height(r2, r2.sample_height).sample_states()
+    assert r2.state_domain() is r2.sample_states()
+
+
+@pytest.mark.parametrize("height", [0, -1])
+def test_ray_algebra_refuses_a_height_below_one_at_construction(r2, height):
+    with pytest.raises(InputError, match="sample height must be at least 1"):
+        RayAlgebra(2, r2.sorted_measurements(), sample_height=height)
 
 
 @pytest.mark.parametrize("atoms", [["top"], ["p", "bot"]])

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from malgebra import models
 from malgebra.connectives import conjunction, disjunction, implication
 from malgebra.core import (
-    Budget,
     apply,
     check_result,
     commutes,
@@ -222,12 +221,11 @@ def test_strong_sep_precondition(r2):
     assert err.value.state
 
 
-def reference_strong_sep_check(alg, budget=None):
+def reference_strong_sep_check(alg):
     """The state-level loop that ``strong_sep_check`` replaced by a loop over
     state codes: every image comes from ``apply`` and every memo is keyed by
     ``state_id``."""
-    budget = budget or Budget()
-    nonzero = [alg.state(x) for x in alg.state_domain(budget) if x != alg.zero_code]
+    nonzero = [alg.state(x) for x in alg.state_domain() if x != alg.zero_code]
 
     points = {}
 
@@ -287,11 +285,11 @@ def reference_strong_sep_check(alg, budget=None):
     ]
 
 
-def sep_outcome(check, alg, budget=None):
+def sep_outcome(check, alg):
     """The results of a point-separation check, or the type and message of
     the exception it raised."""
     try:
-        return check(alg, budget)
+        return check(alg)
     except Exception as exc:  # compared by type and message against the reference
         return type(exc), str(exc)
 
@@ -301,10 +299,10 @@ def test_strong_sep_matches_reference_on_fixtures(f1, t2, t2max, r2, r2full, r3f
     # t2 and r2 lack point measurements: the same state must be named first
     for alg in (f1, t2, r2):
         assert sep_outcome(strong_sep_check, alg) == sep_outcome(reference_strong_sep_check, alg)
-    for alg in (r2full, r3full):
+    for full in (r2full, r3full):
         for height in (1, 2, 3):
-            budget = Budget(height=height)
-            assert strong_sep_check(alg, budget) == reference_strong_sep_check(alg, budget)
+            alg = models.load_model({**models.dump_model(full), "sample_height": height})
+            assert strong_sep_check(alg) == reference_strong_sep_check(alg)
 
 
 @st.composite

@@ -1,8 +1,8 @@
 """The backend seam, read off the source: code outside the backends asks the
 protocol, never a backend class, and ``core`` does not depend on ``rays``; a
 table run never executes the ray modules; ``core`` stays small enough for
-the parser's first token array; the README's synopsis names the options the
-parser defines."""
+the parser's first token array; no module imports a name it never uses; the
+README's synopsis names the options the parser defines."""
 
 import argparse
 import ast
@@ -48,6 +48,25 @@ def imported_names(tree):
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 yield from alias.name.split(".")
+
+
+def bound_imports(tree):
+    """The names each import binds, with its line; ``__future__`` binds none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    # ``__init__.py`` imports to re-export; every other module imports to use
+    tree = parse(path)
+    used = names_in(tree)
+    dead = [(name, line) for name, line in bound_imports(tree) if name not in used]
+    assert dead == [], f"{path.name} never uses {dead}"
 
 
 def test_core_imports_nothing_from_rays():
