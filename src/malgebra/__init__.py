@@ -9,85 +9,45 @@ an independent truth-table oracle.
 import importlib.util
 import sys
 
-from .connectives import (
-    CommutingSet,
-    conjunction,
-    disjunction,
-    eval_formula,
-    implication,
-    is_classical,
-)
-from .core import (
-    ALL_AXIOMS,
-    CheckResult,
-    DEFINING_AXIOMS,
-    FiniteAlgebra,
-    LEMMA_IDS,
-    MAlgebra,
-    Measurement,
-    OPTIONAL_AXIOMS,
-    ProjectionMeasurement,
-    TableMeasurement,
-    apply,
-    check_axiom,
-    check_axioms,
-    commutes,
-    compose_raw,
-    extent,
-    lemma_suite,
-    membership,
-    negation_of,
-    point_measurement,
-    preserves,
-    preserves_pointwise,
-    replay_witness,
-    state_id,
-    top_bot,
-)
-from .errors import (
-    BudgetError,
-    ClosureViolation,
-    InputError,
-    NegationViolation,
-    NotCommutingError,
-    NotStronglySeparable,
-    OrderViolation,
-)
-from .formulas import TautologyVerdict, format_formula, is_tautology, parse_formula
-from .logic import verify_schemes, verify_tautology_theorem
-from .models import (
-    FIXTURES,
-    build_propositional,
-    build_ray,
-    build_table,
-    dump_model,
-    fixture_f1,
-    fixture_r2,
-    fixture_r2_full,
-    fixture_r3,
-    fixture_r3_full,
-    fixture_t2,
-    fixture_t2_maximal,
-    load_model,
-    measurement_for,
-)
-from .order import (
-    bounds_check,
-    classical_commutation_agree,
-    leq,
-    orthomodular_check,
-    strong_sep_check,
-)
+from . import errors
 
 __version__ = "0.1.0"
+
+# the public names, by the submodule that defines them
+_EXPORTS = {
+    "connectives": ("CommutingSet", "conjunction", "disjunction", "eval_formula",
+                    "implication", "is_classical"),
+    "core": ("ALL_AXIOMS", "CheckResult", "DEFINING_AXIOMS", "FiniteAlgebra", "LEMMA_IDS",
+             "MAlgebra", "Measurement", "OPTIONAL_AXIOMS", "ProjectionMeasurement",
+             "TableMeasurement", "apply", "check_axiom", "check_axioms", "commutes",
+             "compose_raw", "extent", "lemma_suite", "membership", "negation_of",
+             "point_measurement", "preserves", "preserves_pointwise", "replay_witness",
+             "state_id", "top_bot"),
+    "errors": ("BudgetError", "ClosureViolation", "InputError", "NegationViolation",
+               "NotCommutingError", "NotStronglySeparable", "OrderViolation"),
+    "formulas": ("TautologyVerdict", "format_formula", "is_tautology", "parse_formula"),
+    "logic": ("verify_schemes", "verify_tautology_theorem"),
+    "models": ("FIXTURES", "build_propositional", "build_ray", "build_table", "dump_model",
+               "fixture_f1", "fixture_r2", "fixture_r2_full", "fixture_r3", "fixture_r3_full",
+               "fixture_t2", "fixture_t2_maximal", "load_model", "measurement_for"),
+    "order": ("bounds_check", "classical_commutation_agree", "leq", "orthomodular_check",
+              "strong_sep_check"),
+    "ratlin": ("Ray", "Subspace", "projection_matrix", "rational"),
+    "rays": ("RayAlgebra",),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_OWNER)
 
 
 def _lazy(name):
     """The submodule ``name``, registered now and executed on first use.
 
-    A run that only reads tables never executes ``ratlin`` or ``rays``, while
-    code that looks a submodule up in ``sys.modules`` after ``import
-    malgebra`` (the tracer in ``perfbench/``) still finds it there.
+    A run executes only the submodules it touches: an argparse refusal runs
+    none of them, and a table run never runs ``ratlin`` or ``rays``.  The CLI
+    handlers import what they run before they read the model file, so that
+    compiling a module never raises the peak memory of a built model.  Code
+    that looks a submodule up in ``sys.modules`` after ``import malgebra``
+    (the tracer in ``perfbench/``) still finds every one there.
     """
     spec = importlib.util.find_spec(f"{__name__}.{name}")
     spec.loader = importlib.util.LazyLoader(spec.loader)
@@ -96,12 +56,16 @@ def _lazy(name):
     return module
 
 
-ratlin, rays = _lazy("ratlin"), _lazy("rays")
-_RAY_NAMES = {"Ray": ratlin, "Subspace": ratlin, "projection_matrix": ratlin,
-              "rational": ratlin, "RayAlgebra": rays}
+for _module in _EXPORTS:
+    if _module != "errors":
+        globals()[_module] = _lazy(_module)
 
 
 def __getattr__(name):
-    if name in _RAY_NAMES:
-        return getattr(_RAY_NAMES[name], name)
+    if name in _OWNER:
+        return getattr(globals()[_OWNER[name]], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_OWNER})

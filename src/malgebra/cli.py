@@ -10,19 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
-from . import models, order
-from .connectives import CommutingSet, eval_formula
-from .core import (
-    ALL_AXIOMS,
-    CheckResult,
-    DEFINING_AXIOMS,
-    check_axiom,
-    extent,
-    lemma_suite,
-    state_id,
-)
+from . import models
 from .errors import (
     BudgetError,
     ClosureViolation,
@@ -32,7 +21,9 @@ from .errors import (
     NotStronglySeparable,
     OrderViolation,
 )
-from .logic import verify_schemes, verify_tautology_theorem
+
+# Each handler imports the modules it runs before it reads the model file:
+# a module compiled after the model is built raises the run's peak memory.
 
 _DISPLAY = {
     "illegitimate": "Illegitimate",
@@ -90,12 +81,12 @@ def load_model_file(path: str, height: int | None = None):
         raise InputError(f"{path}: {exc}") from exc
 
 
-@dataclass
 class Report:
     """Model summary plus an ordered list of check results."""
 
-    model: dict
-    checks: list[CheckResult] = field(default_factory=list)
+    def __init__(self, model: dict, checks: list):
+        self.model = model
+        self.checks = checks
 
     @property
     def overall(self) -> str:
@@ -140,33 +131,32 @@ def _emit(args, summary, checks) -> int:
     return 0 if report.overall == "pass" else 1
 
 
-def _parse_axiom_list(text: str) -> list[str]:
-    requested = []
-    for raw in text.split(","):
-        name = raw.strip().lower().replace("-", "_")
-        if name == "all":
-            requested.extend(ALL_AXIOMS)
-            continue
-        if name not in ALL_AXIOMS:
-            raise InputError(f"unknown axiom {raw.strip()!r} in --axioms")
-        requested.append(name)
-    return requested
-
-
 def cmd_check(args) -> int:
+    from .core import ALL_AXIOMS, DEFINING_AXIOMS, check_axiom
+
+    axioms = list(DEFINING_AXIOMS)
+    if args.axioms is not None:
+        axioms = []
+        for raw in args.axioms.split(","):
+            name = raw.strip().lower().replace("-", "_")
+            if name != "all" and name not in ALL_AXIOMS:
+                raise InputError(f"unknown axiom {raw.strip()!r} in --axioms")
+            axioms.extend(ALL_AXIOMS if name == "all" else [name])
     alg = load_model_file(args.model, args.height)
-    axioms = list(DEFINING_AXIOMS) if args.axioms is None else _parse_axiom_list(args.axioms)
-    checks = [check_axiom(alg, pid) for pid in axioms]
-    return _emit(args, alg.summary(), checks)
+    return _emit(args, alg.summary(), [check_axiom(alg, pid) for pid in axioms])
 
 
 def cmd_lemmas(args) -> int:
+    from .core import lemma_suite
+
     alg = load_model_file(args.model, args.height)
     return _emit(args, alg.summary(), lemma_suite(alg))
 
 
-def _commuting_set(alg, names) -> CommutingSet:
+def _commuting_set(alg, names):
     """The named set; only a pair the user named is bad input (exit 2)."""
+    from .connectives import CommutingSet
+
     try:
         return CommutingSet(alg, names)
     except NotCommutingError as exc:
@@ -174,7 +164,10 @@ def _commuting_set(alg, names) -> CommutingSet:
 
 
 def cmd_connective(args) -> int:
-    alg = load_model_file(args.model)
+    from .connectives import eval_formula
+    from .core import extent, state_id
+    from .formulas import parse_formula
+
     binding = {}
     for part in args.bind.split(","):
         if "=" not in part:
@@ -183,8 +176,10 @@ def cmd_connective(args) -> int:
         if slot in binding:
             raise InputError(f"slot {slot!r} is bound twice")
         binding[slot] = name
+    formula = parse_formula(args.expr)
+    alg = load_model_file(args.model)
     cs = _commuting_set(alg, sorted(set(binding.values())))
-    result = eval_formula(alg, cs, args.expr, binding)
+    result = eval_formula(alg, cs, formula, binding)
     fp, z, _ = extent(alg, result)
     payload = {
         "expr": args.expr,
@@ -205,10 +200,12 @@ def cmd_connective(args) -> int:
 
 
 def cmd_tautology(args) -> int:
-    alg = load_model_file(args.model)
+    from .logic import verify_schemes, verify_tautology_theorem
+
     names = [n.strip() for n in args.commuting.split(",") if n.strip()]
     if not names:
         raise InputError("--commuting needs at least one measurement name")
+    alg = load_model_file(args.model)
     cs = _commuting_set(alg, names)
     checks = [verify_tautology_theorem(alg, cs, args.depth, args.slots)]
     checks.extend(verify_schemes(alg, cs))
@@ -216,11 +213,13 @@ def cmd_tautology(args) -> int:
 
 
 def cmd_order(args) -> int:
+    from .order import bounds_check, orthomodular_check, strong_sep_check
+
     alg = load_model_file(args.model, args.height)
-    checks = [order.bounds_check(alg)]
-    checks.extend(order.orthomodular_check(alg))
+    checks = [bounds_check(alg)]
+    checks.extend(orthomodular_check(alg))
     if args.strong_sep:
-        checks.extend(order.strong_sep_check(alg))
+        checks.extend(strong_sep_check(alg))
     return _emit(args, alg.summary(), checks)
 
 

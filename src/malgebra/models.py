@@ -17,12 +17,8 @@ from __future__ import annotations
 
 import itertools
 
-from . import formulas
-from .core import FiniteAlgebra, ProjectionMeasurement, TableMeasurement
+from . import core, formulas, ratlin, rays
 from .errors import InputError
-
-# ``ratlin`` and ``rays`` are imported where a ray model is built or dumped,
-# so that a process that only reads tables never loads them.
 
 MAX_ATOMS = 3
 
@@ -53,9 +49,9 @@ def build_table(states, zero, measurements, negations=None, kind="table", meta=N
             raise InputError(
                 f"measurement {name!r} sends {bad[0]!r} to unknown state {table[bad[0]]!r}"
             )
-        table_measurements.append(TableMeasurement(name, {s: table[s] for s in states}))
-    alg = FiniteAlgebra(kind, states, zero, table_measurements,
-                        negation_hints=negations, meta=meta)
+        table_measurements.append(core.TableMeasurement(name, {s: table[s] for s in states}))
+    alg = core.FiniteAlgebra(kind, states, zero, table_measurements,
+                             negation_hints=negations, meta=meta)
     if negations:
         _validate_negations(alg, negations)
     return alg
@@ -151,7 +147,7 @@ def build_propositional(atoms, variant="all_theories"):
     )
 
 
-def measurement_for(alg: FiniteAlgebra, text: str):
+def measurement_for(alg: core.FiniteAlgebra, text: str):
     """Measurement of a propositional algebra matching a formula text."""
     if alg.kind != "propositional":
         raise InputError("formula lookup needs a propositional algebra")
@@ -172,21 +168,18 @@ def build_ray(dimension, subspaces, full_lattice=False, sample_height=3):
     orthocomplement and under composition of commuting pairs; the error
     names the missing subspace.
     """
-    from .ratlin import Subspace
-    from .rays import RayAlgebra
-
     if dimension < 1:
         raise InputError("dimension must be positive")
     measurements = []
-    by_subspace: dict[Subspace, str] = {}
+    by_subspace: dict[ratlin.Subspace, str] = {}
     for name, generators in subspaces.items():
-        sub = Subspace.from_generators(dimension, generators)
+        sub = ratlin.Subspace.from_generators(dimension, generators)
         if sub in by_subspace:
             raise InputError(
                 f"subspaces {by_subspace[sub]!r} and {name!r} have the same span"
             )
         by_subspace[sub] = name
-        measurements.append(ProjectionMeasurement(name, sub))
+        measurements.append(core.ProjectionMeasurement(name, sub))
 
     if not full_lattice:
         for m in measurements:
@@ -206,15 +199,15 @@ def build_ray(dimension, subspaces, full_lattice=False, sample_height=3):
                     f"commute but their composition {inter} is missing"
                 )
 
-    return RayAlgebra(dimension, measurements, full_lattice=full_lattice,
-                      sample_height=sample_height)
+    return rays.RayAlgebra(dimension, measurements, full_lattice=full_lattice,
+                           sample_height=sample_height)
 
 
 # ---------------------------------------------------------------------------
 # bundled fixtures
 
 
-def fixture_f1() -> FiniteAlgebra:
+def fixture_f1() -> core.FiniteAlgebra:
     """Two states, two measurements: the smallest nontrivial table algebra."""
     return build_table(
         states=["0", "a"],
@@ -223,12 +216,12 @@ def fixture_f1() -> FiniteAlgebra:
     )
 
 
-def fixture_t2() -> FiniteAlgebra:
+def fixture_t2() -> core.FiniteAlgebra:
     """All theories over two atoms: 16 states, 16 measurements."""
     return build_propositional(["p", "q"], "all_theories")
 
 
-def fixture_t2_maximal() -> FiniteAlgebra:
+def fixture_t2_maximal() -> core.FiniteAlgebra:
     """Maximal consistent theories over two atoms, plus the inconsistent one."""
     return build_propositional(["p", "q"], "maximal_theories")
 
@@ -260,22 +253,22 @@ _R3_SUBSPACES = {
 }
 
 
-def fixture_r2(full_lattice=False) -> RayAlgebra:
+def fixture_r2(full_lattice=False) -> rays.RayAlgebra:
     """Plane model: the axes, both diagonals, zero and the full plane."""
     return build_ray(2, _R2_SUBSPACES, full_lattice=full_lattice)
 
 
-def fixture_r2_full() -> RayAlgebra:
+def fixture_r2_full() -> rays.RayAlgebra:
     return fixture_r2(full_lattice=True)
 
 
-def fixture_r3(full_lattice=False) -> RayAlgebra:
+def fixture_r3(full_lattice=False) -> rays.RayAlgebra:
     """Space model: axes, coordinate planes, both diagonal lines in the xy
     plane and their complements, zero and the full space."""
     return build_ray(3, _R3_SUBSPACES, full_lattice=full_lattice)
 
 
-def fixture_r3_full() -> RayAlgebra:
+def fixture_r3_full() -> rays.RayAlgebra:
     return fixture_r3(full_lattice=True)
 
 
@@ -315,15 +308,13 @@ def load_model(data: dict, height: int | None = None):
                                "an object mapping names to names", None),
         )
     if kind == "ray":
-        from .ratlin import rational
-
         subspaces = _require(data, "subspaces", _is_generator_map,
                              "an object mapping names to lists of vectors")
         file_height = _require(data, "sample_height", _is_int, "an integer", 3)
         return build_ray(
             dimension=_require(data, "dimension", _is_int, "an integer"),
             subspaces={
-                name: [[rational(x) for x in vec] for vec in vectors]
+                name: [[ratlin.rational(x) for x in vec] for vec in vectors]
                 for name, vectors in subspaces.items()
             },
             full_lattice=_require(data, "full_lattice", bool, "true or false", False),
@@ -378,15 +369,13 @@ def _is_str_map(value) -> bool:
 def dump_model(alg) -> dict:
     """Serialize an algebra back to the model-file form."""
     if alg.kind == "ray":
-        from .ratlin import format_rational, rational
-
         return {
             "kind": "ray",
             "dimension": alg.dim,
             "full_lattice": alg.full_lattice,
             "sample_height": alg.sample_height,
             "subspaces": {
-                m.name: [[format_rational(rational(x)) for x in row]
+                m.name: [[ratlin.format_rational(ratlin.rational(x)) for x in row]
                          for row in m.subspace.basis]
                 for m in alg.sorted_measurements()
             },

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .core import MAlgebra, Measurement, ProjectionMeasurement, point_measurement
 from .errors import InputError
 from .ratlin import Matrix, Ray, RayImages, Subspace, is_symmetric_idempotent, mat_mul
-from .ratlin import parse_ray, primitive_vectors, subspace_rays
+from .ratlin import parse_ray, primitive_vectors
 
 
 class RayAlgebra(MAlgebra):
@@ -72,11 +72,12 @@ class RayAlgebra(MAlgebra):
     state_domain = sample_states
 
     def fixpoint_domain(self, m: Measurement) -> list[Ray]:
-        """The zero ray plus the window's rays inside the subspace."""
-        return [self.zero] + subspace_rays(m.subspace, self.sample_height)
+        """The window's rays inside the subspace, the zero ray first."""
+        return [x for x in self.sample_states() if m.subspace.contains_ray(x)]
 
     def zero_domain(self, m: Measurement) -> list[Ray]:
-        return [self.zero] + subspace_rays(m.subspace.orthocomplement, self.sample_height)
+        """The window's rays inside the orthocomplement, the zero ray first."""
+        return [x for x in self.sample_states() if m.subspace.orthocomplement.contains_ray(x)]
 
     def state(self, code: Ray) -> Ray:
         return code

@@ -277,6 +277,23 @@ def test_bad_height_is_refused_before_the_model_is_read(capsys, monkeypatch, com
                    "sample height must be at least 1, got 0")
 
 
+@pytest.mark.parametrize("command,flags,phrase", [
+    ("connective", ("--expr", "a &", "--bind", "a=p"), "unexpected end of input"),
+    ("connective", ("--expr", "~" * 5000 + "a", "--bind", "a=p"), "deeper than"),
+    ("connective", ("--expr", "a", "--bind", "a:p"), "slot=name"),
+    ("connective", ("--expr", "a", "--bind", "a=p,a=q"), "bound twice"),
+    ("check", ("--axioms", "separability,bogus_law"), "unknown axiom 'bogus_law'"),
+    ("tautology", ("--commuting", " , "), "--commuting needs at least one"),
+])
+def test_bad_flags_are_refused_before_the_model_is_read(capsys, monkeypatch, command,
+                                                        flags, phrase):
+    def unread(*args, **kwargs):
+        raise AssertionError("the model file was read")
+
+    monkeypatch.setattr("builtins.open", unread)
+    assert_refused(run(capsys, command, fixture_path("t2"), *flags), phrase)
+
+
 def test_bad_height_on_a_missing_file_names_the_height(capsys, tmp_path):
     code, out, err = run(capsys, "check", str(tmp_path / "missing.json"), "--height", "0")
     assert_refused((code, out, err), "height")

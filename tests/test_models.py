@@ -215,6 +215,21 @@ def test_sample_injects_listed_basis_rays():
     assert R([7, -5]) in alg.sample_states()
 
 
+def test_fixpoint_and_zero_domains_are_window_rays():
+    # the basis vector (1,2,0) has an entry above the height, so integer
+    # combinations of the basis reach (1,2,-1) and (1,2,1), outside the window
+    top = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    alg = build_ray(3, {"bot": [], "p": [[1, 2, 0], [0, 0, 1]], "pp": [[2, -1, 0]], "top": top},
+                    sample_height=1)
+    window = alg.sample_states()
+    assert len(window) == 16
+    for m in alg.sorted_measurements():
+        assert alg.fixpoint_domain(m) == [x for x in window if m(x) == x]
+        assert alg.zero_domain(m) == [x for x in window if m(x) == alg.zero]
+    assert alg.fixpoint_domain(alg.measurement("p")) == [Ray.zero(3), R([0, 0, 1], 3),
+                                                        R([1, 2, 0], 3)]
+
+
 def test_sample_states_function(r2):
     # one window per algebra, built once, at the algebra's own height
     assert r2.sample_states() is r2.sample_states()

@@ -1,11 +1,13 @@
 """The backend seam, read off the source: code outside the backends asks the
 protocol, never a backend class, and ``core`` does not depend on ``rays``; a
-table run never executes the ray modules; ``core`` stays small enough for
-the parser's first token array; no module imports a name it never uses; the
-README's synopsis names the options the parser defines."""
+run executes only the package files it needs; the package exports the same
+public names; ``core`` stays small enough for the parser's first token array;
+no module imports a name it never uses; the README's synopsis names the
+options the parser defines."""
 
 import argparse
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import malgebra
 from malgebra.cli import build_parser
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "malgebra"
@@ -93,30 +96,84 @@ def test_core_stays_under_the_parser_token_step():
     assert parser_tokens(PACKAGE / "core.py") < 8192
 
 
-# Runs the CLI as ``python -m malgebra.cli`` does and prints the names of the
+# Runs the CLI as ``python -m malgebra.cli`` does, or with "load" first loads a
+# model file as the benchmark's set-up probe does, and prints the names of the
 # package files whose module code ran (the "exec" audit event of the import).
 RUN_CLI = """
 import os, runpy, sys
 ran = set()
 sys.addaudithook(lambda event, args: event == "exec" and ran.add(
-    os.path.basename(getattr(args[0], "co_filename", ""))))
-sys.argv = ["malgebra", *sys.argv[1:]]
+    getattr(args[0], "co_filename", "")))
 try:
-    runpy.run_module("malgebra.cli", run_name="__main__")
+    if sys.argv[1] == "load":
+        from malgebra import cli
+        from malgebra.errors import InputError
+        try:
+            cli.load_model_file(sys.argv[2])
+        except InputError:
+            pass
+    else:
+        sys.argv = ["malgebra", *sys.argv[1:]]
+        runpy.run_module("malgebra.cli", run_name="__main__")
 finally:
-    print(sorted(ran & {"ratlin.py", "rays.py"}), file=sys.stderr)
+    package = os.path.dirname(sys.modules["malgebra"].__file__)
+    print("ran:", sorted(os.path.basename(f) for f in ran if os.path.dirname(f) == package),
+          file=sys.stderr)
 """
 
+FRONT = ["__init__.py", "cli.py", "errors.py"]
+# a table file refused on its shape, before any algebra is built
+BAD_TABLE = '{"kind": "table", "states": ["0"], "zero": "0", "measurements": {"m": {"0": 1}}}'
 
-@pytest.mark.parametrize("model,ran", [("t2", "[]"), ("r2", "['ratlin.py', 'rays.py']")])
-def test_only_a_ray_model_executes_the_ray_modules(model, ran):
-    # ``malgebra`` registers ``ratlin`` and ``rays`` in sys.modules without
-    # running them, so a table run never compiles them
-    fixture = PACKAGE.parent.parent / "fixtures" / f"{model}.json"
+
+@pytest.mark.parametrize("argv,ran", [
+    (["check", "t2", "--loop-n", "0"], FRONT),
+    (["load", BAD_TABLE], FRONT + ["models.py"]),
+    (["check", "t2"], FRONT + ["core.py", "formulas.py", "models.py"]),
+    (["check", "r2"], FRONT + ["core.py", "models.py", "ratlin.py", "rays.py"]),
+], ids=["argparse-refusal", "table-refused-on-its-shape", "check-t2", "check-r2"])
+def test_a_run_executes_only_the_package_files_it_needs(tmp_path, argv, ran):
+    # ``malgebra`` registers its submodules in sys.modules without running
+    # them, so a run compiles only what it touches
+    fixtures = PACKAGE.parent.parent / "fixtures"
+    if argv[0] == "load":
+        (tmp_path / "bad.json").write_text(argv[1], encoding="utf-8")
+        argv = ["load", str(tmp_path / "bad.json")]
+    else:
+        argv = [argv[0], str(fixtures / f"{argv[1]}.json"), *argv[2:]]
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    done = subprocess.run([sys.executable, "-c", RUN_CLI, "check", str(fixture)],
+    done = subprocess.run([sys.executable, "-c", RUN_CLI, *argv],
                           capture_output=True, text=True, env=env)
-    assert done.stderr.splitlines()[-1] == ran, done.stderr
+    assert f"ran: {sorted(ran)}" in done.stderr.splitlines(), done.stderr
+
+
+PUBLIC_NAMES = [
+    "ALL_AXIOMS", "BudgetError", "CheckResult", "ClosureViolation", "CommutingSet",
+    "DEFINING_AXIOMS", "FIXTURES", "FiniteAlgebra", "InputError", "LEMMA_IDS", "MAlgebra",
+    "Measurement", "NegationViolation", "NotCommutingError", "NotStronglySeparable",
+    "OPTIONAL_AXIOMS", "OrderViolation", "ProjectionMeasurement", "Ray", "RayAlgebra",
+    "Subspace", "TableMeasurement", "TautologyVerdict", "apply", "bounds_check",
+    "build_propositional", "build_ray", "build_table", "check_axiom", "check_axioms",
+    "classical_commutation_agree", "commutes", "compose_raw", "conjunction", "disjunction",
+    "dump_model", "eval_formula", "extent", "fixture_f1", "fixture_r2", "fixture_r2_full",
+    "fixture_r3", "fixture_r3_full", "fixture_t2", "fixture_t2_maximal", "format_formula",
+    "implication", "is_classical", "is_tautology", "lemma_suite", "leq", "load_model",
+    "measurement_for", "membership", "negation_of", "orthomodular_check", "parse_formula",
+    "point_measurement", "preserves", "preserves_pointwise", "projection_matrix",
+    "rational", "replay_witness", "state_id", "strong_sep_check", "top_bot",
+    "verify_schemes", "verify_tautology_theorem",
+]
+
+
+def test_every_exported_name_resolves_to_its_modules_object():
+    exports = malgebra._EXPORTS
+    assert sorted(name for names in exports.values() for name in names) == PUBLIC_NAMES
+    assert malgebra.__all__ == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(malgebra))
+    for module, names in exports.items():
+        owner = importlib.import_module(f"malgebra.{module}")
+        for name in names:
+            assert getattr(malgebra, name) is getattr(owner, name), name
 
 
 def test_readme_synopsis_names_each_commands_options():
