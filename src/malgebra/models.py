@@ -170,6 +170,9 @@ def build_ray(dimension, subspaces, full_lattice=False, sample_height=3):
     """
     if dimension < 1:
         raise InputError("dimension must be positive")
+    # the window is decided from the dimension and height alone, so one over
+    # the budget is refused before any subspace is built
+    ratlin.check_window(dimension, sample_height)
     measurements = []
     by_subspace: dict[ratlin.Subspace, str] = {}
     for name, generators in subspaces.items():
@@ -313,10 +316,7 @@ def load_model(data: dict, height: int | None = None):
         file_height = _require(data, "sample_height", _is_int, "an integer", 3)
         return build_ray(
             dimension=_require(data, "dimension", _is_int, "an integer"),
-            subspaces={
-                name: [[ratlin.rational(x) for x in vec] for vec in vectors]
-                for name, vectors in subspaces.items()
-            },
+            subspaces=subspaces,
             full_lattice=_require(data, "full_lattice", bool, "true or false", False),
             sample_height=file_height if height is None else height,
         )

@@ -1,10 +1,17 @@
 """Exact linear algebra over the rationals.
 
 Vectors are tuples of ``Fraction``, matrices are tuples of row tuples.  Every
-operation is exact, so equality checks carry no tolerance.  Subspaces of Q^n
-are stored in a canonical form (reduced row echelon basis, rows scaled to
-coprime integers with positive leading entry), which makes span equality a
-plain ``==`` and lets subspaces serve as dict keys.
+operation is exact, so equality checks carry no tolerance.  A ``Subspace`` of
+Q^n stores one thing, its basis in canonical form: the reduced row echelon
+rows, each scaled to coprime integers with positive leading entry.  Span
+equality is then a plain ``==`` and subspaces serve as dict keys.
+
+``rref`` is the one elimination routine.  ``from_generators`` reduces the
+generators with it; the orthocomplement is read off the reduced rows (each
+free column f gives e_f - sum of (row[f] / row[p]) e_p over the rows, p a
+row's pivot); the projection onto the span of the rows B solves G X = B for
+the Gram matrix G = B B^T by reducing [G | B] and returns B^T X; and an
+intersection is the complement of the span of the two complements.
 
 The hot kernels run on integers rather than on ``Fraction``.  A rational
 matrix M is scaled to an integer matrix N and a positive denominator d (the
@@ -65,10 +72,6 @@ def vector(values: Iterable, dim: int | None = None) -> Vector:
     if dim is not None and len(v) != dim:
         raise InputError(f"vector {values!r} does not have dimension {dim}")
     return v
-
-
-def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
 
 
 def is_zero_vector(v: Sequence[Fraction]) -> bool:
@@ -134,39 +137,6 @@ def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[Vector], list[int]]:
     return [tuple(row) for row in m[:r]], pivots
 
 
-def invert_matrix(m: Matrix) -> Matrix:
-    """Gauss-Jordan inverse of a square rational matrix."""
-    n = len(m)
-    aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(m)]
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pivot_row is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
-        lead = aug[c][c]
-        aug[c] = [e / lead for e in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def nullspace(rows: Iterable[Sequence[Fraction]], dim: int) -> list[Vector]:
-    """Basis of the solution space of ``rows @ x = 0`` in Q^dim."""
-    reduced, pivots = rref(rows)
-    free = [c for c in range(dim) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * dim
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i][f]
-        basis.append(tuple(v))
-    return basis
-
-
 def primitive(v: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a nonzero rational vector to coprime integers, leading entry positive."""
     if is_zero_vector(v):
@@ -197,11 +167,13 @@ def projection_matrix(basis: Sequence[Sequence], dim: int | None = None) -> Matr
     rows, _ = rref(gens)
     if not rows:
         return zero_matrix(dim)
-    # P = B^T (B B^T)^-1 B with the reduced basis stacked as rows of B; the
-    # Gram matrix of independent rows is always invertible over Q.
-    bt = transpose(tuple(rows))
-    gram = mat_mul(tuple(rows), bt)
-    return mat_mul(mat_mul(bt, invert_matrix(gram)), tuple(rows))
+    # P = B^T X with the reduced basis stacked as rows of B, where X solves
+    # G X = B for the Gram matrix G = B B^T.  G of independent rows is
+    # invertible over Q, so reducing [G | B] leaves [I | X].
+    b = tuple(rows)
+    bt = transpose(b)
+    reduced, _ = rref(g + r for g, r in zip(mat_mul(b, bt), b))
+    return mat_mul(bt, tuple(row[len(b):] for row in reduced))
 
 
 def is_symmetric_idempotent(m: Matrix) -> bool:
@@ -240,12 +212,6 @@ class Ray:
     @property
     def is_zero(self) -> bool:
         return self.direction is None
-
-    @property
-    def vector(self) -> Vector:
-        if self.direction is None:
-            return zero_vector(self.dim)
-        return tuple(Fraction(x) for x in self.direction)
 
     @property
     def sort_key(self):
@@ -301,7 +267,7 @@ class Subspace:
 
     @classmethod
     def full(cls, dim: int) -> "Subspace":
-        return cls.from_generators(dim, identity_matrix(dim))
+        return cls(dim, tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)))
 
     @property
     def rank(self) -> int:
@@ -331,20 +297,14 @@ class Subspace:
 
     @cached_property
     def orthocomplement(self) -> "Subspace":
+        """The kernel of the reduced basis, one generator per free column."""
         if not self.basis:
             return Subspace.full(self.dim)
-        return Subspace.from_generators(self.dim, nullspace(self.basis_vectors, self.dim))
-
-    @property
-    def basis_vectors(self) -> list[Vector]:
-        return [tuple(Fraction(x) for x in row) for row in self.basis]
-
-    def project_vector(self, v: Sequence[Fraction]) -> Vector:
-        if len(v) != self.dim:
-            raise InputError(f"vector of length {len(v)} in Q^{self.dim}")
-        n, d = self.scaled_projection
-        (u,), scale = scale_to_int((v,))
-        return tuple(Fraction(sum(map(mul, row, u)), d * scale) for row in n)
+        rows = {next(c for c, x in enumerate(row) if x): row for row in self.basis}
+        kernel = [[Fraction(-rows[c][f], rows[c][c]) if c in rows else int(c == f)
+                   for c in range(self.dim)]
+                  for f in range(self.dim) if f not in rows]
+        return Subspace.from_generators(self.dim, kernel)
 
     def project_ray(self, ray: Ray) -> Ray:
         if ray.dim != self.dim:
@@ -369,13 +329,6 @@ class Subspace:
         n, d = self.scaled_projection
         return all(sum(map(mul, row, u)) == d * x for row, x in zip(n, u))
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        """Membership of a vector: the projection must fix it exactly."""
-        if len(v) != self.dim:
-            raise InputError(f"vector of length {len(v)} in Q^{self.dim}")
-        (u,), _ = scale_to_int((v,))
-        return self._fixes(u)
-
     def contains_ray(self, ray: Ray) -> bool:
         if ray.dim != self.dim:
             raise InputError(f"ray of dimension {ray.dim} in Q^{self.dim}")
@@ -393,16 +346,12 @@ class Subspace:
             raise InputError("ambient dimensions differ")
         return all(self._fixes(b) for b in other.basis)
 
-    def span_with(self, other: "Subspace") -> "Subspace":
-        if other.dim != self.dim:
-            raise InputError("ambient dimensions differ")
-        return Subspace.from_generators(self.dim, list(self.basis) + list(other.basis))
-
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection, via the complement of the span of the two complements."""
         if other.dim != self.dim:
             raise InputError("ambient dimensions differ")
-        return self.orthocomplement.span_with(other.orthocomplement).orthocomplement
+        perps = self.orthocomplement.basis + other.orthocomplement.basis
+        return Subspace.from_generators(self.dim, perps).orthocomplement
 
     @classmethod
     def from_projection(cls, matrix: Matrix) -> "Subspace":
@@ -430,19 +379,22 @@ class RayImages(dict):
         return self._project(ray)
 
 
-def _check_window(k: int, height: int) -> None:
-    """Refuse, before enumerating, a window of more than MAX_WINDOW_VECTORS."""
-    size = (2 * height + 1) ** k
-    if size > MAX_WINDOW_VECTORS:
-        raise BudgetError(
-            f"a ray window of height {height} over {k} coordinates has {size} vectors, "
-            f"over the cap of {MAX_WINDOW_VECTORS}"
-        )
+def check_window(k: int, height: int) -> None:
+    """Refuse, before enumerating, a height below 1 and a window of more than
+    MAX_WINDOW_VECTORS; the product stops at the first factor past the cap."""
+    if height < 1:
+        raise InputError(f"sample height must be at least 1, got {height}")
+    size = 1
+    for _ in range(k):
+        size *= 2 * height + 1
+        if size > MAX_WINDOW_VECTORS:
+            raise BudgetError(f"a ray window of height {height} over {k} coordinates "
+                              f"has more than {MAX_WINDOW_VECTORS} vectors")
 
 
 def primitive_vectors(dim: int, height: int) -> list[tuple[int, ...]]:
     """All canonical primitive integer vectors with entries of magnitude <= height."""
-    _check_window(dim, height)
+    check_window(dim, height)
     seen = set()
     for entries in itertools.product(range(-height, height + 1), repeat=dim):
         if all(e == 0 for e in entries):
@@ -461,7 +413,7 @@ def subspace_rays(sub: Subspace, height: int) -> list[Ray]:
     if sub.is_zero:
         return []
     k = sub.rank
-    _check_window(k, height)
+    check_window(k, height)
     seen = set()
     for coeffs in itertools.product(range(-height, height + 1), repeat=k):
         if all(c == 0 for c in coeffs):

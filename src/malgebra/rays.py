@@ -92,9 +92,10 @@ class RayAlgebra(MAlgebra):
 
     def preserves(self, a: Measurement, b: Measurement) -> bool:
         """The projection of b's subspace under a lands inside both subspaces;
-        a's projection always lands inside a's, so only b's is tested."""
-        return all(b.subspace.contains(a.subspace.project_vector(v))
-                   for v in b.subspace.basis_vectors)
+        a's projection always lands inside a's, so only b's is tested, one
+        basis ray at a time: containment does not depend on scale."""
+        return all(b.subspace.contains_ray(a.subspace.project_ray(Ray(self.dim, v)))
+                   for v in b.subspace.basis)
 
     def commutes(self, a: Measurement, b: Measurement) -> bool:
         return a.subspace.commutes_with(b.subspace)
@@ -128,7 +129,7 @@ class RayAlgebra(MAlgebra):
         sub = m.subspace
         if not self.full_lattice or sub.is_zero or sub.is_full:
             return []
-        mix = [a + b for a, b in zip(sub.basis_vectors[0], sub.orthocomplement.basis_vectors[0])]
+        mix = [a + b for a, b in zip(sub.basis[0], sub.orthocomplement.basis[0])]
         return [point_measurement(self, Ray.from_vector(mix, self.dim))]
 
     def is_full(self, m: Measurement) -> bool:

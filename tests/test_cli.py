@@ -9,6 +9,7 @@ from malgebra import order
 from malgebra.cli import main
 from malgebra.core import replay_witness
 from malgebra.models import dump_model, load_model
+from malgebra.ratlin import Subspace
 from test_core import ring_model
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -409,6 +410,34 @@ def test_oversized_ray_window_exits_three(tmp_path, capsys):
     code, out, err = run(capsys, "check", model, "--axioms", "idempotence")
     assert (code, out) == (3, "")
     assert err.startswith("budget exceeded: a ray window of height 3 over 12 coordinates")
+
+
+def identity_generators(dim):
+    return [["1" if j == i else "0" for j in range(dim)] for i in range(dim)]
+
+
+@pytest.mark.parametrize("header", [
+    {"dimension": 10**8, "full_lattice": True, "subspaces": {}},
+    {"dimension": 600, "full_lattice": True, "subspaces": {"top": identity_generators(600)}},
+    # the family is not closed either, but the window is decided first
+    {"dimension": 300, "subspaces": {"bot": []}},
+], ids=["1e8-dims", "600-dims-identity", "300-dims-not-closed"])
+def test_window_over_the_cap_is_refused_before_any_subspace_is_built(tmp_path, capsys,
+                                                                     monkeypatch, header):
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a subspace was built")
+
+    monkeypatch.setattr(Subspace, "from_generators", unbuilt)
+    code, out, err = run(capsys, "check", write_model(tmp_path, {"kind": "ray", **header}))
+    assert (code, out) == (3, "")
+    assert err == (f"budget exceeded: a ray window of height 3 over {header['dimension']} "
+                   "coordinates has more than 1000000 vectors\n")
+
+
+def test_height_below_one_is_refused_before_the_window_is_counted(tmp_path, capsys):
+    model = write_model(tmp_path, {"kind": "ray", "dimension": 10**9, "sample_height": 0,
+                                   "subspaces": {}})
+    assert_refused(run(capsys, "check", model), "sample height must be at least 1, got 0")
 
 
 # exit code 4: internal errors -----------------------------------------------------

@@ -4,17 +4,22 @@ Whatever the formula text or the option values, ``cli.main`` answers with a
 verdict (0 or 1), a refusal (2) or a budget stop (3), never with an internal
 error or a traceback.  Each example runs in process; argparse's own refusals
 arrive as ``SystemExit``.  Heights and depths are bounded so that one example
-takes well under a second.
+takes well under a second, except in the ray file headers, where a window over
+the cap must be refused in under a second whatever its size.
 """
 
 import contextlib
 import io
+import json
+import tempfile
+import time
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from malgebra.cli import main
+from malgebra.ratlin import MAX_WINDOW_VECTORS
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -99,3 +104,41 @@ def test_option_values_keep_the_exit_code_contract(argv):
     # every command that takes a height refuses one below 1
     if {"--height=0", "--height=-1"} & set(argv):
         assert code == 2, argv
+
+
+# a ray file's header: sizes from below 1 up to 10^9, small ones drawn often
+sizes = st.integers(min_value=-2, max_value=16) | st.integers(min_value=-2, max_value=10**9)
+
+
+@st.composite
+def ray_headers(draw):
+    data = {"kind": "ray", "dimension": draw(sizes), "sample_height": draw(sizes),
+            "full_lattice": draw(st.booleans()),
+            "subspaces": draw(st.sampled_from([{}, {"bot": []}]))}
+    return data, draw(st.none() | sizes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ray_headers())
+def test_ray_file_headers_keep_the_exit_code_contract(case):
+    data, height = case
+    dimension = data["dimension"]
+    effective = data["sample_height"] if height is None else height
+    below = dimension < 1 or effective < 1
+    # 3^20 is past the cap, so 20 factors decide every window
+    over = not below and (2 * effective + 1) ** min(dimension, 20) > MAX_WINDOW_VECTORS
+    # an under-cap window is enumerated; keep the large ones out of the run time
+    assume(below or over or (2 * effective + 1) ** dimension <= 20_000)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "model.json"
+        path.write_text(json.dumps(data))
+        argv = ["check", str(path)] + ([] if height is None else [f"--height={height}"])
+        start = time.perf_counter()
+        code = assert_contract(argv)
+        elapsed = time.perf_counter() - start
+    if below:
+        assert code == 2, (data, height)
+    elif over:
+        assert code == 3, (data, height)
+    if below or over:
+        assert elapsed < 1, (data, height, elapsed)

@@ -4,6 +4,7 @@ The sympy routes (Gram-Schmidt projector assembly, sympy nullspace) are
 algorithmically independent of the package's Gauss-Jordan implementation.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from malgebra.ratlin import (
     MAX_WINDOW_VECTORS,
     Ray,
     Subspace,
+    check_window,
     identity_matrix,
     is_symmetric_idempotent,
     mat_mul,
@@ -118,18 +120,20 @@ def test_intersect_planes():
 
 def test_contains_scalar_multiple():
     d = Subspace.from_generators(2, [[1, 1]])
-    assert d.contains((F(3), F(3)))
-    assert not d.contains((F(1), F(0)))
+    assert d.contains_ray(Ray.from_vector([F(3), F(3)]))
+    assert d.contains_ray(Ray.from_vector([F(-1, 2), F(-1, 2)]))
+    assert not d.contains_ray(Ray.from_vector([F(1), F(0)]))
 
 
 def test_contains_combination():
     s = Subspace.from_generators(3, [[1, 1, 0], [0, 0, 1]])
-    assert s.contains((F(1), F(1), F(1)))
+    assert s.contains_ray(Ray.from_vector([F(1), F(1), F(1)]))
+    assert s.contains_ray(Ray.from_vector([F(2, 3), F(2, 3), F(-5, 7)]))
 
 
 def test_contains_dimension_mismatch():
     with pytest.raises(InputError):
-        Subspace.from_generators(2, [[1, 1]]).contains((F(1), F(1), F(1)))
+        Subspace.from_generators(2, [[1, 1]]).contains_ray(Ray.from_vector([1, 1, 1]))
 
 
 def test_rational_parsing_and_formatting():
@@ -176,11 +180,35 @@ def test_subspace_rays_are_inside():
 def test_windows_over_the_cap_are_refused():
     # 1001**2 = 1,002,001 vectors at height 500 over two coordinates
     assert 1001**2 > MAX_WINDOW_VECTORS >= 999**2
-    with pytest.raises(BudgetError, match="height 500 over 2 coordinates"):
+    message = f"height 500 over 2 coordinates has more than {MAX_WINDOW_VECTORS} vectors$"
+    with pytest.raises(BudgetError, match=message):
         primitive_vectors(2, 500)
     plane = Subspace.from_generators(3, [[1, 1, 0], [0, 0, 1]])
-    with pytest.raises(BudgetError, match="height 500 over 2 coordinates"):
+    with pytest.raises(BudgetError, match=message):
         subspace_rays(plane, 500)
+    check_window(2, 499)
+
+
+@pytest.mark.parametrize("k,height", [(10**9, 1), (10**7, 3), (600, 3), (1, 10**9)])
+def test_window_budget_stops_at_the_first_factor_past_the_cap(k, height):
+    # (2h+1)^k is never formed: 3^13 already passes the cap
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match=f"height {height} over {k} coordinates has more than"):
+        check_window(k, height)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("height", [0, -1, -10**9])
+def test_window_refuses_a_height_below_one_before_counting(height):
+    with pytest.raises(InputError, match=f"sample height must be at least 1, got {height}"):
+        check_window(10**9, height)
+    with pytest.raises(InputError, match="sample height must be at least 1"):
+        primitive_vectors(2, height)
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_full_subspace_is_the_reduced_identity(dim):
+    assert Subspace.full(dim) == Subspace.from_generators(dim, identity_matrix(dim))
 
 
 # sympy oracle -------------------------------------------------------------
@@ -202,12 +230,17 @@ def test_projection_against_gram_schmidt_oracle(dim, basis):
     assert ours == sympy_projector(basis, dim)
 
 
+def sympy_orthocomplement(basis, dim):
+    """Independent oracle: sympy's nullspace of the generators as rows."""
+    oracle = sympy.Matrix(len(basis), dim, [sympy.Rational(x) for row in basis for x in row])
+    null_basis = [[F(int(x.p), int(x.q)) for x in v] for v in oracle.nullspace()]
+    return Subspace.from_generators(dim, null_basis)
+
+
 @pytest.mark.parametrize("dim,basis", ORACLE_CASES)
 def test_orthocomplement_against_sympy_nullspace(dim, basis):
     s = Subspace.from_generators(dim, basis)
-    oracle = sympy.Matrix([[sympy.Rational(x) for x in row] for row in basis])
-    null_basis = [[F(int(x.p), int(x.q)) for x in v] for v in oracle.nullspace()]
-    assert s.orthocomplement == Subspace.from_generators(dim, null_basis)
+    assert s.orthocomplement == sympy_orthocomplement(basis, dim)
 
 
 # properties ---------------------------------------------------------------
@@ -223,6 +256,28 @@ def subspace_strategy(max_dim=4):
             max_size=dim + 1,
         ).map(lambda gens: Subspace.from_generators(dim, gens))
     )
+
+
+def generators_strategy(max_dim):
+    return st.integers(min_value=1, max_value=max_dim).flatmap(
+        lambda dim: st.tuples(st.just(dim), st.lists(
+            st.lists(small_fractions, min_size=dim, max_size=dim), max_size=dim + 1))
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(generators_strategy(5))
+def test_orthocomplement_matches_sympy_nullspace(case):
+    dim, gens = case
+    assert Subspace.from_generators(dim, gens).orthocomplement == sympy_orthocomplement(gens, dim)
+
+
+@settings(max_examples=100, deadline=None)
+@given(generators_strategy(5))
+def test_projection_matches_gram_schmidt_oracle(case):
+    dim, gens = case
+    s = Subspace.from_generators(dim, gens)
+    assert to_sympy(s.projection) == sympy_projector(gens, dim)
 
 
 @settings(max_examples=60, deadline=None)
@@ -275,22 +330,23 @@ def test_intersection_commutative_idempotent(pair):
     )
 )
 def test_projection_splits_vector(case):
+    # P = N/d splits d*u into the image N u inside S and a residue orthogonal to S
     s, v = case
-    proj = s.project_vector(v)
-    residue = tuple(a - b for a, b in zip(v, proj))
-    assert s.contains(proj)
-    assert all(
-        sum(a * b for a, b in zip(residue, basis_vec)) == 0
-        for basis_vec in s.basis_vectors
-    )
+    u = primitive(v) if any(v) else (0,) * s.dim
+    n, d = s.scaled_projection
+    image = tuple(sum(a * b for a, b in zip(row, u)) for row in n)
+    residue = tuple(d * a - b for a, b in zip(u, image))
+    assert s.contains_ray(Ray.from_vector(image, s.dim))
+    assert all(sum(a * b for a, b in zip(residue, row)) == 0 for row in s.basis)
+    assert s.project_ray(Ray.from_vector(v, s.dim)) == Ray.from_vector(image, s.dim)
 
 
 def test_basis_vectors_project_to_themselves():
     s = Subspace.from_generators(3, [[1, 2, 3], [0, 1, 1]])
-    for b in s.basis_vectors:
-        assert s.project_vector(b) == b
-    for v in s.orthocomplement.basis_vectors:
-        assert s.project_vector(v) == (F(0),) * 3
+    for b in s.basis:
+        assert s.project_ray(Ray(3, b)) == Ray(3, b)
+    for v in s.orthocomplement.basis:
+        assert s.project_ray(Ray(3, v)) == Ray.zero(3)
 
 
 def test_matrix_shape_errors():
