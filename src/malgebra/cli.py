@@ -81,36 +81,20 @@ def load_model_file(path: str, height: int | None = None):
         raise InputError(f"{path}: {exc}") from exc
 
 
-class Report:
-    """Model summary plus an ordered list of check results."""
-
-    def __init__(self, model: dict, checks: list):
-        self.model = model
-        self.checks = checks
-
-    @property
-    def overall(self) -> str:
-        return "pass" if all(c.ok for c in self.checks) else "fail"
-
-
-def format_report(report: Report, fmt: str) -> str:
-    """Render a report; the JSON form is canonical and byte-stable."""
+def format_report(model: dict, checks: list, overall: str, fmt: str) -> str:
+    """Render a model summary and its checks; the JSON form is canonical and byte-stable."""
     if fmt == "json":
-        payload = {
-            "model": report.model,
-            "checks": [c.to_dict() for c in report.checks],
-            "overall": report.overall,
-        }
+        payload = {"model": model, "checks": [c.to_dict() for c in checks], "overall": overall}
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     lines = [
         "model: {kind} |X|={states}{sampled} |M|={measurements}".format(
-            kind=report.model["kind"],
-            states=report.model["states"],
-            sampled=" (sampled)" if report.model.get("sampled") else "",
-            measurements=report.model["measurements"],
+            kind=model["kind"],
+            states=model["states"],
+            sampled=" (sampled)" if model.get("sampled") else "",
+            measurements=model["measurements"],
         )
     ]
-    for c in report.checks:
+    for c in checks:
         line = "{name}: {status} (checked {count})".format(
             name=_DISPLAY.get(c.property_id, c.property_id),
             status=_STATUS[c.status],
@@ -121,14 +105,14 @@ def format_report(report: Report, fmt: str) -> str:
         if c.witnesses:
             line += " witness=(" + ", ".join(c.witnesses[0]) + ")"
         lines.append(line)
-    lines.append(f"overall: {report.overall.upper()}")
+    lines.append(f"overall: {overall.upper()}")
     return "\n".join(lines) + "\n"
 
 
 def _emit(args, summary, checks) -> int:
-    report = Report(summary, list(checks))
-    sys.stdout.write(format_report(report, args.format))
-    return 0 if report.overall == "pass" else 1
+    overall = "pass" if all(c.ok for c in checks) else "fail"
+    sys.stdout.write(format_report(summary, checks, overall, args.format))
+    return 0 if overall == "pass" else 1
 
 
 def cmd_check(args) -> int:
@@ -165,14 +149,15 @@ def _commuting_set(alg, names):
 
 def cmd_connective(args) -> int:
     from .connectives import eval_formula
-    from .core import extent, state_id
-    from .formulas import parse_formula
+    from .core import extent
+    from .formulas import is_atom, parse_formula
 
     binding = {}
     for part in args.bind.split(","):
-        if "=" not in part:
+        slot, _, name = (x.strip() for x in part.partition("="))
+        # a slot no formula can name, or an empty name, binds nothing
+        if not (is_atom(slot) and name):
             raise InputError(f"binding {part!r} is not of the form slot=name")
-        slot, name = (x.strip() for x in part.split("=", 1))
         if slot in binding:
             raise InputError(f"slot {slot!r} is bound twice")
         binding[slot] = name
@@ -184,9 +169,9 @@ def cmd_connective(args) -> int:
     payload = {
         "expr": args.expr,
         "result": result.name,
-        "fp": sorted(state_id(alg, s) for s in fp),
+        "fp": sorted(map(str, fp)),
         "fp_complete": alg.exact,
-        "z": sorted(state_id(alg, s) for s in z),
+        "z": sorted(map(str, z)),
         "z_complete": alg.exact,
     }
     if args.format == "json":

@@ -498,10 +498,6 @@ class FiniteAlgebra(MAlgebra):
         return self.fp_mask(m) | self.z_mask(m) == self.full_mask
 
 
-def state_id(alg: MAlgebra, state) -> str:
-    return str(state)
-
-
 def apply(alg: MAlgebra, m, state):
     """Act on a state with a measurement; deterministic and total."""
     m = alg.resolve(m)

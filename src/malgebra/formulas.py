@@ -188,6 +188,14 @@ def parse_formula(text: str) -> Formula:
     return node
 
 
+def is_atom(text: str) -> bool:
+    """Whether ``text`` parses as a lone atom: what slots and propositional atoms are."""
+    try:
+        return parse_formula(text) == Slot(text)
+    except InputError:
+        return False
+
+
 def _formula_depth(f: Formula) -> int:
     """Height of the formula tree; a lone slot has depth 0."""
     depth = 0
@@ -217,22 +225,6 @@ def slots_of(f: Formula) -> tuple[str, ...]:
             stack.append(node.left)
             stack.append(node.right)
     return tuple(sorted(names))
-
-
-def evaluate(f: Formula, assignment: dict[str, bool]) -> bool:
-    """The value of ``f`` under one assignment; :func:`truth_mask` is tested against it."""
-    if isinstance(f, Slot):
-        try:
-            return assignment[f.name]
-        except KeyError:
-            raise InputError(f"unbound slot {f.name!r}") from None
-    if isinstance(f, Not):
-        return not evaluate(f.operand, assignment)
-    if isinstance(f, And):
-        return evaluate(f.left, assignment) and evaluate(f.right, assignment)
-    if isinstance(f, Or):
-        return evaluate(f.left, assignment) or evaluate(f.right, assignment)
-    return (not evaluate(f.left, assignment)) or evaluate(f.right, assignment)
 
 
 def slot_masks(slot_order: tuple[str, ...]) -> dict[str, int]:

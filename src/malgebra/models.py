@@ -100,11 +100,7 @@ def build_propositional(atoms, variant="all_theories"):
     if reserved:
         raise InputError(f"atom {reserved[0]!r} takes the name of a trivial measurement")
     for atom in atoms:
-        try:
-            read = formulas.parse_formula(atom)
-        except InputError:
-            read = None
-        if read != formulas.Slot(atom):
+        if not formulas.is_atom(atom):
             raise InputError(f"atom {atom!r} is not a formula atom: a letter or '_', "
                              "then letters, digits or '_'")
     if variant not in ("all_theories", "maximal_theories"):
@@ -141,24 +137,8 @@ def build_propositional(atoms, variant="all_theories"):
         measurements=measurements,
         negations=negations,
         kind="propositional",
-        meta={"atoms": list(atoms), "variant": variant,
-              "valuations": valuation_names,
-              "model_masks": {name: mask for mask, name in names_by_mask.items()}},
+        meta={"atoms": list(atoms), "variant": variant},
     )
-
-
-def measurement_for(alg: core.FiniteAlgebra, text: str):
-    """Measurement of a propositional algebra matching a formula text."""
-    if alg.kind != "propositional":
-        raise InputError("formula lookup needs a propositional algebra")
-    atoms = tuple(alg.meta["atoms"])
-    f = formulas.parse_formula(text)
-    unknown = [s for s in formulas.slots_of(f) if s not in atoms]
-    if unknown:
-        raise InputError(f"unknown atom {unknown[0]!r}")
-    mask = formulas.truth_mask(f, atoms)
-    by_mask = {m: name for name, m in alg.meta["model_masks"].items()}
-    return alg.measurement(by_mask[mask])
 
 
 def build_ray(dimension, subspaces, full_lattice=False, sample_height=3):
@@ -256,23 +236,23 @@ _R3_SUBSPACES = {
 }
 
 
-def fixture_r2(full_lattice=False) -> rays.RayAlgebra:
+def fixture_r2() -> rays.RayAlgebra:
     """Plane model: the axes, both diagonals, zero and the full plane."""
-    return build_ray(2, _R2_SUBSPACES, full_lattice=full_lattice)
+    return build_ray(2, _R2_SUBSPACES)
 
 
 def fixture_r2_full() -> rays.RayAlgebra:
-    return fixture_r2(full_lattice=True)
+    return build_ray(2, _R2_SUBSPACES, full_lattice=True)
 
 
-def fixture_r3(full_lattice=False) -> rays.RayAlgebra:
+def fixture_r3() -> rays.RayAlgebra:
     """Space model: axes, coordinate planes, both diagonal lines in the xy
     plane and their complements, zero and the full space."""
-    return build_ray(3, _R3_SUBSPACES, full_lattice=full_lattice)
+    return build_ray(3, _R3_SUBSPACES)
 
 
 def fixture_r3_full() -> rays.RayAlgebra:
-    return fixture_r3(full_lattice=True)
+    return build_ray(3, _R3_SUBSPACES, full_lattice=True)
 
 
 FIXTURES = {

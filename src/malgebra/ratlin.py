@@ -78,12 +78,6 @@ def is_zero_vector(v: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in v)
 
 
-def identity_matrix(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-
-
 def zero_matrix(n: int) -> Matrix:
     return tuple((Fraction(0),) * n for _ in range(n))
 
@@ -393,19 +387,12 @@ def check_window(k: int, height: int) -> None:
 
 
 def primitive_vectors(dim: int, height: int) -> list[tuple[int, ...]]:
-    """All canonical primitive integer vectors with entries of magnitude <= height."""
+    """All canonical primitive integer vectors with entries of magnitude <= height,
+    in ascending order: ``product`` counts in that order, and the zero vector
+    has gcd 0."""
     check_window(dim, height)
-    seen = set()
-    for entries in itertools.product(range(-height, height + 1), repeat=dim):
-        if all(e == 0 for e in entries):
-            continue
-        g = math.gcd(*entries)
-        if g != 1:
-            continue
-        if next(e for e in entries if e) < 0:
-            continue
-        seen.add(entries)
-    return sorted(seen)
+    return [v for v in itertools.product(range(-height, height + 1), repeat=dim)
+            if math.gcd(*v) == 1 and next(e for e in v if e) > 0]
 
 
 def subspace_rays(sub: Subspace, height: int) -> list[Ray]:

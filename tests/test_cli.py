@@ -285,6 +285,10 @@ def test_bad_height_is_refused_before_the_model_is_read(capsys, monkeypatch, com
     ("connective", ("--expr", "a", "--bind", "a=p,a=q"), "bound twice"),
     ("check", ("--axioms", "separability,bogus_law"), "unknown axiom 'bogus_law'"),
     ("tautology", ("--commuting", " , "), "--commuting needs at least one"),
+    ("connective", ("--expr", "a", "--bind", "a=p,=q"), "'=q' is not of the form slot=name"),
+    ("connective", ("--expr", "a", "--bind", "a=p,b="), "'b=' is not of the form slot=name"),
+    ("connective", ("--expr", "a", "--bind", "a=p,1x=q"),
+     "'1x=q' is not of the form slot=name"),
 ])
 def test_bad_flags_are_refused_before_the_model_is_read(capsys, monkeypatch, command,
                                                         flags, phrase):

@@ -17,7 +17,6 @@ from malgebra.formulas import (
     entails,
     enumerate_formulas,
     essential_function,
-    evaluate,
     format_formula,
     is_tautology,
     minimal_formula_names,
@@ -25,6 +24,20 @@ from malgebra.formulas import (
     slots_of,
     truth_mask,
 )
+
+
+def reference_evaluate(f, assignment):
+    """The value of ``f`` under one assignment, node by node: the oracle that
+    ``truth_mask`` is tested against."""
+    if isinstance(f, Slot):
+        return assignment[f.name]
+    if isinstance(f, Not):
+        return not reference_evaluate(f.operand, assignment)
+    if isinstance(f, And):
+        return reference_evaluate(f.left, assignment) and reference_evaluate(f.right, assignment)
+    if isinstance(f, Or):
+        return reference_evaluate(f.left, assignment) or reference_evaluate(f.right, assignment)
+    return (not reference_evaluate(f.left, assignment)) or reference_evaluate(f.right, assignment)
 
 
 def test_implication_is_right_associative():
@@ -95,7 +108,7 @@ def test_tautology_verdicts():
     verdict = is_tautology("a -> b")
     assert not verdict.is_tautology
     assert verdict.falsifying == {"a": True, "b": False}
-    assert evaluate(verdict.formula, verdict.falsifying) is False
+    assert reference_evaluate(verdict.formula, verdict.falsifying) is False
 
 
 def test_tautology_slot_cap():
@@ -120,7 +133,7 @@ def test_truth_mask_matches_row_by_row_evaluation(f, order, extra):
     rows = 0
     for row in range(1 << k):
         env = {s: bool(row >> (k - 1 - j) & 1) for j, s in enumerate(slot_order)}
-        rows |= evaluate(f, env) << row
+        rows |= reference_evaluate(f, env) << row
     assert truth_mask(f, slot_order) == rows
 
 

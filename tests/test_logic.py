@@ -19,7 +19,6 @@ from malgebra.formulas import (
     is_tautology,
 )
 from malgebra.logic import verify_schemes, verify_tautology_theorem
-from malgebra.models import measurement_for
 
 
 def test_harness_on_small_theory_commuting_set(t2):
@@ -162,7 +161,7 @@ def test_conjunction_definability_instance(t2):
 
     direct = conjunction(t2, "p", "q")
     via_formula = eval_formula(t2, cs, "~(a -> ~b)", {"a": "p", "b": "q"})
-    assert direct == via_formula == measurement_for(t2, "p & q")
+    assert direct == via_formula == t2.measurement("p&q")
 
 
 def test_disjunction_definability_instance(t2):

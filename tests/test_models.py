@@ -13,7 +13,6 @@ from malgebra.models import (
     build_table,
     dump_model,
     load_model,
-    measurement_for,
 )
 from malgebra.ratlin import Ray
 from malgebra.rays import RayAlgebra
@@ -103,15 +102,6 @@ def test_three_atoms_build():
     alg = build_propositional(["p", "q", "r"])
     assert len(alg.states) == 256
     assert len(alg.measurements) == 256
-
-
-def test_measurement_lookup_by_formula(t2):
-    assert measurement_for(t2, "p & q").name == "p&q"
-    assert measurement_for(t2, "~(p & q)").name == "~(p&q)"
-    assert measurement_for(t2, "p | ~p").name == "top"
-    assert measurement_for(t2, "q & ~q").name == "bot"
-    with pytest.raises(InputError, match="unknown atom"):
-        measurement_for(t2, "p & r")
 
 
 def test_propositional_negation_hints_are_complete(t2):

@@ -4,6 +4,8 @@ The sympy routes (Gram-Schmidt projector assembly, sympy nullspace) are
 algorithmically independent of the package's Gauss-Jordan implementation.
 """
 
+import itertools
+import math
 import time
 from fractions import Fraction
 
@@ -18,7 +20,6 @@ from malgebra.ratlin import (
     Ray,
     Subspace,
     check_window,
-    identity_matrix,
     is_symmetric_idempotent,
     mat_mul,
     parse_ray,
@@ -36,6 +37,10 @@ F = Fraction
 
 def frac_matrix(rows):
     return tuple(tuple(F(x) for x in row) for row in rows)
+
+
+def identity_matrix(n):
+    return tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
 
 
 def sympy_projector(basis, dim):
@@ -167,6 +172,28 @@ def test_primitive_rejects_zero():
 def test_primitive_vectors_window():
     window = primitive_vectors(2, 1)
     assert window == [(0, 1), (1, -1), (1, 0), (1, 1)]
+
+
+def reference_primitive_vectors(dim, height):
+    """The window as a set of canonical vectors, then sorted: the former body
+    of ``primitive_vectors``."""
+    seen = set()
+    for entries in itertools.product(range(-height, height + 1), repeat=dim):
+        if all(e == 0 for e in entries):
+            continue
+        g = math.gcd(*entries)
+        if g != 1:
+            continue
+        if next(e for e in entries if e) < 0:
+            continue
+        seen.add(entries)
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("dim", range(1, 6))
+@pytest.mark.parametrize("height", range(1, 4))
+def test_primitive_vectors_match_the_reference(dim, height):
+    assert primitive_vectors(dim, height) == reference_primitive_vectors(dim, height)
 
 
 def test_subspace_rays_are_inside():
