@@ -150,7 +150,7 @@ def _commuting_set(alg, names):
 def cmd_connective(args) -> int:
     from .connectives import eval_formula
     from .core import extent
-    from .formulas import is_atom, parse_formula
+    from .formulas import is_atom, parse_formula, slots_of
 
     binding = {}
     for part in args.bind.split(","):
@@ -163,7 +163,10 @@ def cmd_connective(args) -> int:
         binding[slot] = name
     formula = parse_formula(args.expr)
     alg = load_model_file(args.model)
-    cs = _commuting_set(alg, sorted(set(binding.values())))
+    # every bound name must name a member; only those the formula names must commute
+    for name in binding.values():
+        alg.measurement(name)
+    cs = _commuting_set(alg, sorted({binding[s] for s in slots_of(formula) if s in binding}))
     result = eval_formula(alg, cs, formula, binding)
     fp, z, _ = extent(alg, result)
     payload = {
@@ -190,6 +193,8 @@ def cmd_tautology(args) -> int:
     names = [n.strip() for n in args.commuting.split(",") if n.strip()]
     if not names:
         raise InputError("--commuting needs at least one measurement name")
+    if args.depth < 1 or args.slots < 1:
+        raise InputError("depth and slot bounds must be positive")
     alg = load_model_file(args.model)
     cs = _commuting_set(alg, names)
     checks = [verify_tautology_theorem(alg, cs, args.depth, args.slots)]

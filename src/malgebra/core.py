@@ -160,9 +160,9 @@ class MAlgebra:
     themselves on the ray backend.  Both backends define:
 
     * ``action(m)``: a mapping from each state code to the code of its image;
-    * ``state_domain()``, ``fixpoint_domain(m)`` and ``zero_domain(m)``: the
-      state codes a law ranges over (on rays, the algebra's one window);
-    * ``zero_code``, ``exact`` (whether those domains are complete),
+    * ``state_domain()``: the state codes the laws range over (on rays, the
+      algebra's one window); fixpoints and zeros are read off ``action``;
+    * ``zero_code``, ``exact`` (whether that domain is complete),
       ``state(code)`` and ``state_code(label)``;
     * ``has_state(state)``: whether ``apply`` accepts the state;
     * ``commutes(a, b)``, ``fp_subset(a, b)``, ``z_subset(a, b)``, and
@@ -188,7 +188,7 @@ class MAlgebra:
 
     Measurement-level methods take resolved measurements; the module
     functions of the same names resolve names first.  ``extent`` is a module
-    function only, read off the domains.
+    function only, read off the actions over the domain.
     """
 
     kind = "abstract"
@@ -300,7 +300,6 @@ class Compiled(NamedTuple):
     table: bytes | _TupleLane
     fp: int  # fixpoint bitmask
     z: int  # zero bitmask
-    fixed: tuple[int, ...]  # fixpoint indices, ascending
 
 
 class _TupleLane(tuple):
@@ -348,10 +347,9 @@ class FiniteAlgebra(MAlgebra):
             raise InputError(
                 f"measurement {m.name!r} does not act on the states: {exc.args[0]!r}"
             ) from None
-        fixed = tuple(i for i, c in enumerate(codes) if c == i)
-        fp = sum(1 << i for i in fixed)
+        fp = sum(1 << i for i, c in enumerate(codes) if c == i)
         z = sum(1 << i for i, c in enumerate(codes) if c == self.zero_code)
-        return Compiled(codes, self._lane(codes), self._lane(codes + self._pad), fp, z, fixed)
+        return Compiled(codes, self._lane(codes), self._lane(codes + self._pad), fp, z)
 
     def compiled(self, m: Measurement) -> Compiled:
         """The cached compile of a member; a measurement that is not the
@@ -381,12 +379,6 @@ class FiniteAlgebra(MAlgebra):
         """Every state, in identifier order: ``strong_sep_check`` names the
         first state that has no point measurement."""
         return self._sorted_codes
-
-    def fixpoint_domain(self, m: Measurement) -> tuple[int, ...]:
-        return self.compiled(m).fixed
-
-    def zero_domain(self, m: Measurement) -> list[int]:
-        return [x for x, y in enumerate(self.codes(m)) if y == self.zero_code]
 
     def state(self, code: int) -> str:
         return self.states[code]
@@ -465,7 +457,7 @@ class FiniteAlgebra(MAlgebra):
 
         fixers, zeroers = [0] * len(self.states), [0] * len(self.states)
         for i, c in enumerate(compiled):
-            for x in c.fixed:
+            for x in bit_positions(c.fp):
                 fixers[x] |= 1 << i
             for x in bit_positions(c.z):
                 zeroers[x] |= 1 << i
@@ -508,10 +500,10 @@ def apply(alg: MAlgebra, m, state):
 
 def extent(alg: MAlgebra, m) -> tuple[frozenset, frozenset, frozenset]:
     """Fixpoint set, zero set and their union (the states with a definite
-    value), over the backend's domains: complete exactly when ``alg.exact``."""
-    m = alg.resolve(m)
-    fp = frozenset(map(alg.state, alg.fixpoint_domain(m)))
-    z = frozenset(map(alg.state, alg.zero_domain(m)))
+    value), over the backend's domain: complete exactly when ``alg.exact``."""
+    M, domain = alg.action(alg.resolve(m)), alg.state_domain()
+    fp = frozenset(alg.state(x) for x in domain if M[x] == x)
+    z = frozenset(alg.state(x) for x in domain if M[x] == alg.zero_code)
     return fp, z, fp | z
 
 
@@ -525,7 +517,7 @@ def preserves_pointwise(alg: MAlgebra, a, b) -> bool:
     """The pointwise definition of preservation, sampled on the ray backend."""
     a, b = alg.resolve(a), alg.resolve(b)
     A, B = alg.action(a), alg.action(b)
-    return all(B[A[x]] == A[x] for x in alg.fixpoint_domain(b))
+    return all(B[A[x]] == A[x] for x in alg.state_domain() if B[x] == x)
 
 
 def commutes(alg: MAlgebra, a, b) -> bool:
@@ -668,26 +660,27 @@ def check_instances(property_id, instances, violation, premise=None) -> CheckRes
 # ---------------------------------------------------------------------------
 # laws
 #
-# A law is one function ``law(alg, ms, dom)`` that returns its witnesses and
-# the number of instances it checked.  Its instances range over the
-# measurements ``ms`` and over states drawn from the domains of ``dom``.  The
-# checker passes every member and the algebra itself, whose domains on rays
-# are its one window, so a report's state count is the window every law ran
-# over; replay passes the measurements and the states named in one witness.
-# Actions and domains come from the backend protocol, so the same loop runs on
-# table codes and on ray memos.
+# A law is one function ``law(alg, ms, states)`` that returns its witnesses
+# and the number of instances it checked.  Its instances range over the
+# measurements ``ms`` and the state codes ``states``.  The checker passes every
+# member and ``alg.state_domain()``, on rays the one window, so a report's
+# state count is the window every law ran over; replay passes the
+# measurements and the states named in one witness.  Actions come from the
+# backend protocol, so the same loop runs on table codes and on ray memos.
 #
 # The per-state laws are stated pointwise: at a state x each member a sends x
 # to a(x), and the law asks which members fix that image.  So at one state,
 # members with the same image are interchangeable.  ``_class_kernel`` groups
 # them: ``classes(x)`` maps each image v of x to the bit row (over the indices
 # of ``ms``) of the members with image v, and ``fixing(v)`` is the bit row of
-# the members that fix v, memoised per image.  A law then reads one AND of
-# two rows per class or per pair of classes, not a pair of members (only
-# l-cumulativity searches members, at a state that violates it).  Only one
-# state's classes are alive at a time, so a law holds one state's classes
-# and the memo besides its witnesses.  Separability reads the same kind of
-# row the other way round: per separator, the bit row of the states it fixes.
+# the members that fix v, memoised per image.  The members that fix x are the
+# class of image x, and those that send x to zero the class of the zero
+# image.  A law then reads one AND of two rows per class or per pair of
+# classes, not a pair of members (only l-cumulativity searches members, at a
+# state that violates it).  Only one state's classes are alive at a time, so
+# a law holds one state's classes and the memo besides its witnesses.
+# Separability reads the same kind of row the other way round: per
+# separator, the bit row of the states it fixes.
 
 
 def _class_kernel(alg, ms):
@@ -711,51 +704,43 @@ def _class_kernel(alg, ms):
     return classes, fixing
 
 
-def _by_state(ms, domain):
-    """Each state of the domains ``domain(m)``, with the members whose domain
-    holds it, so that a law builds each state's classes once."""
-    found = {}
-    for m in ms:
-        for x in domain(m):
-            found.setdefault(x, []).append(m)
-    return found.items()
-
-
-def _illegitimate(alg, ms, dom):
+def _illegitimate(alg, ms, states):
     z = alg.zero_code
     return [(m.name,) for m in ms if alg.action(m)[z] != z], len(ms)
 
 
-def _idempotence(alg, ms, dom):
+def _idempotence(alg, ms, states):
     if not alg.exact:
         return [(m.name,) for m in ms if compose_member(alg, m, m) != m], len(ms)
-    witnesses, states, label = [], dom.state_domain(), alg.state_label
+    witnesses, label = [], alg.state_label
     for m in ms:
         M = alg.action(m)
         witnesses.extend((label(x), m.name) for x in states if M[M[x]] != M[x])
     return witnesses, len(ms) * len(states)
 
 
-def _interference(alg, ms, dom):
+def _interference(alg, ms, states):
     # a fixes x; b in the class of y = b(x) violates when it fixes t = a(y) != y
     witnesses, checked = [], 0
     classes, fixing = _class_kernel(alg, ms)
-    for x, fixers in _by_state(ms, dom.fixpoint_domain):
-        checked += len(fixers) * len(ms)
-        label, found = alg.state_label(x), classes(x)
-        for a in fixers:
-            A = alg.action(a)
+    for x in states:
+        found = classes(x)
+        fixers = found.get(x, 0)
+        checked += fixers.bit_count() * len(ms)
+        label = alg.state_label(x)
+        for i in bit_positions(fixers):
+            a, A = ms[i].name, alg.action(ms[i])
             for y, C in found.items():
                 t = A[y]
                 if t != y:
-                    witnesses += [(label, a.name, ms[j].name) for j in bit_positions(C & fixing(t))]
+                    witnesses += [(label, a, ms[j].name) for j in bit_positions(C & fixing(t))]
     return witnesses, checked
 
 
-def _cumulativity(alg, ms, dom):
+def _cumulativity(alg, ms, states):
     # a in the class of v and b in that of w != v violate when each fixes
     # the other's image
-    witnesses, states = [], dom.state_domain()
+    witnesses = []
     classes, fixing = _class_kernel(alg, ms)
     for x in states:
         label, found = alg.state_label(x), list(classes(x).items())
@@ -769,7 +754,7 @@ def _cumulativity(alg, ms, dom):
     return witnesses, len(states) * len(ms) * (len(ms) - 1) // 2
 
 
-def _negation(alg, ms, dom):
+def _negation(alg, ms, states):
     witnesses = []
     for m in ms:
         try:
@@ -779,12 +764,12 @@ def _negation(alg, ms, dom):
     return witnesses, len(ms)
 
 
-def _separability(alg, ms, dom):
+def _separability(alg, ms, states):
     # The separators are every member, or on a full lattice the point
     # measurement of x (there states and their codes are the same rays).  A
     # witness of x is a state that every separator fixing x fixes too.  A
     # replayed witness may name one state twice; it is one state.
-    nonzero = list(dict.fromkeys(x for x in dom.state_domain() if x != alg.zero_code))
+    nonzero = list(dict.fromkeys(x for x in states if x != alg.zero_code))
     labels, every = list(map(alg.state_label, nonzero)), (1 << len(nonzero)) - 1
 
     def fixed(m):
@@ -800,14 +785,14 @@ def _separability(alg, ms, dom):
     return witnesses, len(nonzero) * (len(nonzero) - 1)
 
 
-def _strong_separability(alg, ms, dom):
-    nonzero = [x for x in dom.state_domain() if x != alg.zero_code]
+def _strong_separability(alg, ms, states):
+    nonzero = [x for x in states if x != alg.zero_code]
     witnesses = [(alg.state_label(x),) for x in nonzero
                  if point_measurement(alg, alg.state(x)) is None]
     return witnesses, len(nonzero)
 
 
-def _l_cumulativity(alg, ms, dom):
+def _l_cumulativity(alg, ms, states):
     """Cyclic strengthening of the two-measurement exchange law.
 
     A violation is a cyclic sequence of measurements, of any length, each
@@ -826,7 +811,7 @@ def _l_cumulativity(alg, ms, dom):
     witnesses, checked, n = [], 0, len(ms)
     names = [m.name for m in ms]
     classes, fixing = _class_kernel(alg, ms)
-    for x in dom.state_domain():
+    for x in states:
         found = classes(x)
         checked += sum(c * (n - c) for c in map(int.bit_count, found.values())) // 2
         dist, _ = _all_bfs(found, {v: [u for u, C in found.items() if C & fixing(v)] for v in found})
@@ -873,7 +858,7 @@ def _bfs_path(parent, source, target):
     return path[::-1]
 
 
-def _double_negation(alg, ms, dom):
+def _double_negation(alg, ms, states):
     witnesses = []
     for a in ms:
         try:
@@ -884,22 +869,23 @@ def _double_negation(alg, ms, dom):
     return witnesses, len(ms)
 
 
-def _definiteness(alg, ms, dom, dual=False):
+def _definiteness(alg, ms, states, dual=False):
     # Straight form: a state satisfying b cannot be sent by any measurement
     # to a state where b is impossible.  Dual form swaps fixpoints and zeros.
-    # Every member of a class whose image v != zero b sends to zero (fixes)
-    # is a witness.
+    # b is each member of the class of image x (of image zero); every member
+    # of a class whose image v != zero b sends to zero (fixes) is a witness.
     witnesses, checked, zero = [], 0, alg.zero_code
     classes, _ = _class_kernel(alg, ms)
-    domain = dom.zero_domain if dual else dom.fixpoint_domain
-    for x, bs in _by_state(ms, domain):
-        checked += len(bs) * len(ms)
-        label, found = alg.state_label(x), classes(x)
-        for b in bs:
-            B = alg.action(b)
+    for x in states:
+        found = classes(x)
+        bs = found.get(zero if dual else x, 0)
+        checked += bs.bit_count() * len(ms)
+        label = alg.state_label(x)
+        for i in bit_positions(bs):
+            B = alg.action(ms[i])
             for v, C in found.items():
                 if v != zero and B[v] == (v if dual else zero):
-                    witnesses += [(label, ms[j].name, b.name) for j in bit_positions(C)]
+                    witnesses += [(label, ms[j].name, ms[i].name) for j in bit_positions(C)]
     return witnesses, checked
 
 
@@ -966,7 +952,7 @@ def _pair_lemmas(alg, ms) -> dict[str, tuple[list, int, bool]]:
             for pid, unordered, premised in _PAIR_LAWS}
 
 
-def _pair_lemma(pid, alg, ms, dom):
+def _pair_lemma(pid, alg, ms, states):
     return _pair_lemmas(alg, ms)[pid][:2]
 
 
@@ -993,7 +979,7 @@ _LAWS = {
 
 def _check(alg, property_id) -> CheckResult:
     law, fields = _LAWS[property_id]
-    witnesses, checked = law(alg, alg.sorted_measurements(), alg)
+    witnesses, checked = law(alg, alg.sorted_measurements(), alg.state_domain())
     note = ("decided on projection matrices"
             if property_id == "idempotence" and not alg.exact else "")
     return check_result(property_id, witnesses, checked,
@@ -1034,25 +1020,6 @@ def lemma_suite(alg: MAlgebra) -> list[CheckResult]:
     return results
 
 
-class _Pinned:
-    """The protocol's state domains cut down to the states of one witness."""
-
-    def __init__(self, alg: MAlgebra, states: list):
-        self.alg = alg
-        self.states = states
-
-    def state_domain(self):
-        return self.states
-
-    def fixpoint_domain(self, m):
-        M = self.alg.action(m)
-        return [x for x in self.states if M[x] == x]
-
-    def zero_domain(self, m):
-        M = self.alg.action(m)
-        return [x for x in self.states if M[x] == self.alg.zero_code]
-
-
 def replay_witness(alg: MAlgebra, property_id: str, witness: tuple[str, ...]) -> bool:
     """Re-run the law that reported a witness on the witness's own states and
     measurements; True iff the law reports that witness again."""
@@ -1063,5 +1030,5 @@ def replay_witness(alg: MAlgebra, property_id: str, witness: tuple[str, ...]) ->
     states = [alg.state_code(sid) for sid in witness[:k]]
     named = {name: alg.measurement(name) for name in witness[k:]}
     ms = [named[name] for name in sorted(named)]
-    found, _ = law(alg, ms, _Pinned(alg, states))
+    found, _ = law(alg, ms, states)
     return (*map(alg.state_label, states), *witness[k:]) in found

@@ -18,7 +18,6 @@ from .core import (
     check_result,
     negation_of,
 )
-from .errors import InputError
 from .formulas import enumerate_formulas, essential_function, format_formula, shadow_on
 
 
@@ -34,8 +33,6 @@ def verify_tautology_theorem(alg: MAlgebra, cs: CommutingSet,
     * logically equivalent formulas evaluate to the identical measurement,
     * a truth-table entailment between formulas gives fixpoint inclusion.
     """
-    if max_depth < 1 or max_slots < 1:
-        raise InputError("depth and slot bounds must be positive")
     alphabet = cs.names
     formulas_list = enumerate_formulas(alphabet, max_depth, min(max_slots, len(alphabet)))
     evaluate_member = formula_walker(alg, {name: name for name in alphabet})

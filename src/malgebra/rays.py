@@ -11,9 +11,8 @@ measurement classes by name finds both there.
 from __future__ import annotations
 
 from .core import MAlgebra, Measurement, ProjectionMeasurement, point_measurement
-from .errors import InputError
-from .ratlin import Matrix, Ray, RayImages, Subspace, is_symmetric_idempotent, mat_mul
-from .ratlin import parse_ray, primitive_vectors
+from .ratlin import Matrix, Ray, RayImages, Subspace, check_window, is_symmetric_idempotent
+from .ratlin import mat_mul, parse_ray, primitive_vectors
 
 
 class RayAlgebra(MAlgebra):
@@ -21,16 +20,16 @@ class RayAlgebra(MAlgebra):
 
     Measurement-level relations are decided exactly on the subspaces; the
     per-state laws range over one window of rays of height ``sample_height``,
-    built on first use.  With ``full_lattice`` the listed measurements are
-    just a named window: membership and negation may synthesize projections
-    onto any rational subspace on demand.
+    checked against the window cap at construction and built on first use.
+    With ``full_lattice`` the listed measurements are just a named window:
+    membership and negation may synthesize projections onto any rational
+    subspace on demand.
     """
 
     kind = "ray"
 
     def __init__(self, dim, measurements, full_lattice=False, sample_height=3):
-        if sample_height < 1:
-            raise InputError(f"sample height must be at least 1, got {sample_height}")
+        check_window(dim, sample_height)
         super().__init__(measurements)
         self.dim = dim
         self.full_lattice = full_lattice
@@ -70,14 +69,6 @@ class RayAlgebra(MAlgebra):
         return m.subspace.ray_images
 
     state_domain = sample_states
-
-    def fixpoint_domain(self, m: Measurement) -> list[Ray]:
-        """The window's rays inside the subspace, the zero ray first."""
-        return [x for x in self.sample_states() if m.subspace.contains_ray(x)]
-
-    def zero_domain(self, m: Measurement) -> list[Ray]:
-        """The window's rays inside the orthocomplement, the zero ray first."""
-        return [x for x in self.sample_states() if m.subspace.orthocomplement.contains_ray(x)]
 
     def state(self, code: Ray) -> Ray:
         return code

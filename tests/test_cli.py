@@ -199,6 +199,20 @@ def test_non_commuting_binding_exits_two(capsys):
     assert "commute" in err
 
 
+def test_a_bound_slot_the_formula_never_names_joins_no_commuting_set(capsys):
+    # px and pd do not commute, but the formula names px only
+    alone = run(capsys, "connective", fixture_path("r2"), "--expr", "a", "--bind", "a=px")
+    both = run(capsys, "connective", fixture_path("r2"), "--expr", "a", "--bind", "a=px,b=pd")
+    assert both == alone
+    assert both[0] == 0
+    assert both[1].startswith("result: px\n")
+
+
+def test_a_bound_slot_the_formula_never_names_must_still_name_a_member(capsys):
+    assert_refused(run(capsys, "connective", fixture_path("r2"), "--expr", "a",
+                       "--bind", "a=px,b=nosuch"), "unknown measurement 'nosuch'")
+
+
 def test_strong_sep_on_unsuitable_model_exits_two(capsys):
     code, _, err = run(capsys, "order", fixture_path("r2"), "--strong-sep")
     assert code == 2
@@ -289,6 +303,8 @@ def test_bad_height_is_refused_before_the_model_is_read(capsys, monkeypatch, com
     ("connective", ("--expr", "a", "--bind", "a=p,b="), "'b=' is not of the form slot=name"),
     ("connective", ("--expr", "a", "--bind", "a=p,1x=q"),
      "'1x=q' is not of the form slot=name"),
+    ("tautology", ("--commuting", "p", "--depth", "0"), "depth and slot bounds must be positive"),
+    ("tautology", ("--commuting", "p", "--slots", "0"), "depth and slot bounds must be positive"),
 ])
 def test_bad_flags_are_refused_before_the_model_is_read(capsys, monkeypatch, command,
                                                         flags, phrase):

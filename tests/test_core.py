@@ -18,7 +18,6 @@ from malgebra.core import (
     Measurement,
     ProjectionMeasurement,
     TableMeasurement,
-    _Pinned,
     _all_bfs,
     _bfs_path,
     _pair_lemmas,
@@ -932,12 +931,13 @@ def test_apply_on_rays_refuses_what_is_not_a_state(r2, state):
 # the per-state laws on image classes against their member loops ---------------
 
 
-def reference_interference(alg, ms, dom):
+def reference_interference(alg, ms, states):
     """The member-pair loop that ``_interference`` replaced by image classes."""
     witnesses, checked, label = [], 0, alg.state_label
     coded = [(m.name, alg.action(m)) for m in ms]
     for a in ms:
-        A, fixed = alg.action(a), dom.fixpoint_domain(a)
+        A = alg.action(a)
+        fixed = [x for x in states if A[x] == x]
         checked += len(fixed) * len(coded)
         for b_name, B in coded:
             for x in fixed:
@@ -948,10 +948,9 @@ def reference_interference(alg, ms, dom):
     return witnesses, checked
 
 
-def reference_cumulativity(alg, ms, dom):
+def reference_cumulativity(alg, ms, states):
     """The member-pair loop that ``_cumulativity`` replaced by class pairs."""
     witnesses, label = [], alg.state_label
-    states = dom.state_domain()
     coded = [(m.name, alg.action(m)) for m in ms]
     for i, (a_name, A) in enumerate(coded):
         later = coded[i + 1:]
@@ -964,14 +963,14 @@ def reference_cumulativity(alg, ms, dom):
     return witnesses, len(states) * len(ms) * (len(ms) - 1) // 2
 
 
-def reference_definiteness(alg, ms, dom, dual=False):
+def reference_definiteness(alg, ms, states, dual=False):
     """The member loop that ``_definiteness`` replaced by image classes."""
     witnesses, checked, label = [], 0, alg.state_label
     zero = alg.zero_code
     coded = [(m.name, alg.action(m)) for m in ms]
     for b in ms:
         B = alg.action(b)
-        domain = dom.zero_domain(b) if dual else dom.fixpoint_domain(b)
+        domain = [x for x in states if B[x] == (zero if dual else x)]
         checked += len(domain) * len(coded)
         for a_name, A in coded:
             for x in domain:
@@ -981,11 +980,11 @@ def reference_definiteness(alg, ms, dom, dual=False):
     return witnesses, checked
 
 
-def reference_separability(alg, ms, dom):
+def reference_separability(alg, ms, states):
     """The state-pair loop over separators that ``_separability`` replaced by
     fixpoint bit rows."""
     witnesses, checked, label = [], 0, alg.state_label
-    nonzero = [x for x in dom.state_domain() if x != alg.zero_code]
+    nonzero = [x for x in states if x != alg.zero_code]
     members = [alg.action(m) for m in alg.sorted_measurements()]
     for x in nonzero:
         separators = [alg.action(point_measurement(alg, x))] if alg.full_lattice else members
@@ -998,13 +997,13 @@ def reference_separability(alg, ms, dom):
     return witnesses, checked
 
 
-def reference_l_cumulativity(alg, ms, dom):
+def reference_l_cumulativity(alg, ms, states):
     """The breadth-first search over members at every state that
     ``_l_cumulativity`` now runs only where the class graph has a cycle."""
     witnesses, checked = [], 0
     coded = [(m.name, alg.action(m)) for m in ms]
     names = [name for name, _ in coded]
-    for x in dom.state_domain():
+    for x in states:
         images = {name: A[x] for name, A in coded}
         adjacency = {
             a: [b for b, B in coded if B[images[a]] == images[a]] for a in names
@@ -1035,11 +1034,11 @@ CLASS_LAWS = {
 }
 
 
-def class_law_outcomes(alg, ms, dom):
+def class_law_outcomes(alg, ms, states):
     """Per law, the sorted witnesses and the count of the kernel, then those
     of the member loop."""
     def outcome(law):
-        found, checked = law(alg, ms, dom)
+        found, checked = law(alg, ms, states)
         return sorted(found), checked
 
     return {pid: (outcome(law), outcome(reference))
@@ -1049,7 +1048,8 @@ def class_law_outcomes(alg, ms, dom):
 @pytest.mark.parametrize("name", sorted(FIXTURES) + ["broken"])
 def test_class_kernel_matches_member_loops_on_fixtures(name):
     alg = load_model(json.loads(BROKEN.read_text())) if name == "broken" else FIXTURES[name]()
-    for pid, (got, expected) in class_law_outcomes(alg, alg.sorted_measurements(), alg).items():
+    for pid, (got, expected) in class_law_outcomes(alg, alg.sorted_measurements(),
+                                                   alg.state_domain()).items():
         assert got == expected, pid
     if name == "broken":  # the member search runs where the class graph finds a cycle
         assert check_axiom(alg, "l_cumulativity").witnesses
@@ -1058,8 +1058,8 @@ def test_class_kernel_matches_member_loops_on_fixtures(name):
 @st.composite
 def class_kernel_cases(draw):
     """A table model over 2-6 states whose members are idempotent maps that
-    fix zero, or arbitrary maps; and either the full domains and every
-    member, or, as replay passes them, a pinned list of states and a
+    fix zero, or arbitrary maps; and either the state domain and every
+    member, or, as replay passes them, a short list of states and a
     sub-list of the members."""
     states = ["0"] + [f"s{i}" for i in range(1, draw(st.integers(2, 6)))]
     rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
@@ -1073,19 +1073,19 @@ def class_kernel_cases(draw):
             tables[f"m{k}"] = {s: rnd.choice(states) for s in states}
     alg = build_table(states, "0", tables)
     if not draw(st.booleans()):
-        return alg, alg.sorted_measurements(), alg
+        return alg, alg.sorted_measurements(), alg.state_domain()
     codes = draw(st.lists(st.sampled_from(range(len(states))), min_size=1, max_size=3,
                           unique=True))
     ms = [m for m in alg.sorted_measurements() if draw(st.booleans())]
-    return alg, ms or alg.sorted_measurements()[:1], _Pinned(alg, codes)
+    return alg, ms or alg.sorted_measurements()[:1], codes
 
 
 @settings(max_examples=300, deadline=None)
 @given(class_kernel_cases())
 def test_class_kernel_matches_member_loops_on_random_tables(case):
-    alg, ms, dom = case
-    for pid, (got, expected) in class_law_outcomes(alg, ms, dom).items():
+    alg, ms, states = case
+    for pid, (got, expected) in class_law_outcomes(alg, ms, states).items():
         assert got == expected, pid
-        if dom is alg:
+        if states is alg.state_domain():
             for witness in got[0]:
                 assert replay_witness(alg, pid, witness), (pid, witness)

@@ -4,8 +4,8 @@ import re
 
 import pytest
 
-from malgebra.core import check_axioms, extent
-from malgebra.errors import InputError
+from malgebra.core import ProjectionMeasurement, check_axioms, extent
+from malgebra.errors import BudgetError, InputError
 from malgebra.models import (
     FIXTURES,
     build_propositional,
@@ -14,7 +14,7 @@ from malgebra.models import (
     dump_model,
     load_model,
 )
-from malgebra.ratlin import Ray
+from malgebra.ratlin import Ray, Subspace
 from malgebra.rays import RayAlgebra
 
 R = Ray.from_vector
@@ -214,10 +214,10 @@ def test_fixpoint_and_zero_domains_are_window_rays():
     window = alg.sample_states()
     assert len(window) == 16
     for m in alg.sorted_measurements():
-        assert alg.fixpoint_domain(m) == [x for x in window if m(x) == x]
-        assert alg.zero_domain(m) == [x for x in window if m(x) == alg.zero]
-    assert alg.fixpoint_domain(alg.measurement("p")) == [Ray.zero(3), R([0, 0, 1], 3),
-                                                        R([1, 2, 0], 3)]
+        fp, z, _ = extent(alg, m)
+        assert fp == {x for x in window if m(x) == x}
+        assert z == {x for x in window if m(x) == alg.zero}
+    assert extent(alg, "p")[0] == {Ray.zero(3), R([0, 0, 1], 3), R([1, 2, 0], 3)}
 
 
 def test_sample_states_function(r2):
@@ -231,6 +231,12 @@ def test_sample_states_function(r2):
 def test_ray_algebra_refuses_a_height_below_one_at_construction(r2, height):
     with pytest.raises(InputError, match="sample height must be at least 1"):
         RayAlgebra(2, r2.sorted_measurements(), sample_height=height)
+
+
+def test_ray_algebra_refuses_a_window_over_the_cap_at_construction():
+    # the window rule of ``build_ray`` holds for a directly built algebra too
+    with pytest.raises(BudgetError, match="ray window of height 3 over 40 coordinates"):
+        RayAlgebra(40, [ProjectionMeasurement("bot", Subspace.zero(40))], sample_height=3)
 
 
 @pytest.mark.parametrize("atoms", [["top"], ["p", "bot"]])

@@ -8,6 +8,7 @@ goes unused; the README's synopsis names the options the parser defines."""
 import argparse
 import ast
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -100,6 +101,21 @@ def test_every_module_level_function_and_class_is_exported_or_used():
 
 def test_core_imports_nothing_from_rays():
     assert "rays" not in set(imported_names(parse(PACKAGE / "core.py")))
+
+
+def test_laws_range_over_one_list_of_state_codes():
+    # a backend names only ``state_domain``; fixpoints and zeros are read off
+    # ``action``, and checker and replay hand every law its state codes alike
+    from malgebra import core
+
+    domains = [f"{path.name}:{node.name}.{item.name}" for path in MODULES
+               for node in ast.walk(parse(path)) if isinstance(node, ast.ClassDef)
+               for item in node.body if isinstance(item, ast.FunctionDef)
+               and item.name in ("fixpoint_domain", "zero_domain")]
+    assert domains == []
+    assert not {"_Pinned", "_by_state"} & set(vars(core))
+    for pid, (law, _) in core._LAWS.items():
+        assert list(inspect.signature(law).parameters)[:3] == ["alg", "ms", "states"], pid
 
 
 def test_core_never_compares_a_backend_kind():
