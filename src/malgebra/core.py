@@ -169,7 +169,8 @@ class MAlgebra:
       ``compose_raw(a, b)`` and ``membership(raw)``: the raw map "a, then
       b" and the member equal to a raw map, or None;
     * ``find_negation(m)`` and ``point_measurement(x)``: the member with
-      swapped fixpoints and zeros, the one fixing only zero and ``x``, or None;
+      swapped fixpoints and zeros, the one fixing only zero and ``x``, or None
+      (``negation_of`` raises where ``find_negation`` finds none);
     * ``is_full(m)``, ``is_zero(m)`` and ``is_classical(m)``: whether ``m``
       fixes every state, annihilates every state, or one of the two each.
 
@@ -202,7 +203,6 @@ class MAlgebra:
             self._measurements[m.name] = m
         self._names = tuple(sorted(self._measurements))
         self._sorted = tuple(self._measurements[n] for n in self._names)
-        self._negations: dict[str, Measurement] = {}
 
     @property
     def measurements(self) -> dict[str, Measurement]:
@@ -270,18 +270,6 @@ class MAlgebra:
                         [row | col | 1 << i for i, (row, col)
                          in enumerate(zip(above, bit_columns(above)))])
 
-    def negation(self, m: Measurement) -> Measurement:
-        """``find_negation``, cached for members; raises when there is none."""
-        member = self._measurements.get(m.name) is m
-        cached = self._negations.get(m.name) if member else None
-        if cached is None:
-            cached = self.find_negation(m)
-            if cached is None:
-                raise NegationViolation(m.name)
-            if member:
-                self._negations[m.name] = cached
-        return cached
-
 
 class Compiled(NamedTuple):
     """A finite measurement as integers over the declared state order.
@@ -314,9 +302,11 @@ class FiniteAlgebra(MAlgebra):
     """Extensional backend: states are identifier strings, actions are tables.
 
     Each member is compiled once, at construction, to its codes, lane and
-    translate table (see :class:`Compiled`); its masks and the table index
-    (lanes to the first member by name) derive from them.  Composition,
-    commutation, membership and the pair rows run on the lanes.
+    translate table (see :class:`Compiled`); its masks and three indexes
+    derive from them, each to the first member by name: by lane, by
+    fixpoint mask and by the pair of fixpoint and zero masks.  Composition,
+    commutation, membership and the pair rows run on the lanes; negation
+    and point measurements are one lookup in the mask indexes.
     """
 
     def __init__(self, kind, states, zero, measurements, negation_hints=None, meta=None):
@@ -337,8 +327,13 @@ class FiniteAlgebra(MAlgebra):
         # shares its id, so a foreign measurement never hits this cache.
         self._compiled = {id(m): self._compile(m) for m in self._sorted}
         self._table_index: dict[bytes | _TupleLane, Measurement] = {}
+        self._by_fp: dict[int, Measurement] = {}
+        self._by_masks: dict[tuple[int, int], Measurement] = {}
         for m in self._sorted:
-            self._table_index.setdefault(self._compiled[id(m)].lane, m)
+            c = self._compiled[id(m)]
+            self._table_index.setdefault(c.lane, m)
+            self._by_fp.setdefault(c.fp, m)
+            self._by_masks.setdefault((c.fp, c.z), m)
 
     def _compile(self, m: Measurement) -> Compiled:
         try:
@@ -472,13 +467,11 @@ class FiniteAlgebra(MAlgebra):
         hinted = self.negation_hints.get(m.name)
         if hinted is not None:
             return self.measurement(hinted)
-        target_fp, target_z = self.z_mask(m), self.fp_mask(m)
-        return next((c for c in self._sorted
-                     if self.fp_mask(c) == target_fp and self.z_mask(c) == target_z), None)
+        c = self.compiled(m)
+        return self._by_masks.get((c.z, c.fp))
 
     def point_measurement(self, x: str) -> Measurement | None:
-        target = (1 << self.zero_code) | (1 << self._state_index[x])
-        return next((m for m in self._sorted if self.fp_mask(m) == target), None)
+        return self._by_fp.get(1 << self.zero_code | 1 << self._state_index[x])
 
     def is_full(self, m: Measurement) -> bool:
         return self.fp_mask(m) == self.full_mask
@@ -549,7 +542,11 @@ def negation_of(alg: MAlgebra, m) -> Measurement:
     Unique when it exists (measurements are determined by their fixpoints);
     raises :class:`NegationViolation` when the algebra lacks it.
     """
-    return alg.negation(alg.resolve(m))
+    m = alg.resolve(m)
+    found = alg.find_negation(m)
+    if found is None:
+        raise NegationViolation(m.name)
+    return found
 
 
 def top_bot(alg: MAlgebra) -> tuple[Measurement, Measurement]:
@@ -765,30 +762,29 @@ def _negation(alg, ms, states):
 
 
 def _separability(alg, ms, states):
-    # The separators are every member, or on a full lattice the point
-    # measurement of x (there states and their codes are the same rays).  A
-    # witness of x is a state that every separator fixing x fixes too.  A
-    # replayed witness may name one state twice; it is one state.
+    # The separators are every member.  A witness of x is a state that every
+    # separator fixing x fixes too.  A full lattice has none: the point
+    # measurement of x fixes x and no other ray.  A replayed witness may name
+    # one state twice; it is one state.
     nonzero = list(dict.fromkeys(x for x in states if x != alg.zero_code))
+    checked = len(nonzero) * (len(nonzero) - 1)
+    if alg.full_lattice:
+        return [], checked
     labels, every = list(map(alg.state_label, nonzero)), (1 << len(nonzero)) - 1
-
-    def fixed(m):
-        S = alg.action(m)
-        return sum(1 << j for j, y in enumerate(nonzero) if S[y] == y)
-
-    rows = None if alg.full_lattice else list(map(fixed, alg.sorted_measurements()))
+    rows = [sum(1 << j for j, y in enumerate(nonzero) if S[y] == y)
+            for S in map(alg.action, alg.sorted_measurements())]
     witnesses = []
-    for i, x in enumerate(nonzero):
-        separators = [fixed(point_measurement(alg, x))] if rows is None else rows
-        left = reduce(and_, (r for r in separators if r >> i & 1), every) & ~(1 << i)
+    for i in range(len(nonzero)):
+        left = reduce(and_, (r for r in rows if r >> i & 1), every) & ~(1 << i)
         witnesses += [(labels[i], labels[j]) for j in bit_positions(left)]
-    return witnesses, len(nonzero) * (len(nonzero) - 1)
+    return witnesses, checked
 
 
 def _strong_separability(alg, ms, states):
+    # a full lattice has the point measurement of every nonzero ray
     nonzero = [x for x in states if x != alg.zero_code]
-    witnesses = [(alg.state_label(x),) for x in nonzero
-                 if point_measurement(alg, alg.state(x)) is None]
+    witnesses = [] if alg.full_lattice else [
+        (alg.state_label(x),) for x in nonzero if point_measurement(alg, alg.state(x)) is None]
     return witnesses, len(nonzero)
 
 

@@ -59,19 +59,19 @@ def format_formula(f: Formula, compact: bool = False) -> str:
     """Render with the fewest parentheses that reparse to the same tree."""
     pad = "" if compact else " "
 
-    def render(node, parent_prec, right_side):
+    def render(node):
         prec = _PRECEDENCE[type(node)]
         if isinstance(node, Slot):
             return node.name
         if isinstance(node, Not):
-            inner = render(node.operand, prec, False)
+            inner = render(node.operand)
             if _PRECEDENCE[type(node.operand)] < prec:
                 inner = "(" + inner + ")"
             return "~" + inner
         sym = _SYMBOL[type(node)]
         assoc_right = isinstance(node, Implies)
-        left = render(node.left, prec, False)
-        right = render(node.right, prec, True)
+        left = render(node.left)
+        right = render(node.right)
         if _PRECEDENCE[type(node.left)] < prec or (
             _PRECEDENCE[type(node.left)] == prec and assoc_right
         ):
@@ -82,7 +82,7 @@ def format_formula(f: Formula, compact: bool = False) -> str:
             right = "(" + right + ")"
         return left + pad + sym + pad + right
 
-    return render(f, 0, False)
+    return render(f)
 
 
 class ParseError(InputError):

@@ -53,11 +53,11 @@ def build_table(states, zero, measurements, negations=None, kind="table", meta=N
     alg = core.FiniteAlgebra(kind, states, zero, table_measurements,
                              negation_hints=negations, meta=meta)
     if negations:
-        _validate_negations(alg, negations)
+        _validate_negation_map(alg, negations)
     return alg
 
 
-def _validate_negations(alg, negations):
+def _validate_negation_map(alg, negations):
     for name, other in negations.items():
         m = alg.measurement(name)
         n = alg.measurement(other)

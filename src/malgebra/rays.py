@@ -111,7 +111,8 @@ class RayAlgebra(MAlgebra):
         return self.measurement_for_subspace(m.subspace.orthocomplement)
 
     def point_measurement(self, x: Ray) -> Measurement | None:
-        return self.measurement_for_subspace(Subspace.from_generators(self.dim, [x.direction]))
+        # a ray's direction is already the canonical basis of its line
+        return self.measurement_for_subspace(Subspace(self.dim, (x.direction,)))
 
     def commutation_probes(self, m: Measurement) -> list[Measurement]:
         """On a full lattice, the point measurement of a ray mixing a proper

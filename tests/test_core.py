@@ -26,6 +26,7 @@ from malgebra.core import (
     check_axiom,
     check_axioms,
     check_instances,
+    check_result,
     commutes,
     compose_member,
     compose_raw,
@@ -265,6 +266,115 @@ def test_point_measurement_rejects_zero(t2):
         point_measurement(t2, "{}")
 
 
+# negation and point measurements by index, against the member scans ---------
+
+
+def reference_ray_member(alg, target):
+    """The first listed member by name on the subspace ``target``; failing
+    that, on a full lattice, the one synthesized for it."""
+    listed = next((c for c in alg.sorted_measurements() if c.subspace == target), None)
+    if listed is None and alg.full_lattice:
+        return alg.measurement_for_subspace(target)
+    return listed
+
+
+def reference_find_negation(alg, m):
+    """The member scan that the finite backend's mask index replaced: the
+    first member by name whose fixpoints are the zeros of ``m`` and whose
+    zeros are its fixpoints.  On rays, the member of the orthocomplement."""
+    if alg.kind == "ray":
+        return reference_ray_member(alg, m.subspace.orthocomplement)
+    hinted = alg.negation_hints.get(m.name)
+    if hinted is not None:
+        return alg.measurement(hinted)
+    target_fp, target_z = alg.z_mask(m), alg.fp_mask(m)
+    return next((c for c in alg.sorted_measurements()
+                 if alg.fp_mask(c) == target_fp and alg.z_mask(c) == target_z), None)
+
+
+def reference_point_measurement(alg, x):
+    """The member scan that the finite backend's fixpoint index replaced: the
+    first member by name fixing only zero and ``x``.  On rays, the member of
+    the line through ``x``, reduced by rref."""
+    if alg.kind == "ray":
+        return reference_ray_member(alg, Subspace.from_generators(alg.dim, [x.direction]))
+    target = (1 << alg.zero_code) | (1 << alg.state_code(x))
+    return next((m for m in alg.sorted_measurements() if alg.fp_mask(m) == target), None)
+
+
+def assert_indexes_match_scans(alg):
+    for m in alg.sorted_measurements():
+        assert alg.find_negation(m) is reference_find_negation(alg, m), m
+    for code in alg.state_domain():
+        if code != alg.zero_code:
+            x = alg.state(code)
+            assert point_measurement(alg, x) is reference_point_measurement(alg, x), x
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES) + ["broken"])
+def test_indexes_match_member_scans_on_fixtures(name):
+    alg = load_model(json.loads(BROKEN.read_text())) if name == "broken" else FIXTURES[name]()
+    assert_indexes_match_scans(alg)
+
+
+def test_first_member_by_name_wins_a_shared_mask():
+    # "m" and its copy "c" share both masks; "p" fixes the same states as
+    # "m" but sends "b" to zero, and "q" is its negation
+    tables = {"top": {"0": "0", "a": "a", "b": "b"}, "bot": {"0": "0", "a": "0", "b": "0"},
+              "m": {"0": "0", "a": "a", "b": "a"}, "p": {"0": "0", "a": "a", "b": "0"},
+              "q": {"0": "0", "a": "0", "b": "b"}}
+    alg = build_table(["0", "a", "b"], "0", {**tables, "c": tables["m"]})
+    assert point_measurement(alg, "a").name == "c"
+    assert alg.find_negation(alg.measurement("q")).name == "p"
+    hinted = build_table(["0", "a", "b"], "0", {**tables, "n": tables["q"]},
+                         negations={"p": "q", "q": "p"})
+    assert negation_of(hinted, "p").name == "q"
+    assert negation_of(hinted, "n").name == "p"
+    assert_indexes_match_scans(alg)
+    assert_indexes_match_scans(hinted)
+
+
+@st.composite
+def tables_with_copies(draw):
+    """A table from ``tables_with_top_and_bot`` with copies of some members
+    under names sorting before and after theirs, so that members share their
+    masks; with or without a declared negation map pairing members whose
+    masks swap."""
+    alg = draw(tables_with_top_and_bot())
+    tables = tables_of(alg)
+    for name in alg.names:
+        for copy in draw(st.lists(st.sampled_from(["a" + name, name + "'"]), unique=True)):
+            tables[copy] = tables[name]
+    plain = build_table(alg.states, "0", tables)
+    negations = {}
+    if draw(st.booleans()):
+        ms = plain.sorted_measurements()
+        for m in ms:
+            if m.name in negations or not draw(st.booleans()):
+                continue
+            partners = [n.name for n in ms if n.name not in negations
+                        and plain.fp_mask(n) == plain.z_mask(m)
+                        and plain.z_mask(n) == plain.fp_mask(m)]
+            if partners:
+                n = draw(st.sampled_from(partners))
+                negations[m.name], negations[n] = n, m.name
+    return build_table(alg.states, "0", tables, negations=negations)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_with_copies())
+def test_indexes_match_member_scans_on_random_tables(alg):
+    assert_indexes_match_scans(alg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda k: st.lists(st.integers(-20, 20), min_size=k, max_size=k).filter(any)))
+def test_a_rays_direction_is_the_canonical_basis_of_its_line(v):
+    k = len(v)
+    assert Subspace(k, (Ray.from_vector(v).direction,)) == Subspace.from_generators(k, [v])
+
+
 # axiom engine ----------------------------------------------------------------
 
 
@@ -314,6 +424,33 @@ def test_full_lattice_replay_separates_by_point_measurements(r3full):
     # no listed member separates these rays, but the point measurement of
     # (1,1,1) does, so the checker can never report this pair
     assert not replay_witness(r3full, "separability", ("(1,1,1)", "(1,1,0)"))
+
+
+def r4_full(height):
+    """The full lattice of Q^4, listing ``bot``, ``top``, the x axis and
+    its complement."""
+    e = [[int(i == j) for j in range(4)] for i in range(4)]
+    return build_ray(4, {"bot": [], "top": e, "px": e[:1], "pyzw": e[1:]},
+                     full_lattice=True, sample_height=height)
+
+
+@pytest.mark.parametrize("model,height", [("r3_full", 1), ("r3_full", 2), ("r3_full", 3),
+                                          ("r4_full", 2)])
+def test_full_lattice_point_separation_synthesizes_nothing(model, height):
+    # the point measurement of x fixes x and no other ray, so both laws hold
+    # on a full lattice without building one
+    alg = r4_full(height) if model == "r4_full" else load_model(
+        json.loads((FIXTURE_DIR / "r3_full.json").read_text()), height)
+    results = [check_axiom(alg, pid) for pid in ("separability", "strong_separability")]
+    assert all(alg.measurements.get(m.name) is m for m in alg._by_subspace.values())
+    ms, states = alg.sorted_measurements(), alg.state_domain()
+    nonzero = [x for x in states if x != alg.zero_code]
+    assert results == [
+        check_result("separability", *reference_separability(alg, ms, states), complete=False),
+        check_result("strong_separability",
+                     [(alg.state_label(x),) for x in nonzero if point_measurement(alg, x) is None],
+                     len(nonzero), complete=False),
+    ]
 
 
 def test_strong_separability_fails_on_listed_rays(r2):
@@ -592,7 +729,8 @@ def pair_outcome(pass_, alg, ms=None):
 
 
 BROKEN = Path(__file__).resolve().parent / "golden" / "broken.json"
-T3 = Path(__file__).resolve().parent.parent / "fixtures" / "t3.json"
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+T3 = FIXTURE_DIR / "t3.json"
 
 
 def test_pair_rows_match_reference_on_fixtures():

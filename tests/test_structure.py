@@ -3,7 +3,8 @@ protocol, never a backend class, and ``core`` does not depend on ``rays``; a
 run executes only the package files it needs; the package exports the same
 public names; ``core`` stays small enough for the parser's first token array;
 no module imports a name it never uses, and no module-level function or class
-goes unused; the README's synopsis names the options the parser defines."""
+goes unused; the finite backend finds negations and point measurements by
+index lookup; the README's synopsis names the options the parser defines."""
 
 import argparse
 import ast
@@ -116,6 +117,26 @@ def test_laws_range_over_one_list_of_state_codes():
     assert not {"_Pinned", "_by_state"} & set(vars(core))
     for pid, (law, _) in core._LAWS.items():
         assert list(inspect.signature(law).parameters)[:3] == ["alg", "ms", "states"], pid
+
+
+def test_negation_and_point_measurements_are_index_lookups():
+    # the finite backend answers both with one lookup in the mask indexes it
+    # builds beside its lanes; no cache or member scan stands behind them
+    negations = [f"{path.name}:{node.name}" for path in MODULES
+                 for node in ast.walk(parse(path)) if isinstance(node, ast.ClassDef)
+                 for item in node.body if isinstance(item, ast.FunctionDef)
+                 and item.name == "negation"]
+    assert negations == []
+    core = parse(PACKAGE / "core.py")
+    assert "_negations" not in names_in(core)
+    backend = next(node for node in core.body
+                   if isinstance(node, ast.ClassDef) and node.name == "FiniteAlgebra")
+    scans = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    lookups = {item.name: item for item in backend.body if isinstance(item, ast.FunctionDef)
+               and item.name in ("find_negation", "point_measurement")}
+    assert sorted(lookups) == ["find_negation", "point_measurement"]
+    for name, item in lookups.items():
+        assert not any(isinstance(node, scans) for node in ast.walk(item)), name
 
 
 def test_core_never_compares_a_backend_kind():
