@@ -142,9 +142,19 @@ def formula_walker(alg: MAlgebra, binding: dict):
     return walk
 
 
+def indefinite_state(alg: MAlgebra, m: Measurement):
+    """The first state code of the domain that ``m`` neither fixes nor sends
+    to zero, or None: a state outside the union of ``extent``."""
+    M, zero = alg.action(m), alg.zero_code
+    return next((x for x in alg.state_domain() if M[x] != x and M[x] != zero), None)
+
+
 def is_classical(alg: MAlgebra, m) -> bool:
     """Whether every state either satisfies the measurement or is annihilated.
 
-    On the ray backend this holds exactly for the zero and full projections.
+    Exact on rays too: every window holds each e_i and e_i + e_j, and a
+    proper subspace leaves one of them indefinite (with e_i inside and e_j
+    outside it, e_i + e_j is neither), so only the zero and full
+    projections are classical.
     """
-    return alg.is_classical(alg.resolve(m))
+    return indefinite_state(alg, alg.resolve(m)) is None

@@ -171,8 +171,7 @@ class MAlgebra:
     * ``find_negation(m)`` and ``point_measurement(x)``: the member with
       swapped fixpoints and zeros, the one fixing only zero and ``x``, or None
       (``negation_of`` raises where ``find_negation`` finds none);
-    * ``is_full(m)``, ``is_zero(m)`` and ``is_classical(m)``: whether ``m``
-      fixes every state, annihilates every state, or one of the two each.
+    * ``is_full(m)``: whether ``m`` fixes every state.
 
     The rest have a default here, over those; the override is named:
 
@@ -182,8 +181,6 @@ class MAlgebra:
       exact on an exact backend (rays test the subspaces);
     * ``compose_member(a, b)``: ``membership`` of ``compose_raw`` (the
       finite backend reads its lanes);
-    * ``commutation_probes(m)``: the unlisted members a full lattice adds
-      when asking whether ``m`` commutes with every member (rays);
     * ``pair_rows(ms)``: the pair facts of :class:`PairRows`, asked pair by
       pair (the finite backend reads its lanes).
 
@@ -238,11 +235,6 @@ class MAlgebra:
     def compose_member(self, a: Measurement, b: Measurement) -> Measurement | None:
         # through the module functions, so that their per-layer spans count it
         return membership(self, compose_raw(self, a, b))
-
-    def commutation_probes(self, m: Measurement) -> list[Measurement]:
-        """Unlisted measurements that ``m`` must commute with if it commutes
-        with every measurement; only a full lattice has any."""
-        return []
 
     def pair_rows(self, ms: list[Measurement]) -> PairRows:
         """The pair facts asked of the protocol pair by pair, row by row."""
@@ -476,12 +468,6 @@ class FiniteAlgebra(MAlgebra):
     def is_full(self, m: Measurement) -> bool:
         return self.fp_mask(m) == self.full_mask
 
-    def is_zero(self, m: Measurement) -> bool:
-        return self.z_mask(m) == self.full_mask
-
-    def is_classical(self, m: Measurement) -> bool:
-        return self.fp_mask(m) | self.z_mask(m) == self.full_mask
-
 
 def apply(alg: MAlgebra, m, state):
     """Act on a state with a measurement; deterministic and total."""
@@ -566,8 +552,10 @@ def top_bot(alg: MAlgebra) -> tuple[Measurement, Measurement]:
             f"composing {a.name!r} with its negation leaves M; "
             "the composition law fails"
         )
+    # top's fixpoints are bot's zeros, so top fixes everything exactly when
+    # bot annihilates everything
     top = negation_of(alg, bot)
-    if not (alg.is_zero(bot) and alg.is_full(top)):
+    if not alg.is_full(top):
         raise ClosureViolation(
             "the derived bottom/top measurements misbehave; the composition "
             "or negation law fails"
@@ -752,13 +740,7 @@ def _cumulativity(alg, ms, states):
 
 
 def _negation(alg, ms, states):
-    witnesses = []
-    for m in ms:
-        try:
-            negation_of(alg, m)
-        except NegationViolation:
-            witnesses.append((m.name,))
-    return witnesses, len(ms)
+    return [(m.name,) for m in ms if alg.find_negation(m) is None], len(ms)
 
 
 def _separability(alg, ms, states):
@@ -855,14 +837,9 @@ def _bfs_path(parent, source, target):
 
 
 def _double_negation(alg, ms, states):
-    witnesses = []
-    for a in ms:
-        try:
-            if negation_of(alg, negation_of(alg, a)) != a:
-                witnesses.append((a.name,))
-        except NegationViolation:
-            witnesses.append((a.name,))
-    return witnesses, len(ms)
+    # a missing negation, at either step, is a witness
+    return [(a.name,) for a in ms
+            if (na := alg.find_negation(a)) is None or alg.find_negation(na) != a], len(ms)
 
 
 def _definiteness(alg, ms, states, dual=False):

@@ -9,7 +9,7 @@ non-commuting pairs.
 
 from __future__ import annotations
 
-from .connectives import _composite, _join, conjunction, disjunction, implication, is_classical
+from .connectives import _composite, _join, conjunction, disjunction, implication, indefinite_state
 from .core import (
     CheckResult,
     MAlgebra,
@@ -204,12 +204,17 @@ def classical_commutation_agree(alg: MAlgebra) -> CheckResult:
     """On separable algebras classicality coincides with commuting with
     every measurement; both directions are checked.
 
-    On a full lattice the commutation side quantifies over an infinite
-    family, so besides the listed window each member is also tested against
-    the backend's ``commutation_probes``, which makes the verdict exact.
+    Each member is also tested against the paper's probe: a non-classical
+    ``m`` leaves some state x indefinite, and the point measurement of x
+    does not commute with ``m``.  The probe is a member or None on a listed
+    family; on a full lattice it is the line through x, so the verdict is
+    exact.  The zero state has no point measurement, hence no probe.
     """
     ms = alg.sorted_measurements()
-    return check_instances(
-        "classical_commutation", [(m,) for m in ms],
-        lambda m: all(commutes(alg, m, k) for k in ms + alg.commutation_probes(m))
-        != is_classical(alg, m))
+
+    def disagrees(m):
+        x = indefinite_state(alg, m)
+        probe = None if x in (None, alg.zero_code) else point_measurement(alg, alg.state(x))
+        return all(commutes(alg, m, k) for k in ms + [probe] if k is not None) != (x is None)
+
+    return check_instances("classical_commutation", [(m,) for m in ms], disagrees)

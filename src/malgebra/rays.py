@@ -10,7 +10,7 @@ measurement classes by name finds both there.
 
 from __future__ import annotations
 
-from .core import MAlgebra, Measurement, ProjectionMeasurement, point_measurement
+from .core import MAlgebra, Measurement, ProjectionMeasurement
 from .ratlin import Matrix, Ray, RayImages, Subspace, check_window, is_symmetric_idempotent
 from .ratlin import mat_mul, parse_ray, primitive_vectors
 
@@ -36,9 +36,10 @@ class RayAlgebra(MAlgebra):
         self.sample_height = sample_height
         self.zero = self.zero_code = Ray.zero(dim)
         self._window: list[Ray] | None = None
-        # the listed member (first by name), or the one a full lattice synthesized
-        self._by_subspace: dict[Subspace, Measurement] = {
-            m.subspace: m for m in reversed(self.sorted_measurements())
+        # by basis, a tuple hashed in C: the listed member (first by name) or a
+        # synthesized one
+        self._by_subspace: dict[tuple, Measurement] = {
+            m.subspace.basis: m for m in reversed(self.sorted_measurements())
         }
 
     def summary(self) -> dict:
@@ -55,9 +56,9 @@ class RayAlgebra(MAlgebra):
         return self._window
 
     def measurement_for_subspace(self, sub: Subspace) -> Measurement | None:
-        m = self._by_subspace.get(sub)
+        m = self._by_subspace.get(sub.basis)
         if m is None and self.full_lattice:
-            m = self._by_subspace[sub] = ProjectionMeasurement(_subspace_label(sub), sub)
+            m = self._by_subspace[sub.basis] = ProjectionMeasurement(_subspace_label(sub), sub)
         return m
 
     # law-check protocol (see MAlgebra)
@@ -114,24 +115,8 @@ class RayAlgebra(MAlgebra):
         # a ray's direction is already the canonical basis of its line
         return self.measurement_for_subspace(Subspace(self.dim, (x.direction,)))
 
-    def commutation_probes(self, m: Measurement) -> list[Measurement]:
-        """On a full lattice, the point measurement of a ray mixing a proper
-        subspace with its complement: such a ray always exists and never
-        commutes with the subspace."""
-        sub = m.subspace
-        if not self.full_lattice or sub.is_zero or sub.is_full:
-            return []
-        mix = [a + b for a, b in zip(sub.basis[0], sub.orthocomplement.basis[0])]
-        return [point_measurement(self, Ray.from_vector(mix, self.dim))]
-
     def is_full(self, m: Measurement) -> bool:
         return m.subspace.is_full
-
-    def is_zero(self, m: Measurement) -> bool:
-        return m.subspace.is_zero
-
-    def is_classical(self, m: Measurement) -> bool:
-        return m.subspace.is_zero or m.subspace.is_full
 
 
 def _subspace_label(sub: Subspace) -> str:

@@ -1052,7 +1052,7 @@ def test_ray_relations_match_pointwise_definitions(fixture):
     zeros = {m.name: {x for x in window if m(x) == alg.zero} for m in ms}
     for a in ms:
         assert alg.is_full(a) == (fixed[a.name] == window), a
-        assert alg.is_zero(a) == (zeros[a.name] == window), a
+        assert a.subspace.is_zero == (zeros[a.name] == window), a
         assert is_classical(alg, a) == (fixed[a.name] | zeros[a.name] == window), a
         for b in ms:
             assert alg.fp_subset(a, b) == (fixed[a.name] <= fixed[b.name]), (a, b)

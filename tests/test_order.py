@@ -8,16 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malgebra import models
-from malgebra.connectives import conjunction, disjunction, implication
+from malgebra.cli import main
+from malgebra.connectives import (
+    conjunction,
+    disjunction,
+    implication,
+    indefinite_state,
+    is_classical,
+)
 from malgebra.core import (
     apply,
     check_result,
+    check_instances,
     commutes,
     negation_of,
     point_measurement,
     top_bot,
 )
-from malgebra.errors import NotStronglySeparable
+from malgebra.errors import ClosureViolation, NotStronglySeparable
 from malgebra.order import (
     bounds_check,
     classical_commutation_agree,
@@ -353,3 +361,115 @@ def test_implication_to_point_of_image(r2full):
 def test_classical_commutation_agreement(t2max, r2full, r3full):
     for alg in (t2max, r2full, r3full):
         assert classical_commutation_agree(alg).status == "pass"
+
+
+# classicality read off the action, against the backend probes it replaced ------
+
+
+def reference_commutation_probes(alg, m):
+    """On a full lattice, the point measurement of a ray mixing a proper
+    subspace with its complement: the first basis vector of each, summed."""
+    if not alg.full_lattice or m.subspace.is_zero or m.subspace.is_full:
+        return []
+    sub = m.subspace
+    mix = [a + b for a, b in zip(sub.basis[0], sub.orthocomplement.basis[0])]
+    return [point_measurement(alg, Ray.from_vector(mix, alg.dim))]
+
+
+def reference_is_classical(alg, m):
+    """Classicality as the backends decided it: the zero or full subspace on
+    rays, fixpoint and zero masks covering every state on tables."""
+    if alg.kind == "ray":
+        return m.subspace.is_zero or m.subspace.is_full
+    return alg.fp_mask(m) | alg.z_mask(m) == alg.full_mask
+
+
+def reference_classical_commutation_agree(alg):
+    ms = alg.sorted_measurements()
+    return check_instances(
+        "classical_commutation", [(m,) for m in ms],
+        lambda m: all(commutes(alg, m, k) for k in ms + reference_commutation_probes(alg, m))
+        != reference_is_classical(alg, m))
+
+
+BROKEN = Path(__file__).resolve().parent / "golden" / "broken.json"
+
+
+@pytest.mark.parametrize("name", [*models.FIXTURES, "broken"])
+def test_classical_commutation_matches_reference_on_fixtures(name):
+    alg = (models.load_model(json.loads(BROKEN.read_text())) if name == "broken"
+           else models.FIXTURES[name]())
+    assert classical_commutation_agree(alg) == reference_classical_commutation_agree(alg)
+
+
+def test_an_indefinite_zero_state_has_no_probe():
+    # ``m`` breaks the illegitimate law: the zero state is its first
+    # indefinite state, and the zero state has no point measurement
+    alg = models.build_table(["0", "s"], "0", {"m": {"0": "s", "s": "s"},
+                                                "top": {"0": "0", "s": "s"}})
+    assert indefinite_state(alg, alg.measurement("m")) == alg.zero_code
+    assert classical_commutation_agree(alg) == reference_classical_commutation_agree(alg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables_with_top_and_bot())
+def test_classical_commutation_matches_reference_on_random_tables(alg):
+    assert classical_commutation_agree(alg) == reference_classical_commutation_agree(alg)
+
+
+@st.composite
+def full_lattice_families(draw):
+    """A full lattice of Q^1 to Q^4 at window height 1 or 2, listing ``bot``,
+    ``top`` and up to three subspaces spanned by drawn integer generators;
+    a drawn span equal to one already listed is left out."""
+    dim = draw(st.integers(1, 4))
+    vectors = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    subspaces = {"bot": [], "top": [[int(i == j) for j in range(dim)] for i in range(dim)]}
+    spans = {Subspace.from_generators(dim, g) for g in subspaces.values()}
+    for k in range(draw(st.integers(0, 3))):
+        generators = draw(st.lists(vectors, min_size=1, max_size=dim))
+        span = Subspace.from_generators(dim, generators)
+        if span not in spans:
+            spans.add(span)
+            subspaces[f"m{k}"] = generators
+    return models.build_ray(dim, subspaces, full_lattice=True,
+                            sample_height=draw(st.integers(1, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(full_lattice_families())
+def test_classicality_is_exact_on_full_lattices(alg):
+    # every window holds each e_i and e_i + e_j, and a proper subspace
+    # leaves one of them indefinite; its line never commutes with the member
+    for m in alg.sorted_measurements():
+        trivial = m.subspace.is_zero or m.subspace.is_full
+        x = indefinite_state(alg, m)
+        assert is_classical(alg, m) == trivial == (x is None), m
+        if x is not None:
+            assert not commutes(alg, m, point_measurement(alg, alg.state(x))), (m, x)
+    assert classical_commutation_agree(alg) == reference_classical_commutation_agree(alg)
+    assert classical_commutation_agree(alg).status == "pass"
+
+
+# composing ``a`` with its negation ``na`` gives ``a`` again, which is no bottom
+MISBEHAVING = {
+    "kind": "table", "states": ["0", "u", "w"], "zero": "0",
+    "measurements": {"a": {"0": "0", "u": "w", "w": "0"},
+                     "na": {"0": "0", "u": "w", "w": "w"}},
+}
+
+
+@pytest.mark.parametrize("check", [top_bot, bounds_check, orthomodular_check],
+                         ids=lambda check: check.__name__)
+def test_derived_bounds_that_misbehave_raise(check):
+    with pytest.raises(ClosureViolation, match="misbehave"):
+        check(models.load_model(MISBEHAVING))
+
+
+def test_order_on_misbehaving_bounds_is_a_property_failure(tmp_path, capsys):
+    path = tmp_path / "misbehaving.json"
+    path.write_text(json.dumps(MISBEHAVING), encoding="utf-8")
+    assert main(["order", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("property failure: ") and "misbehave" in err

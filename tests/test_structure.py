@@ -4,7 +4,9 @@ run executes only the package files it needs; the package exports the same
 public names; ``core`` stays small enough for the parser's first token array;
 no module imports a name it never uses, and no module-level function or class
 goes unused; the finite backend finds negations and point measurements by
-index lookup; the README's synopsis names the options the parser defines."""
+index lookup; classicality and the negation laws are read off the protocol,
+with no backend hook and no caught exception; the README's synopsis names the
+options the parser defines."""
 
 import argparse
 import ast
@@ -137,6 +139,21 @@ def test_negation_and_point_measurements_are_index_lookups():
     assert sorted(lookups) == ["find_negation", "point_measurement"]
     for name, item in lookups.items():
         assert not any(isinstance(node, scans) for node in ast.walk(item)), name
+
+
+def test_classicality_and_the_negation_laws_need_no_backend_hook():
+    # classicality is read off ``action`` over the domain, and the negation
+    # laws ask ``find_negation`` rather than catch ``negation_of``'s raise;
+    # ``Ray`` and ``Subspace`` keep their own ``is_zero``
+    hooks = [f"{path.name}:{node.name}.{item.name}" for path in MODULES
+             for node in ast.walk(parse(path)) if isinstance(node, ast.ClassDef)
+             and node.name in BACKENDS | {"MAlgebra"} for item in node.body if isinstance(item, ast.FunctionDef)
+             and item.name in ("is_zero", "is_classical", "commutation_probes")]
+    assert hooks == []
+    laws = {node.name: node for node in parse(PACKAGE / "core.py").body
+            if isinstance(node, ast.FunctionDef)}
+    for name in ("_negation", "_double_negation"):
+        assert not any(isinstance(node, ast.Try) for node in ast.walk(laws[name])), name
 
 
 def test_core_never_compares_a_backend_kind():
