@@ -19,17 +19,14 @@ _EXPORTS = {
                     "implication", "is_classical"),
     "core": ("ALL_AXIOMS", "CheckResult", "DEFINING_AXIOMS", "FiniteAlgebra", "LEMMA_IDS",
              "MAlgebra", "Measurement", "OPTIONAL_AXIOMS", "ProjectionMeasurement",
-             "TableMeasurement", "apply", "check_axiom", "check_axioms", "commutes",
-             "compose_raw", "extent", "lemma_suite", "membership", "negation_of",
-             "point_measurement", "preserves", "preserves_pointwise", "replay_witness",
-             "top_bot"),
+             "TableMeasurement", "check_axiom", "check_axioms", "commutes", "compose_raw",
+             "extent", "lemma_suite", "membership", "negation_of", "point_measurement",
+             "preserves", "preserves_pointwise", "replay_witness", "top_bot"),
     "errors": ("BudgetError", "ClosureViolation", "InputError", "NegationViolation",
                "NotCommutingError", "NotStronglySeparable", "OrderViolation"),
-    "formulas": ("TautologyVerdict", "format_formula", "is_tautology", "parse_formula"),
+    "formulas": ("format_formula", "parse_formula"),
     "logic": ("verify_schemes", "verify_tautology_theorem"),
-    "models": ("FIXTURES", "build_propositional", "build_ray", "build_table", "dump_model",
-               "fixture_f1", "fixture_r2", "fixture_r2_full", "fixture_r3", "fixture_r3_full",
-               "fixture_t2", "fixture_t2_maximal", "load_model"),
+    "models": ("build_propositional", "build_ray", "build_table", "load_model"),
     "order": ("bounds_check", "classical_commutation_agree", "leq", "orthomodular_check",
               "strong_sep_check"),
     "ratlin": ("Ray", "Subspace", "projection_matrix", "rational"),

@@ -127,7 +127,8 @@ def cmd_check(args) -> int:
                 raise InputError(f"unknown axiom {raw.strip()!r} in --axioms")
             axioms.extend(ALL_AXIOMS if name == "all" else [name])
     alg = load_model_file(args.model, args.height)
-    return _emit(args, alg.summary(), [check_axiom(alg, pid) for pid in axioms])
+    # a law named twice runs once, where it was first named
+    return _emit(args, alg.summary(), [check_axiom(alg, pid) for pid in dict.fromkeys(axioms)])
 
 
 def cmd_lemmas(args) -> int:
@@ -197,9 +198,10 @@ def cmd_tautology(args) -> int:
         raise InputError("depth and slot bounds must be positive")
     alg = load_model_file(args.model)
     cs = _commuting_set(alg, names)
-    checks = [verify_tautology_theorem(alg, cs, args.depth, args.slots)]
-    checks.extend(verify_schemes(alg, cs))
-    return _emit(args, alg.summary(), checks)
+    # the schemes run first, so that their budget refuses before the enumeration
+    schemes = verify_schemes(alg, cs)
+    return _emit(args, alg.summary(),
+                 [verify_tautology_theorem(alg, cs, args.depth, args.slots), *schemes])
 
 
 def cmd_order(args) -> int:

@@ -110,7 +110,7 @@ def formula_walker(alg: MAlgebra, binding: dict):
     """A memoised evaluator of formula nodes, slots resolved through
     ``binding``; it keeps every node it evaluated for later calls.
 
-    Distinct nodes often apply the same connective to the same operands, so
+    Distinct nodes often join the same operands by the same connective, so
     connective results are memoised too, by operand identity: the node memo
     keeps every operand alive, so no other object can take its id.
     """

@@ -164,7 +164,7 @@ class MAlgebra:
       algebra's one window); fixpoints and zeros are read off ``action``;
     * ``zero_code``, ``exact`` (whether that domain is complete),
       ``state(code)`` and ``state_code(label)``;
-    * ``has_state(state)``: whether ``apply`` accepts the state;
+    * ``has_state(state)``: whether a value is one of the algebra's states;
     * ``commutes(a, b)``, ``fp_subset(a, b)``, ``z_subset(a, b)``, and
       ``compose_raw(a, b)`` and ``membership(raw)``: the raw map "a, then
       b" and the member equal to a raw map, or None;
@@ -301,13 +301,12 @@ class FiniteAlgebra(MAlgebra):
     and point measurements are one lookup in the mask indexes.
     """
 
-    def __init__(self, kind, states, zero, measurements, negation_hints=None, meta=None):
+    def __init__(self, kind, states, zero, measurements, negation_hints=None):
         super().__init__(measurements)
         self.kind = kind
         self.states = tuple(states)
         self.zero = zero
         self.negation_hints = dict(negation_hints or {})
-        self.meta = dict(meta or {})
         self._state_index = {s: i for i, s in enumerate(self.states)}
         self._sorted_codes = tuple(sorted(range(len(self.states)), key=self.states.__getitem__))
         self.zero_code = self._state_index.get(zero)
@@ -469,14 +468,6 @@ class FiniteAlgebra(MAlgebra):
         return self.fp_mask(m) == self.full_mask
 
 
-def apply(alg: MAlgebra, m, state):
-    """Act on a state with a measurement; deterministic and total."""
-    m = alg.resolve(m)
-    if not alg.has_state(state):
-        raise InputError(f"not a state of this algebra: {state!r}")
-    return m(state)
-
-
 def extent(alg: MAlgebra, m) -> tuple[frozenset, frozenset, frozenset]:
     """Fixpoint set, zero set and their union (the states with a definite
     value), over the backend's domain: complete exactly when ``alg.exact``."""
@@ -504,7 +495,7 @@ def commutes(alg: MAlgebra, a, b) -> bool:
 
 
 def compose_raw(alg: MAlgebra, a, b):
-    """The raw map "apply a, then b", with no claim of membership in M.
+    """The raw map "a, then b", with no claim of membership in M.
 
     Finite backends return an extensional table, the ray backend the exact
     matrix of the composite.
@@ -518,7 +509,7 @@ def membership(alg: MAlgebra, raw) -> Measurement | None:
 
 
 def compose_member(alg: MAlgebra, a, b) -> Measurement | None:
-    """The member of M equal to "apply a, then b", or None."""
+    """The member of M equal to "a, then b", or None."""
     return alg.compose_member(alg.resolve(a), alg.resolve(b))
 
 

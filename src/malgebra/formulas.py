@@ -15,7 +15,6 @@ from math import comb
 
 from .errors import BudgetError, InputError
 
-MAX_TAUTOLOGY_SLOTS = 20
 DEFAULT_FORMULA_CAP = 10**6
 # Deeper trees would overflow the recursive walkers (and the parser itself).
 MAX_FORMULA_DEPTH = 100
@@ -273,31 +272,6 @@ def _walk(f: Formula, columns: dict[str, int], full: int) -> int:
     return walk(f)
 
 
-@dataclass(frozen=True)
-class TautologyVerdict:
-    formula: Formula
-    is_tautology: bool
-    falsifying: dict[str, bool] | None
-
-    def __post_init__(self):
-        assert (self.falsifying is None) == self.is_tautology
-
-
-def is_tautology(f: Formula | str) -> TautologyVerdict:
-    """Exhaustive truth-table verdict, with a falsifying assignment on failure."""
-    if isinstance(f, str):
-        f = parse_formula(f)
-    slots = slots_of(f)
-    if len(slots) > MAX_TAUTOLOGY_SLOTS:
-        raise BudgetError(f"{len(slots)} slots exceed the cap of {MAX_TAUTOLOGY_SLOTS}")
-    mask = truth_mask(f, slots)
-    if mask == (1 << (1 << len(slots))) - 1:
-        return TautologyVerdict(f, True, None)
-    row = ((mask + 1) & ~mask).bit_length() - 1  # the first false row
-    falsifying = {s: bool(column >> row & 1) for s, column in slot_masks(slots).items()}
-    return TautologyVerdict(f, False, falsifying)
-
-
 def essential_function(f: Formula) -> tuple[tuple[str, ...], int]:
     """Boolean function of ``f`` with irrelevant slots removed.
 
@@ -313,7 +287,7 @@ def essential_function(f: Formula) -> tuple[tuple[str, ...], int]:
     k = len(slots)
     columns = slot_masks(slots)
     full = (1 << (1 << k)) - 1
-    mask = _walk(f, columns, full)
+    mask = truth_mask(f, slots)
     kept = tuple(s for j, s in enumerate(slots)
                  if (mask & columns[s]) >> (1 << (k - 1 - j)) != mask & (full ^ columns[s]))
     if len(kept) == k:

@@ -18,7 +18,14 @@ from .core import (
     check_result,
     negation_of,
 )
-from .formulas import enumerate_formulas, essential_function, format_formula, shadow_on
+from .errors import BudgetError
+from .formulas import (
+    DEFAULT_FORMULA_CAP,
+    enumerate_formulas,
+    essential_function,
+    format_formula,
+    shadow_on,
+)
 
 
 def verify_tautology_theorem(alg: MAlgebra, cs: CommutingSet,
@@ -83,8 +90,14 @@ def verify_tautology_theorem(alg: MAlgebra, cs: CommutingSet,
 def verify_schemes(alg: MAlgebra, cs: CommutingSet) -> list[CheckResult]:
     """Detachment, the three implication schemes, and the two identities
     defining conjunction and disjunction from negation and implication,
-    instantiated over every member tuple of the commuting set."""
+    instantiated over every member tuple of the commuting set.  The
+    distribution scheme takes every member triple, so more than
+    ``DEFAULT_FORMULA_CAP`` triples raise ``BudgetError`` before any
+    instance runs."""
     members = cs.members()
+    if len(members) ** 3 > DEFAULT_FORMULA_CAP:
+        raise BudgetError(f"{len(members)}^3 scheme instances exceed the cap of "
+                          f"{DEFAULT_FORMULA_CAP}")
     neg = {m.name: negation_of(alg, m) for m in members}
     full = alg.is_full
     pairs = [(a, b) for a in members for b in members]

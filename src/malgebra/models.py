@@ -1,4 +1,4 @@
-"""Builders for the three concrete model families, plus the bundled fixtures.
+"""Builders for the three concrete model families, and the model-file reader.
 
 * ``build_table`` encodes an arbitrary finite algebra extensionally; nothing
   is assumed about it, the caller runs the checks.
@@ -23,7 +23,7 @@ from .errors import InputError
 MAX_ATOMS = 3
 
 
-def build_table(states, zero, measurements, negations=None, kind="table", meta=None):
+def build_table(states, zero, measurements, negations=None, kind="table"):
     """Finite algebra from explicit tables, given as a name -> table mapping
     or as (name, table) pairs.  No law is assumed to hold."""
     states = list(states)
@@ -50,8 +50,7 @@ def build_table(states, zero, measurements, negations=None, kind="table", meta=N
                 f"measurement {name!r} sends {bad[0]!r} to unknown state {table[bad[0]]!r}"
             )
         table_measurements.append(core.TableMeasurement(name, {s: table[s] for s in states}))
-    alg = core.FiniteAlgebra(kind, states, zero, table_measurements,
-                             negation_hints=negations, meta=meta)
+    alg = core.FiniteAlgebra(kind, states, zero, table_measurements, negation_hints=negations)
     if negations:
         _validate_negation_map(alg, negations)
     return alg
@@ -137,7 +136,6 @@ def build_propositional(atoms, variant="all_theories"):
         measurements=measurements,
         negations=negations,
         kind="propositional",
-        meta={"atoms": list(atoms), "variant": variant},
     )
 
 
@@ -184,86 +182,6 @@ def build_ray(dimension, subspaces, full_lattice=False, sample_height=3):
 
     return rays.RayAlgebra(dimension, measurements, full_lattice=full_lattice,
                            sample_height=sample_height)
-
-
-# ---------------------------------------------------------------------------
-# bundled fixtures
-
-
-def fixture_f1() -> core.FiniteAlgebra:
-    """Two states, two measurements: the smallest nontrivial table algebra."""
-    return build_table(
-        states=["0", "a"],
-        zero="0",
-        measurements={"top": {"0": "0", "a": "a"}, "bot": {"0": "0", "a": "0"}},
-    )
-
-
-def fixture_t2() -> core.FiniteAlgebra:
-    """All theories over two atoms: 16 states, 16 measurements."""
-    return build_propositional(["p", "q"], "all_theories")
-
-
-def fixture_t2_maximal() -> core.FiniteAlgebra:
-    """Maximal consistent theories over two atoms, plus the inconsistent one."""
-    return build_propositional(["p", "q"], "maximal_theories")
-
-
-_R2_SUBSPACES = {
-    "bot": [],
-    "px": [["1", "0"]],
-    "py": [["0", "1"]],
-    "pd": [["1", "1"]],
-    "pdp": [["1", "-1"]],
-    "top": [["1", "0"], ["0", "1"]],
-}
-
-# The two extra lines pe/pep are forced by closure: the diagonal plane pdp
-# commutes with the xy plane and their composition is the anti-diagonal line.
-_R3_SUBSPACES = {
-    "bot": [],
-    "px": [["1", "0", "0"]],
-    "py": [["0", "1", "0"]],
-    "pz": [["0", "0", "1"]],
-    "pxy": [["1", "0", "0"], ["0", "1", "0"]],
-    "pxz": [["1", "0", "0"], ["0", "0", "1"]],
-    "pyz": [["0", "1", "0"], ["0", "0", "1"]],
-    "pd": [["1", "1", "0"]],
-    "pdp": [["1", "-1", "0"], ["0", "0", "1"]],
-    "pe": [["1", "-1", "0"]],
-    "pep": [["1", "1", "0"], ["0", "0", "1"]],
-    "top": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
-}
-
-
-def fixture_r2() -> rays.RayAlgebra:
-    """Plane model: the axes, both diagonals, zero and the full plane."""
-    return build_ray(2, _R2_SUBSPACES)
-
-
-def fixture_r2_full() -> rays.RayAlgebra:
-    return build_ray(2, _R2_SUBSPACES, full_lattice=True)
-
-
-def fixture_r3() -> rays.RayAlgebra:
-    """Space model: axes, coordinate planes, both diagonal lines in the xy
-    plane and their complements, zero and the full space."""
-    return build_ray(3, _R3_SUBSPACES)
-
-
-def fixture_r3_full() -> rays.RayAlgebra:
-    return build_ray(3, _R3_SUBSPACES, full_lattice=True)
-
-
-FIXTURES = {
-    "f1": fixture_f1,
-    "t2": fixture_t2,
-    "t2_maximal": fixture_t2_maximal,
-    "r2": fixture_r2,
-    "r2_full": fixture_r2_full,
-    "r3": fixture_r3,
-    "r3_full": fixture_r3_full,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -345,35 +263,3 @@ def _is_str_map(value) -> bool:
         isinstance(k, str) and isinstance(v, str) for k, v in value.items()
     )
 
-
-def dump_model(alg) -> dict:
-    """Serialize an algebra back to the model-file form."""
-    if alg.kind == "ray":
-        return {
-            "kind": "ray",
-            "dimension": alg.dim,
-            "full_lattice": alg.full_lattice,
-            "sample_height": alg.sample_height,
-            "subspaces": {
-                m.name: [[ratlin.format_rational(ratlin.rational(x)) for x in row]
-                         for row in m.subspace.basis]
-                for m in alg.sorted_measurements()
-            },
-        }
-    if alg.kind == "propositional":
-        return {
-            "kind": "propositional",
-            "atoms": list(alg.meta["atoms"]),
-            "variant": alg.meta["variant"],
-        }
-    out = {
-        "kind": "table",
-        "states": list(alg.states),
-        "zero": alg.zero,
-        "measurements": {
-            m.name: dict(m.mapping) for m in alg.sorted_measurements()
-        },
-    }
-    if alg.negation_hints:
-        out["negations"] = dict(alg.negation_hints)
-    return out

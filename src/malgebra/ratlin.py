@@ -62,11 +62,6 @@ def rational(value) -> Fraction:
     raise InputError(f"not a rational: {value!r}")
 
 
-def format_rational(q: Fraction) -> str:
-    """Serialize as "p/q" with positive denominator, or bare "p" for integers."""
-    return str(Fraction(q))
-
-
 def vector(values: Iterable, dim: int | None = None) -> Vector:
     v = tuple(rational(x) for x in values)
     if dim is not None and len(v) != dim:

@@ -14,7 +14,6 @@ import pytest
 from malgebra.connectives import CommutingSet, disjunction
 from malgebra.core import (
     DEFINING_AXIOMS,
-    apply,
     check_axiom,
     check_axioms,
     lemma_suite,
@@ -25,10 +24,11 @@ from malgebra.core import (
     replay_witness,
 )
 from malgebra.logic import verify_schemes, verify_tautology_theorem
-from malgebra.models import build_table, fixture_t2
+from malgebra.models import build_table
 from malgebra.order import orthomodular_check, strong_sep_check
 from malgebra.connectives import conjunction
 from malgebra.ratlin import Ray, Subspace
+from conftest import apply, load_fixture
 
 R = Ray.from_vector
 
@@ -153,7 +153,7 @@ def test_criterion_7_point_measurement_theorems(r2full, r3full):
 
 def test_criterion_8_mutation_sensitivity():
     with criterion(8, "mutation sensitivity"):
-        pristine = fixture_t2()
+        pristine = load_fixture("t2")
         tables = {name: dict(m.mapping) for name, m in pristine.measurements.items()}
         states = list(pristine.states)
         nonzero = [s for s in states if s != pristine.zero]

@@ -7,12 +7,11 @@ import pytest
 
 from malgebra import order
 from malgebra.cli import main
-from malgebra.core import replay_witness
-from malgebra.models import dump_model, load_model
+from malgebra.core import ALL_AXIOMS, replay_witness
+from malgebra.models import build_propositional, load_model
 from malgebra.ratlin import Subspace
+from conftest import FIXTURE_DIR, FIXTURES, dump_model, load_fixture
 from test_core import ring_model
-
-FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def fixture_path(name: str) -> str:
@@ -178,6 +177,14 @@ def test_duplicate_keys_exit_two(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(bad))
     assert code == 2
     assert "duplicate" in err
+
+
+def test_a_law_named_twice_runs_once_where_first_named(capsys):
+    code, out, _ = run(capsys, "check", fixture_path("f1"), "--axioms",
+                       "interference,Interference,all", "--format", "json")
+    assert code == 0
+    assert [c["property"] for c in json.loads(out)["checks"]] == [
+        "interference", *(pid for pid in ALL_AXIOMS if pid != "interference")]
 
 
 def test_unknown_axiom_exits_two(capsys):
@@ -419,6 +426,15 @@ def test_budget_exit_code(capsys):
     assert err == "budget exceeded: formula enumeration exceeds the cap of 1000000\n"
 
 
+def test_scheme_budget_exits_three_from_the_set_size_alone(capsys):
+    # all 256 members of t3 would take 256**3 distribution instances
+    names = ",".join(load_fixture("t3").names)
+    code, out, err = run(capsys, "tautology", fixture_path("t3"), "--commuting", names,
+                         "--depth", "1", "--slots", "2")
+    assert (code, out) == (3, "")
+    assert err == "budget exceeded: 256^3 scheme instances exceed the cap of 1000000\n"
+
+
 def test_oversized_ray_window_exits_three(tmp_path, capsys):
     # 7**12 vectors at height 3 in dimension 12: refused before enumerating
     dim = 12
@@ -576,10 +592,15 @@ def test_json_reports_are_byte_stable(capsys):
     assert first == second
 
 
-@pytest.mark.parametrize(
-    "name", ["f1", "t2", "t2_maximal", "r2", "r2_full", "r3", "r3_full"]
-)
+@pytest.mark.parametrize("name", FIXTURES)
 def test_fixture_files_round_trip(name):
     raw = json.loads(Path(fixture_path(name)).read_text())
     alg = load_model(raw)
-    assert dump_model(load_model(dump_model(alg))) == dump_model(alg)
+    if raw["kind"] == "propositional":
+        # a propositional file names its atoms and variant, not its tables
+        built = build_propositional(raw["atoms"], raw["variant"])
+        assert alg.names == built.names
+        assert ({n: alg.measurement(n).mapping for n in alg.names}
+                == {n: built.measurement(n).mapping for n in built.names})
+    else:
+        assert dump_model(load_model(dump_model(alg))) == dump_model(alg)

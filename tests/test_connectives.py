@@ -2,7 +2,6 @@
 
 import pytest
 
-from malgebra import models
 from malgebra.connectives import (
     CommutingSet,
     conjunction,
@@ -13,9 +12,10 @@ from malgebra.connectives import (
     is_classical,
 )
 from malgebra.formulas import Not, Slot, enumerate_formulas
-from malgebra.core import apply, commutes, extent, negation_of, top_bot
+from malgebra.core import commutes, extent, negation_of, top_bot
 from malgebra.errors import InputError, NotCommutingError
 from malgebra.ratlin import Ray
+from conftest import apply, load_fixture
 
 R = Ray.from_vector
 
@@ -130,7 +130,7 @@ def test_implication_fixpoint_on_rays(r2):
 
 
 def test_modus_ponens_pointwise(t2, r2):
-    r2 = models.load_model({**models.dump_model(r2), "sample_height": 2})  # a height-2 window
+    r2 = load_fixture("r2", height=2)  # a height-2 window
     for alg, states in ((t2, t2.states), (r2, r2.sample_states())):
         for a, b in commuting_pairs(alg):
             imp = implication(alg, a, b)
@@ -215,7 +215,7 @@ def test_equivalent_formulas_evaluate_equal(t2):
 
 
 def test_walker_composes_each_operand_pair_once(monkeypatch):
-    alg = models.fixture_r2()
+    alg = load_fixture("r2")
     calls = []
     compose = alg.compose_member
 

@@ -21,7 +21,6 @@ from malgebra.core import (
     _all_bfs,
     _bfs_path,
     _pair_lemmas,
-    apply,
     bit_columns,
     check_axiom,
     check_axioms,
@@ -48,10 +47,11 @@ from malgebra.errors import (
     NotCommutingError,
     OrderViolation,
 )
-from malgebra.models import FIXTURES, build_ray, build_table, fixture_r3, fixture_t2, load_model
+from malgebra.models import build_ray, build_table, load_model
 from malgebra.order import bounds_check
 from malgebra.ratlin import Ray, Subspace, zero_matrix
 from malgebra.rays import RayAlgebra
+from conftest import FIXTURES, apply, load_fixture
 from test_order import tables_with_top_and_bot
 
 R = Ray.from_vector
@@ -69,7 +69,7 @@ def test_apply_projects_and_canonicalizes(r2):
 
 
 def test_ray_action_and_projection_share_one_memo():
-    alg = fixture_r3()  # a fresh model: its subspaces have projected nothing yet
+    alg = load_fixture("r3")  # a fresh model: its subspaces have projected nothing yet
     m = alg.measurement("pxy")
     action = alg.action(m)
     by_action, by_call = R((1, 2, 3)), R((3, 1, 1))
@@ -313,7 +313,7 @@ def assert_indexes_match_scans(alg):
 
 @pytest.mark.parametrize("name", sorted(FIXTURES) + ["broken"])
 def test_indexes_match_member_scans_on_fixtures(name):
-    alg = load_model(json.loads(BROKEN.read_text())) if name == "broken" else FIXTURES[name]()
+    alg = load_model(json.loads(BROKEN.read_text())) if name == "broken" else load_fixture(name)
     assert_indexes_match_scans(alg)
 
 
@@ -469,10 +469,10 @@ def test_unknown_property_is_an_input_error(f1):
 
 
 def test_idempotence_mutant_fails_where_images_land():
-    tables = tables_of(fixture_t2())
+    tables = tables_of(load_fixture("t2"))
     tables["p"]["{v11}"] = "{v10}"
     mutant = build_table(
-        states=fixture_t2().states, zero="{}", measurements=tables
+        states=load_fixture("t2").states, zero="{}", measurements=tables
     )
     result = check_axiom(mutant, "idempotence")
     assert result.status == "fail"
@@ -740,7 +740,7 @@ def test_pair_rows_match_reference_on_fixtures():
         "bot": [], "top": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
         "pxy": [[1, 0, 0], [0, 1, 0]], "pxz": [[1, 0, 0], [0, 0, 1]], "pd": [[1, 1, 0]],
     }, full_lattice=True, sample_height=1)
-    algs = [FIXTURES[name]() for name in sorted(FIXTURES)]
+    algs = [load_fixture(name) for name in sorted(FIXTURES)]
     algs += [load_model(json.loads(BROKEN.read_text())), window]
     assert len(algs) == 9
     for alg in algs:
@@ -1045,7 +1045,7 @@ def test_foreign_measurement_under_a_member_name_gets_its_own_codes(t2):
 
 @pytest.mark.parametrize("fixture", ["r2", "r3", "r3_full"])
 def test_ray_relations_match_pointwise_definitions(fixture):
-    alg = FIXTURES[fixture]()
+    alg = load_fixture(fixture)
     window = set(alg.sample_states())
     ms = alg.sorted_measurements()
     fixed = {m.name: {x for x in window if m(x) == x} for m in ms}
@@ -1185,7 +1185,7 @@ def class_law_outcomes(alg, ms, states):
 
 @pytest.mark.parametrize("name", sorted(FIXTURES) + ["broken"])
 def test_class_kernel_matches_member_loops_on_fixtures(name):
-    alg = load_model(json.loads(BROKEN.read_text())) if name == "broken" else FIXTURES[name]()
+    alg = load_model(json.loads(BROKEN.read_text())) if name == "broken" else load_fixture(name)
     for pid, (got, expected) in class_law_outcomes(alg, alg.sorted_measurements(),
                                                    alg.state_domain()).items():
         assert got == expected, pid

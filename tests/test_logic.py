@@ -7,7 +7,6 @@ import pytest
 
 from malgebra import models
 from malgebra.connectives import CommutingSet, formula_walker
-from malgebra.core import apply
 from malgebra.errors import BudgetError
 from malgebra.formulas import (
     Implies,
@@ -16,9 +15,9 @@ from malgebra.formulas import (
     enumerate_formulas,
     essential_function,
     format_formula,
-    is_tautology,
 )
 from malgebra.logic import verify_schemes, verify_tautology_theorem
+from conftest import apply, is_tautology
 
 
 def test_harness_on_small_theory_commuting_set(t2):

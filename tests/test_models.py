@@ -1,5 +1,6 @@
 """Model builders: validation, structure, sampling, serialization."""
 
+import json
 import re
 
 import pytest
@@ -7,15 +8,14 @@ import pytest
 from malgebra.core import ProjectionMeasurement, check_axioms, extent
 from malgebra.errors import BudgetError, InputError
 from malgebra.models import (
-    FIXTURES,
     build_propositional,
     build_ray,
     build_table,
-    dump_model,
     load_model,
 )
 from malgebra.ratlin import Ray, Subspace
 from malgebra.rays import RayAlgebra
+from conftest import FIXTURE_DIR, FIXTURES, dump_model, load_fixture
 
 R = Ray.from_vector
 
@@ -174,25 +174,20 @@ def test_full_lattice_skips_closure():
 # sampling -----------------------------------------------------------------------
 
 
-def at_height(alg, height):
-    """The same ray family with its window at ``height``."""
-    return load_model({**dump_model(alg), "sample_height": height})
-
-
 def test_sample_window_height_one(r2):
-    assert at_height(r2, 1).sample_states() == [
+    assert load_fixture("r2", 1).sample_states() == [
         Ray.zero(2), R([0, 1]), R([1, -1]), R([1, 0]), R([1, 1])
     ]
 
 
-def test_sample_monotone_in_height(r2, r3):
-    for alg in (r2, r3):
-        small, mid, large = (set(at_height(alg, h).sample_states()) for h in (1, 2, 3))
+def test_sample_monotone_in_height():
+    for name in ("r2", "r3"):
+        small, mid, large = (set(load_fixture(name, h).sample_states()) for h in (1, 2, 3))
         assert small <= mid <= large
 
 
-def test_sample_contains_all_ones_ray(r3):
-    assert R([1, 1, 1]) in at_height(r3, 1).sample_states()
+def test_sample_contains_all_ones_ray():
+    assert R([1, 1, 1]) in load_fixture("r3", 1).sample_states()
 
 
 def test_sample_injects_listed_basis_rays():
@@ -223,7 +218,7 @@ def test_fixpoint_and_zero_domains_are_window_rays():
 def test_sample_states_function(r2):
     # one window per algebra, built once, at the algebra's own height
     assert r2.sample_states() is r2.sample_states()
-    assert r2.sample_states() == at_height(r2, r2.sample_height).sample_states()
+    assert r2.sample_states() == load_fixture("r2", r2.sample_height).sample_states()
     assert r2.state_domain() is r2.sample_states()
 
 
@@ -271,10 +266,15 @@ def test_single_atom_build():
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_dump_load_round_trip(name):
-    original = FIXTURES[name]()
-    data = dump_model(original)
-    rebuilt = load_model(data)
-    assert dump_model(rebuilt) == data
+    original = load_fixture(name)
+    if original.kind == "propositional":
+        # a propositional file names its atoms and variant, not its tables
+        raw = json.loads((FIXTURE_DIR / f"{name}.json").read_text(encoding="utf-8"))
+        rebuilt = build_propositional(raw["atoms"], raw["variant"])
+    else:
+        data = dump_model(original)
+        rebuilt = load_model(data)
+        assert dump_model(rebuilt) == data
     assert rebuilt.kind == original.kind
     assert rebuilt.names == original.names
     if isinstance(original, RayAlgebra):

@@ -17,7 +17,6 @@ from malgebra.connectives import (
     is_classical,
 )
 from malgebra.core import (
-    apply,
     check_result,
     check_instances,
     commutes,
@@ -34,6 +33,7 @@ from malgebra.order import (
     strong_sep_check,
 )
 from malgebra.ratlin import Ray, Subspace
+from conftest import FIXTURES, apply, load_fixture
 
 R = Ray.from_vector
 
@@ -169,7 +169,7 @@ def test_bit_rows_match_reference_on_random_tables(alg):
 
 
 def test_bounds_check_tests_each_pair_once(monkeypatch):
-    alg = models.fixture_t2()
+    alg = load_fixture("t2")
     calls = []
     tested = alg.commutes
     monkeypatch.setattr(alg, "commutes", lambda a, b: calls.append((a, b)) or tested(a, b))
@@ -301,14 +301,14 @@ def sep_outcome(check, alg):
         return type(exc), str(exc)
 
 
-def test_strong_sep_matches_reference_on_fixtures(f1, t2, t2max, r2, r2full, r3full):
+def test_strong_sep_matches_reference_on_fixtures(f1, t2, t2max, r2):
     assert strong_sep_check(t2max) == reference_strong_sep_check(t2max)
     # t2 and r2 lack point measurements: the same state must be named first
     for alg in (f1, t2, r2):
         assert sep_outcome(strong_sep_check, alg) == sep_outcome(reference_strong_sep_check, alg)
-    for full in (r2full, r3full):
+    for name in ("r2_full", "r3_full"):
         for height in (1, 2, 3):
-            alg = models.load_model({**models.dump_model(full), "sample_height": height})
+            alg = load_fixture(name, height)
             assert strong_sep_check(alg) == reference_strong_sep_check(alg)
 
 
@@ -395,10 +395,10 @@ def reference_classical_commutation_agree(alg):
 BROKEN = Path(__file__).resolve().parent / "golden" / "broken.json"
 
 
-@pytest.mark.parametrize("name", [*models.FIXTURES, "broken"])
+@pytest.mark.parametrize("name", [*FIXTURES, "broken"])
 def test_classical_commutation_matches_reference_on_fixtures(name):
     alg = (models.load_model(json.loads(BROKEN.read_text())) if name == "broken"
-           else models.FIXTURES[name]())
+           else load_fixture(name))
     assert classical_commutation_agree(alg) == reference_classical_commutation_agree(alg)
 
 
