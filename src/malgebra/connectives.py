@@ -103,43 +103,28 @@ def eval_formula(alg: MAlgebra, cs: CommutingSet, formula, binding: dict) -> Mea
                 f"slot {slot!r} is bound to {binding[slot]!r}, which is not "
                 "in the commuting set"
             )
-    return formula_walker(alg, binding)(formula)
+    return formulas.fold(formula, member_rule(alg, binding))
 
 
-def formula_walker(alg: MAlgebra, binding: dict):
-    """A memoised evaluator of formula nodes, slots resolved through
-    ``binding``; it keeps every node it evaluated for later calls.
-
-    Distinct nodes often join the same operands by the same connective, so
-    connective results are memoised too, by operand identity: the node memo
-    keeps every operand alive, so no other object can take its id.
-    """
-    memo: dict = {}
+def member_rule(alg: MAlgebra, binding: dict):
+    """The member of a formula node from its operands' members, slots resolved
+    through ``binding``: a rule for :func:`formulas.fold`.  Connective results
+    are memoised by operand identity; callers keep the operands alive."""
     applied: dict = {}
+    connective = {formulas.And: conjunction, formulas.Or: disjunction, formulas.Implies: implication}
 
-    def walk(node):
-        m = memo.get(node)
+    def member(node, *ms):
+        if not ms:
+            return alg.measurement(binding[node.name])
+        if len(ms) == 1:
+            return negation_of(alg, ms[0])
+        key = (type(node), id(ms[0]), id(ms[1]))
+        m = applied.get(key)
         if m is None:
-            if isinstance(node, formulas.Slot):
-                m = alg.measurement(binding[node.name])
-            elif isinstance(node, formulas.Not):
-                m = negation_of(alg, walk(node.operand))
-            else:
-                left, right = walk(node.left), walk(node.right)
-                key = (type(node), id(left), id(right))
-                m = applied.get(key)
-                if m is None:
-                    if isinstance(node, formulas.And):
-                        m = conjunction(alg, left, right)
-                    elif isinstance(node, formulas.Or):
-                        m = disjunction(alg, left, right)
-                    else:
-                        m = implication(alg, left, right)
-                    applied[key] = m
-            memo[node] = m
+            m = applied[key] = connective[type(node)](alg, *ms)
         return m
 
-    return walk
+    return member
 
 
 def indefinite_state(alg: MAlgebra, m: Measurement):

@@ -180,7 +180,8 @@ class MAlgebra:
     * ``preserves(a, b)``: the pointwise rule of ``preserves_pointwise``,
       exact on an exact backend (rays test the subspaces);
     * ``compose_member(a, b)``: ``membership`` of ``compose_raw`` (the
-      finite backend reads its lanes);
+      finite backend reads its lanes; rays multiply the members' integer
+      matrices and keep the member per ordered pair);
     * ``pair_rows(ms)``: the pair facts of :class:`PairRows`, asked pair by
       pair (the finite backend reads its lanes).
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from math import comb
 
 from .errors import BudgetError, InputError
@@ -54,34 +55,45 @@ _PRECEDENCE = {Implies: 1, Or: 2, And: 3, Not: 4, Slot: 5}
 _SYMBOL = {And: "&", Or: "|", Implies: "->"}
 
 
+def operands(node: Formula) -> tuple[Formula, ...]:
+    """The node's operand formulas, left to right; a slot has none."""
+    return () if isinstance(node, Slot) else (
+        (node.operand,) if isinstance(node, Not) else (node.left, node.right))
+
+
+def fold(f: Formula, rule, memo: dict | None = None):
+    """``rule(node, *values of its operands)`` at ``f``, operands first.
+    Values are kept in ``memo`` by node identity, so a shared subtree is
+    evaluated once; the caller keeps the nodes alive, so ids stay unique."""
+    memo = {} if memo is None else memo
+    value = memo.get(id(f))
+    if value is None:
+        value = memo[id(f)] = rule(f, *[fold(g, rule, memo) for g in operands(f)])
+    return value
+
+
+def format_node(node: Formula, *texts: str, pad: str = " ") -> str:
+    """The text of ``node`` from its operands' texts, with the fewest
+    parentheses that reparse to the same tree."""
+    if isinstance(node, Slot):
+        return node.name
+    prec = _PRECEDENCE[type(node)]
+    if isinstance(node, Not):
+        (inner,) = texts
+        return "~(" + inner + ")" if _PRECEDENCE[type(node.operand)] < prec else "~" + inner
+    left, right = texts
+    assoc_right = isinstance(node, Implies)
+    left_prec, right_prec = _PRECEDENCE[type(node.left)], _PRECEDENCE[type(node.right)]
+    if left_prec < prec or (left_prec == prec and assoc_right):
+        left = "(" + left + ")"
+    if right_prec < prec or (right_prec == prec and not assoc_right):
+        right = "(" + right + ")"
+    return left + pad + _SYMBOL[type(node)] + pad + right
+
+
 def format_formula(f: Formula, compact: bool = False) -> str:
     """Render with the fewest parentheses that reparse to the same tree."""
-    pad = "" if compact else " "
-
-    def render(node):
-        prec = _PRECEDENCE[type(node)]
-        if isinstance(node, Slot):
-            return node.name
-        if isinstance(node, Not):
-            inner = render(node.operand)
-            if _PRECEDENCE[type(node.operand)] < prec:
-                inner = "(" + inner + ")"
-            return "~" + inner
-        sym = _SYMBOL[type(node)]
-        assoc_right = isinstance(node, Implies)
-        left = render(node.left)
-        right = render(node.right)
-        if _PRECEDENCE[type(node.left)] < prec or (
-            _PRECEDENCE[type(node.left)] == prec and assoc_right
-        ):
-            left = "(" + left + ")"
-        if _PRECEDENCE[type(node.right)] < prec or (
-            _PRECEDENCE[type(node.right)] == prec and not assoc_right
-        ):
-            right = "(" + right + ")"
-        return left + pad + sym + pad + right
-
-    return render(f)
+    return fold(f, partial(format_node, pad="" if compact else " "))
 
 
 class ParseError(InputError):
@@ -212,64 +224,78 @@ def _formula_depth(f: Formula) -> int:
 
 def slots_of(f: Formula) -> tuple[str, ...]:
     """Slot names occurring in the formula, sorted."""
-    names: set[str] = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Slot):
-            names.add(node.name)
-        elif isinstance(node, Not):
-            stack.append(node.operand)
-        else:
-            stack.append(node.left)
-            stack.append(node.right)
-    return tuple(sorted(names))
+    return tuple(sorted(fold(f, lambda node, *sets: set().union(*sets) if sets else {node.name})))
 
 
 def slot_masks(slot_order: tuple[str, ...]) -> dict[str, int]:
     """Each slot's column of the truth table: the bitmask of the rows where
-    it is true, in the row order of :func:`truth_mask`."""
-    k = len(slot_order)
+    it is true.  Row ``i`` assigns slot ``j`` the bit ``(i >> (k-1-j)) & 1``,
+    the binary counting order of assignments."""
+    return dict(zip(slot_order, _columns(len(slot_order))))
+
+
+@lru_cache(maxsize=32)
+def _columns(k: int) -> tuple[int, ...]:
+    """The slot columns over ``k`` slots, a function of ``k`` alone: runs of
+    ``run`` false rows then ``run`` true rows (one quotient bit per period)."""
     full = (1 << (1 << k)) - 1
-    masks = {}
-    for j, s in enumerate(slot_order):
-        # runs of ``run`` false rows then ``run`` true rows, repeated: the
-        # quotient has one bit at the start of every period
-        run = 1 << (k - 1 - j)
-        period = (1 << (2 * run)) - 1
-        masks[s] = full // period * (period ^ ((1 << run) - 1))
-    return masks
+    runs = [1 << (k - 1 - j) for j in range(k)]
+    return tuple(full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run) for run in runs)
 
 
-def truth_mask(f: Formula, slot_order: tuple[str, ...]) -> int:
-    """Truth table as an integer: bit ``row`` is the value under that assignment.
+def essential_node(node: Formula, *fns: tuple[tuple[str, ...], int]) -> tuple[tuple[str, ...], int]:
+    """The essential function of ``node`` from its operands' essential
+    functions: their tables are lifted to the union of their slots, joined
+    by the connective, and reduced to the slots the result depends on."""
+    if isinstance(node, Slot):
+        return (node.name,), 0b10
+    own = [slots for slots, _ in fns]
+    slots = own[0] if own[0] == own[-1] else tuple(sorted({*own[0], *own[1]}))
+    k = len(slots)
+    full = (1 << (1 << k)) - 1
+    masks = [mask if own_i == slots else _lift(own_i, mask, slots) for own_i, mask in fns]
+    if isinstance(node, Not):  # the negation of an essential function is one
+        return slots, full ^ masks[0]
+    if isinstance(node, And):
+        mask = masks[0] & masks[1]
+    elif isinstance(node, Or):
+        mask = masks[0] | masks[1]
+    else:
+        mask = (full ^ masks[0]) | masks[1]
+    # slot j is irrelevant exactly when the table on the rows where it is true,
+    # shifted down 2**(k-1-j) rows, equals the table on the rows where it is false
+    dropped = [j for j, column in enumerate(_columns(k))
+               if (mask & column) >> (1 << (k - 1 - j)) == mask & ~column]
+    for j in reversed(dropped):  # the later slots first, so earlier ones keep their row bit
+        mask, k = _drop(mask, k, j), k - 1
+    return (tuple(s for j, s in enumerate(slots) if j not in dropped) if dropped else slots), mask
 
-    Row ``i`` assigns slot ``j`` the bit ``(i >> (k-1-j)) & 1``, matching the
-    binary counting order of assignments.  Every row is evaluated at once:
-    each slot is its column from :func:`slot_masks` and the connectives are
-    bit operations.  A slot missing from ``slot_order`` raises.
-    """
-    return _walk(f, slot_masks(slot_order), (1 << (1 << len(slot_order))) - 1)
+
+def _drop(mask: int, k: int, j: int) -> int:
+    """The table over the other slots of a table over ``k``: a row is true
+    when it is true with slot ``j`` false or with it true."""
+    run = 1 << (k - 1 - j)
+    mask |= mask >> run
+    low, out = (1 << run) - 1, 0
+    for b in range(0, 1 << (k - 1), run):
+        out |= (mask >> 2 * b & low) << b
+    return out
 
 
-def _walk(f: Formula, columns: dict[str, int], full: int) -> int:
-    """The truth mask of ``f`` with each slot read as its column in ``columns``."""
-
-    def walk(node):
-        if isinstance(node, Slot):
-            try:
-                return columns[node.name]
-            except KeyError:
-                raise InputError(f"unbound slot {node.name!r}") from None
-        if isinstance(node, Not):
-            return full ^ walk(node.operand)
-        if isinstance(node, And):
-            return walk(node.left) & walk(node.right)
-        if isinstance(node, Or):
-            return walk(node.left) | walk(node.right)
-        return (full ^ walk(node.left)) | walk(node.right)
-
-    return walk(f)
+def _lift(own: tuple[str, ...], mask: int, slots: tuple[str, ...]) -> int:
+    """The truth mask over ``slots`` of the one over ``own``, a sorted subset
+    of the sorted ``slots``: inserting slot j of k repeats every block of
+    2**(k-j) rows once."""
+    k = len(own)
+    for j, s in enumerate(slots):
+        if s not in own:
+            run = 1 << (k - j)
+            low, spread = (1 << run) - 1, 0
+            for b in range(0, 1 << k, run):
+                spread |= (mask >> b & low) << 2 * b
+            mask = spread | spread << run
+            k += 1
+    return mask
 
 
 def essential_function(f: Formula) -> tuple[tuple[str, ...], int]:
@@ -278,22 +304,8 @@ def essential_function(f: Formula) -> tuple[tuple[str, ...], int]:
     Returns the sorted tuple of slots the value actually depends on, and the
     truth mask over those slots.  Logically equivalent formulas yield the
     same pair, whatever slots they mention syntactically.
-
-    Slot ``j`` of ``k`` is irrelevant exactly when the table on the rows where
-    it is true, shifted down ``2**(k-1-j)`` rows, equals the table on the rows
-    where it is false; one more walk with those slots held false reduces it.
     """
-    slots = slots_of(f)
-    k = len(slots)
-    columns = slot_masks(slots)
-    full = (1 << (1 << k)) - 1
-    mask = truth_mask(f, slots)
-    kept = tuple(s for j, s in enumerate(slots)
-                 if (mask & columns[s]) >> (1 << (k - 1 - j)) != mask & (full ^ columns[s]))
-    if len(kept) == k:
-        return slots, mask
-    held = dict.fromkeys(slots, 0) | slot_masks(kept)
-    return kept, _walk(f, held, (1 << (1 << len(kept))) - 1)
+    return fold(f, essential_node)
 
 
 def entails(fn_a: tuple[tuple[str, ...], int], fn_b: tuple[tuple[str, ...], int]) -> bool:
@@ -305,27 +317,20 @@ def entails(fn_a: tuple[tuple[str, ...], int], fn_b: tuple[tuple[str, ...], int]
 
 
 def shadow_on(fn: tuple[tuple[str, ...], int], slots: tuple[str, ...]) -> int:
-    """The rows of the truth table over ``slots`` that agree, on the slots
-    both mention, with some row where the essential function ``fn`` is true.
+    """The rows of the truth table over the sorted ``slots`` that agree, on
+    the slots both mention, with some row where the essential function ``fn``
+    is true.
 
     A function over ``slots`` is entailed by ``fn`` exactly when its truth
     mask covers this one, so no table over the union of the slots is built.
     """
     own, mask = fn
-    full = (1 << (1 << len(slots))) - 1
-    shared = [(j, s) for j, s in enumerate(own) if s in slots]
-    if not shared:
-        return full if mask else 0
-    columns = slot_masks(slots)
-    k = len(own)
-    shadow = 0
-    for row in range(1 << k):
-        if mask >> row & 1:
-            agreeing = full
-            for j, s in shared:
-                agreeing &= columns[s] if row >> (k - 1 - j) & 1 else full ^ columns[s]
-            shadow |= agreeing
-    return shadow
+    if own == slots:
+        return mask
+    for j in reversed(range(len(own))):  # the later slots first, as in essential_node
+        if own[j] not in slots:
+            mask, own = _drop(mask, len(own), j), own[:j] + own[j + 1:]
+    return _lift(own, mask, slots)
 
 
 def count_formulas(alphabet_size: int, max_depth: int, max_slots: int, cap: int) -> int:
@@ -389,9 +394,9 @@ def enumerate_formulas(
         raise BudgetError(f"formula enumeration exceeds the cap of {cap}")
     # hash-consing: every admitted formula gets an integer id, and candidate
     # identity is the (operator, child ids) tuple, so duplicates are skipped
-    # before any node is even constructed; child ids also give the canonical
-    # operand order for the commutative operators
-    levels: list[list[tuple[Formula, frozenset, int]]] = []
+    # before any node is built; child ids also give the canonical operand
+    # order of the commutative operators.  Slot sets are alphabet bit masks.
+    levels: list[list[tuple[Formula, int, int]]] = []
     seen: set[tuple] = set()
 
     def admit(bucket, key, slots, ctor, *children):
@@ -400,13 +405,13 @@ def enumerate_formulas(
         seen.add(key)
         bucket.append((ctor(*children), slots, len(seen)))
 
-    first: list[tuple[Formula, frozenset, int]] = []
-    for name in alphabet:
-        admit(first, ("slot", name), frozenset([name]), Slot, name)
+    first: list[tuple[Formula, int, int]] = []
+    for i, name in enumerate(alphabet):
+        admit(first, ("slot", name), 1 << i, Slot, name)
     levels.append(first)
 
     for depth in range(2, max_depth + 1):
-        bucket: list[tuple[Formula, frozenset, int]] = []
+        bucket: list[tuple[Formula, int, int]] = []
         prev = levels[depth - 2]
         below = [entry for level in levels for entry in level]
         for f, fs, fi in prev:
@@ -414,7 +419,7 @@ def enumerate_formulas(
         for f, fs, fi in prev:
             for g, gs, gi in below:
                 union = fs | gs
-                if len(union) > max_slots:
+                if union.bit_count() > max_slots:
                     continue
                 (left, li), (right, ri) = sorted(
                     ((f, fi), (g, gi)), key=lambda e: e[1]
@@ -432,7 +437,7 @@ def minimal_formula_names(atoms: tuple[str, ...]) -> dict[int, Formula]:
     """Smallest formula for every boolean function over the given atoms.
 
     Keys are truth masks over the binary counting order of assignments (the
-    same convention as :func:`truth_mask`).  Minimality is by node count,
+    same convention as :func:`slot_masks`).  Minimality is by node count,
     ties broken by discovery order, so the naming is deterministic.
     """
     n_rows = 1 << len(atoms)

@@ -9,7 +9,7 @@ a slot to the identity measurement).
 
 from __future__ import annotations
 
-from .connectives import CommutingSet, conjunction, disjunction, formula_walker, implication
+from .connectives import CommutingSet, conjunction, disjunction, implication, member_rule
 from .core import (
     CheckResult,
     MAlgebra,
@@ -21,9 +21,11 @@ from .core import (
 from .errors import BudgetError
 from .formulas import (
     DEFAULT_FORMULA_CAP,
+    count_formulas,
     enumerate_formulas,
-    essential_function,
-    format_formula,
+    essential_node,
+    format_node,
+    operands,
     shadow_on,
 )
 
@@ -41,23 +43,41 @@ def verify_tautology_theorem(alg: MAlgebra, cs: CommutingSet,
     * a truth-table entailment between formulas gives fixpoint inclusion.
     """
     alphabet = cs.names
-    formulas_list = enumerate_formulas(alphabet, max_depth, min(max_slots, len(alphabet)))
-    evaluate_member = formula_walker(alg, {name: name for name in alphabet})
+    max_slots = min(max_slots, len(alphabet))
+    formulas_list = enumerate_formulas(alphabet, max_depth, max_slots)
+    member = member_rule(alg, {name: name for name in alphabet})
 
     witnesses = []
     classes: dict[tuple, tuple] = {}  # essential function -> (formula text, measurement)
-
-    for f in formulas_list:
-        text = format_formula(f, compact=True)
-        measurement = evaluate_member(f)
-        fn = essential_function(f)
-        if fn in classes:
-            rep_text, rep_m = classes[fn]
-            if measurement != rep_m:
-                witnesses.append(("equivalent_not_equal", rep_text, text))
-                continue
-        else:
+    entries: dict[int, tuple] = {}  # id(node) -> (formula text, essential function, measurement)
+    # one pass: the list puts every level before the next, so each node is
+    # built from its operands' entries; only the levels below the last are
+    # operands, so only their entries are kept
+    operand_count = count_formulas(len(alphabet), max_depth - 1, max_slots, DEFAULT_FORMULA_CAP) \
+        if max_depth > 1 else 0
+    # a node's function is memoised by its connective and operand functions
+    functions: dict[tuple, tuple] = {}  # essential function -> itself, its one object
+    joined: dict[tuple, tuple] = {}  # (connective, id of each operand function) -> function
+    for i, f in enumerate(formulas_list):
+        ops = [entries[id(g)] for g in operands(f)]
+        key = (type(f), *[id(e[1]) for e in ops]) if ops else f
+        fn = joined.get(key)
+        if fn is None:
+            fn = essential_node(f, *[e[1] for e in ops])
+            fn = joined[key] = functions.setdefault(fn, fn)
+        measurement = member(f, *[e[2] for e in ops])
+        rep = classes.get(fn)
+        differs = rep is not None and measurement is not rep[1] and measurement != rep[1]
+        # only operands, new classes, tautologies and witnesses have their text read
+        text = format_node(f, *[e[0] for e in ops], pad="") if (
+            i < operand_count or rep is None or differs or fn == ((), 1)) else None
+        if i < operand_count:
+            entries[id(f)] = text, fn, measurement
+        if rep is None:
             classes[fn] = (text, measurement)
+        elif differs:
+            witnesses.append(("equivalent_not_equal", rep[0], text))
+            continue
         if fn == ((), 1) and not alg.is_full(measurement):
             witnesses.append(("tautology_not_full", text))
 
@@ -66,9 +86,13 @@ def verify_tautology_theorem(alg: MAlgebra, cs: CommutingSet,
     # serves every class with the same shadow on the same slots
     class_items = sorted(classes.items(), key=lambda kv: kv[1][0])
     by_slots: dict[tuple, list] = {}
-    for i, ((slots, mask), _) in enumerate(class_items):
+    same_member: dict[int, int] = {}  # id(measurement) -> the classes it is the member of
+    for i, ((slots, mask), (_, m)) in enumerate(class_items):
         by_slots.setdefault(slots, []).append((i, mask))
+        same_member[id(m)] = same_member.get(id(m), 0) | 1 << i
     covering: dict[tuple, int] = {}  # (slots, shadow) -> row of the classes covering it
+    # id(a) -> [classes whose member b has been asked, those with FP(a) not within FP(b)]
+    asked: dict[int, list] = {}
     for i, (fn_a, (text_a, m_a)) in enumerate(class_items):
         entailed = 0
         for slots, group in by_slots.items():
@@ -78,10 +102,19 @@ def verify_tautology_theorem(alg: MAlgebra, cs: CommutingSet,
                 row = covering[slots, shadow] = sum(
                     1 << j for j, mask in group if mask & shadow == shadow)
             entailed |= row
-        for j in bit_positions(entailed & ~(1 << i)):
-            text_b, m_b = class_items[j][1]
+        entailed &= ~(1 << i)
+        # fixpoint inclusion is asked once per member pair, at its first entailed class
+        known = asked.setdefault(id(m_a), [0, 0])
+        pending = entailed & ~known[0]
+        while pending:
+            m_b = class_items[(pending & -pending).bit_length() - 1][1][1]
+            classes_b = same_member[id(m_b)]
+            known[0] |= classes_b
             if not alg.fp_subset(m_a, m_b):
-                witnesses.append(("entailment_not_included", text_a, text_b))
+                known[1] |= classes_b
+            pending &= ~classes_b
+        for j in bit_positions(entailed & known[1]):
+            witnesses.append(("entailment_not_included", text_a, class_items[j][1][0]))
 
     return check_result("tautology_theorem", witnesses, len(formulas_list),
                         note=f"{len(classes)} semantic classes")

@@ -19,8 +19,10 @@ lcm of M's denominators) with M = N/d; ``mat_mul`` multiplies the scaled
 operands in ``int`` and builds each output ``Fraction`` once.  Each
 ``Subspace`` caches the scaled form of its projection, so projecting a ray is
 an integer mat-vec followed by a gcd and sign normalisation (d never matters
-for a direction), and membership tests compare N·u with d·u.  Projected rays
-are memoised per ``Subspace`` instance in one ``Ray``-keyed memo,
+for a direction), and membership tests compare N·u with d·u.  Composites run
+in ``int`` too: ``lowest_projection`` tests a product N/d for N = N^T and
+N N = d N and reduces it, and ``from_scaled_projection`` keeps that form.
+Projected rays are memoised per ``Subspace`` instance in one ``Ray``-keyed memo,
 ``ray_images``, which the ray backend hands out as a measurement's action; the
 memo lives as long as that instance and takes no part in its equality or hash.
 """
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetError, InputError
 
@@ -75,10 +77,6 @@ def is_zero_vector(v: Sequence[Fraction]) -> bool:
 
 def zero_matrix(n: int) -> Matrix:
     return tuple((Fraction(0),) * n for _ in range(n))
-
-
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m)) if m else ()
 
 
 def scale_to_int(m: Matrix) -> tuple[IntMatrix, int]:
@@ -160,26 +158,27 @@ def projection_matrix(basis: Sequence[Sequence], dim: int | None = None) -> Matr
     # G X = B for the Gram matrix G = B B^T.  G of independent rows is
     # invertible over Q, so reducing [G | B] leaves [I | X].
     b = tuple(rows)
-    bt = transpose(b)
+    bt = tuple(zip(*b))
     reduced, _ = rref(g + r for g, r in zip(mat_mul(b, bt), b))
     return mat_mul(bt, tuple(row[len(b):] for row in reduced))
 
 
-def is_symmetric_idempotent(m: Matrix) -> bool:
-    if m != transpose(m):
-        return False
-    n, d = scale_to_int(m)
-    # (N/d)(N/d) = N/d  iff  N N = d N
-    return int_mat_mul(n, n) == tuple(tuple(d * x for x in row) for row in n)
+def lowest_projection(n: IntMatrix, d: int) -> tuple[IntMatrix, int] | None:
+    """N/d in lowest terms when it is symmetric and idempotent (N = N^T and
+    N N = d N), else None."""
+    if n != tuple(zip(*n)) or int_mat_mul(n, n) != tuple(tuple(d * x for x in row) for row in n):
+        return None
+    g = math.gcd(d, *(x for row in n for x in row))
+    return tuple(tuple(x // g for x in row) for row in n), d // g
 
 
-@dataclass(frozen=True)
-class Ray:
+class Ray(NamedTuple):
     """A one-dimensional subspace of Q^dim in canonical integer form.
 
     ``direction`` is a coprime integer tuple whose first nonzero entry is
     positive; ``None`` marks the distinguished zero ray.  Two rays are equal
-    iff their canonical directions are identical.
+    iff their canonical directions are identical.  A tuple, so its hash and
+    equality run in C.
     """
 
     dim: int
@@ -280,6 +279,13 @@ class Subspace:
         return scale_to_int(self.projection)
 
     @cached_property
+    def complement_projection(self) -> tuple[IntMatrix, int]:
+        """The orthocomplement's scaled projection: I - N/d is (d I - N)/d."""
+        n, d = self.scaled_projection
+        return tuple(tuple(d * (i == j) - x for j, x in enumerate(row))
+                     for i, row in enumerate(n)), d
+
+    @cached_property
     def ray_images(self) -> "RayImages":
         """Memo of ``project_ray``: ray -> image ray."""
         return RayImages(self)
@@ -327,8 +333,9 @@ class Subspace:
         """Whether the two projections commute, compared on their integer forms."""
         if other.dim != self.dim:
             raise InputError("ambient dimensions differ")
-        a, b = self.scaled_projection[0], other.scaled_projection[0]
-        return int_mat_mul(a, b) == int_mat_mul(b, a)
+        # (A B)^T = B A for symmetric A and B, so they commute when A B is symmetric
+        ab = int_mat_mul(self.scaled_projection[0], other.scaled_projection[0])
+        return ab == tuple(zip(*ab))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.dim != self.dim:
@@ -343,10 +350,12 @@ class Subspace:
         return Subspace.from_generators(self.dim, perps).orthocomplement
 
     @classmethod
-    def from_projection(cls, matrix: Matrix) -> "Subspace":
-        """Column space of a symmetric idempotent matrix."""
-        cols = [col for col in transpose(matrix) if not is_zero_vector(col)]
-        return cls.from_generators(len(matrix), cols)
+    def from_scaled_projection(cls, n: IntMatrix, d: int) -> "Subspace":
+        """Column space of the projection N/d, which it keeps as its scaled
+        projection; N/d is in lowest terms, as ``lowest_projection`` gives it."""
+        sub = cls.from_generators(len(n), [col for col in zip(*n) if any(col)])
+        sub.__dict__["scaled_projection"] = n, d
+        return sub
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -10,9 +10,11 @@ measurement classes by name finds both there.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .core import MAlgebra, Measurement, ProjectionMeasurement
-from .ratlin import Matrix, Ray, RayImages, Subspace, check_window, is_symmetric_idempotent
-from .ratlin import mat_mul, parse_ray, primitive_vectors
+from .ratlin import Matrix, Ray, RayImages, Subspace, check_window, int_mat_mul
+from .ratlin import lowest_projection, mat_mul, parse_ray, primitive_vectors, scale_to_int
 
 
 class RayAlgebra(MAlgebra):
@@ -36,11 +38,9 @@ class RayAlgebra(MAlgebra):
         self.sample_height = sample_height
         self.zero = self.zero_code = Ray.zero(dim)
         self._window: list[Ray] | None = None
-        # by basis, a tuple hashed in C: the listed member (first by name) or a
-        # synthesized one
-        self._by_subspace: dict[tuple, Measurement] = {
-            m.subspace.basis: m for m in reversed(self.sorted_measurements())
-        }
+        # id(m) -> (m, N, d), m's own matrix N/d, and (id(a), id(b)) -> (a, b,
+        # compose_member); each entry keeps its measurements, and so their ids
+        self._scaled, self._composites = {}, {}
 
     def summary(self) -> dict:
         return {**super().summary(), "dimension": self.dim, "full_lattice": self.full_lattice}
@@ -55,10 +55,24 @@ class RayAlgebra(MAlgebra):
             self._window = sorted(rays, key=lambda r: r.sort_key)
         return self._window
 
+    @cached_property
+    def _by_subspace(self) -> dict[tuple, Measurement]:
+        """Members by their subspace's scaled projection, first listed by name."""
+        return {m.subspace.scaled_projection: m for m in reversed(self._sorted)}
+
     def measurement_for_subspace(self, sub: Subspace) -> Measurement | None:
-        m = self._by_subspace.get(sub.basis)
+        return self._member_on(sub.scaled_projection)
+
+    def _member_on(self, key: tuple | None) -> Measurement | None:
+        """The member whose subspace has the scaled projection ``key``; on a
+        full lattice, one synthesized on that subspace when none is listed."""
+        if key is None:
+            return None
+        m = self._by_subspace.get(key)
         if m is None and self.full_lattice:
-            m = self._by_subspace[sub.basis] = ProjectionMeasurement(_subspace_label(sub), sub)
+            sub = Subspace.from_scaled_projection(*key)
+            m = self._by_subspace[key] = ProjectionMeasurement(_subspace_label(sub), sub)
+            self._scaled[id(m)] = (m, *key)  # its matrix is its subspace's projection
         return m
 
     # law-check protocol (see MAlgebra)
@@ -101,19 +115,32 @@ class RayAlgebra(MAlgebra):
     def compose_raw(self, a: Measurement, b: Measurement) -> Matrix:
         return mat_mul(b.matrix, a.matrix)
 
+    def compose_member(self, a: Measurement, b: Measurement) -> Measurement | None:
+        """``membership`` of "a, then b", multiplied in integers from the
+        operands' own matrices, scaled once per member; kept per ordered pair."""
+        key = (id(a), id(b))
+        entry = self._composites.get(key)
+        if entry is None:
+            for m in (a, b):
+                if id(m) not in self._scaled:
+                    self._scaled[id(m)] = (m, *scale_to_int(m.matrix))
+            (_, na, da), (_, nb, db) = self._scaled[id(a)], self._scaled[id(b)]
+            product = lowest_projection(int_mat_mul(nb, na), da * db)
+            entry = self._composites[key] = (a, b, self._member_on(product))
+        return entry[2]
+
     def membership(self, raw: Matrix) -> Measurement | None:
         """A listed projection equal to ``raw``; on a full lattice any
         symmetric idempotent rational matrix, synthesized when unlisted."""
-        if not is_symmetric_idempotent(raw):
-            return None
-        return self.measurement_for_subspace(Subspace.from_projection(raw))
+        return self._member_on(lowest_projection(*scale_to_int(raw)))
 
     def find_negation(self, m: Measurement) -> Measurement | None:
-        return self.measurement_for_subspace(m.subspace.orthocomplement)
+        return self._member_on(m.subspace.complement_projection)
 
     def point_measurement(self, x: Ray) -> Measurement | None:
-        # a ray's direction is already the canonical basis of its line
-        return self.measurement_for_subspace(Subspace(self.dim, (x.direction,)))
+        # the line through a primitive v projects by v v^T / v.v, in lowest terms
+        v = x.direction
+        return self._member_on((tuple(tuple(a * b for b in v) for a in v), sum(a * a for a in v)))
 
     def is_full(self, m: Measurement) -> bool:
         return m.subspace.is_full

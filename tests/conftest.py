@@ -1,6 +1,6 @@
 """The bundled model files as fixtures, and the helpers that only tests use:
-``apply``, the truth-table oracle ``is_tautology`` and a table/ray
-``dump_model``."""
+``apply``, the truth-table oracles ``truth_mask`` and ``is_tautology``, a
+memoised ``formula_walker`` and a table/ray ``dump_model``."""
 
 import json
 from pathlib import Path
@@ -9,6 +9,7 @@ from typing import NamedTuple
 import pytest
 
 from malgebra import formulas, models
+from malgebra.connectives import member_rule
 from malgebra.errors import InputError
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -32,6 +33,46 @@ def apply(alg, m, state):
     return m(state)
 
 
+def truth_mask(f, slot_order) -> int:
+    """Truth table as an integer: bit ``row`` is the value under that assignment.
+
+    Row ``i`` assigns slot ``j`` the bit ``(i >> (k-1-j)) & 1``, matching the
+    binary counting order of assignments.  Every row is evaluated at once:
+    each slot is its column from ``formulas.slot_masks`` and the connectives
+    are bit operations.  A slot missing from ``slot_order`` raises.
+    """
+    columns = formulas.slot_masks(slot_order)
+    full = (1 << (1 << len(slot_order))) - 1
+
+    def walk(node):
+        if isinstance(node, formulas.Slot):
+            try:
+                return columns[node.name]
+            except KeyError:
+                raise InputError(f"unbound slot {node.name!r}") from None
+        if isinstance(node, formulas.Not):
+            return full ^ walk(node.operand)
+        if isinstance(node, formulas.And):
+            return walk(node.left) & walk(node.right)
+        if isinstance(node, formulas.Or):
+            return walk(node.left) | walk(node.right)
+        return (full ^ walk(node.left)) | walk(node.right)
+
+    return walk(f)
+
+
+def formula_walker(alg, binding):
+    """An evaluator of formula trees, slots resolved through ``binding``: the
+    member rule folded over one memo, which keeps every tree it evaluated."""
+    rule, memo, roots = member_rule(alg, binding), {}, []
+
+    def walk(f):
+        roots.append(f)  # keeps the memoised nodes alive, so no other node takes an id
+        return formulas.fold(f, rule, memo)
+
+    return walk
+
+
 class TautologyVerdict(NamedTuple):
     formula: formulas.Formula
     is_tautology: bool
@@ -44,7 +85,7 @@ def is_tautology(f) -> TautologyVerdict:
     if isinstance(f, str):
         f = formulas.parse_formula(f)
     slots = formulas.slots_of(f)
-    mask = formulas.truth_mask(f, slots)
+    mask = truth_mask(f, slots)
     if mask == (1 << (1 << len(slots))) - 1:
         return TautologyVerdict(f, True, None)
     row = ((mask + 1) & ~mask).bit_length() - 1  # the first false row

@@ -7,7 +7,6 @@ from malgebra.connectives import (
     conjunction,
     disjunction,
     eval_formula,
-    formula_walker,
     implication,
     is_classical,
 )
@@ -15,7 +14,7 @@ from malgebra.formulas import Not, Slot, enumerate_formulas
 from malgebra.core import commutes, extent, negation_of, top_bot
 from malgebra.errors import InputError, NotCommutingError
 from malgebra.ratlin import Ray
-from conftest import apply, load_fixture
+from conftest import apply, formula_walker, load_fixture
 
 R = Ray.from_vector
 

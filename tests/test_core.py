@@ -49,7 +49,7 @@ from malgebra.errors import (
 )
 from malgebra.models import build_ray, build_table, load_model
 from malgebra.order import bounds_check
-from malgebra.ratlin import Ray, Subspace, zero_matrix
+from malgebra.ratlin import Ray, Subspace, projection_matrix, scale_to_int, zero_matrix
 from malgebra.rays import RayAlgebra
 from conftest import FIXTURES, apply, load_fixture
 from test_order import tables_with_top_and_bot
@@ -1227,3 +1227,31 @@ def test_class_kernel_matches_member_loops_on_random_tables(case):
         if states is alg.state_domain():
             for witness in got[0]:
                 assert replay_witness(alg, pid, witness), (pid, witness)
+
+
+# ray composites from integer projections, against the exact matrices --------
+
+
+@pytest.mark.parametrize("name", ["r2", "r2_full", "r3", "r3_full"])
+def test_ray_compose_member_matches_membership_of_the_exact_matrix(name):
+    # listed members, their negations and, on full lattices, point
+    # measurements and composites synthesized on the way; non-commuting
+    # pairs have no member either way
+    alg = load_fixture(name)
+    ms = alg.sorted_measurements()
+    ms += [negation_of(alg, m) for m in ms]
+    ms += [m for m in (point_measurement(alg, x) for x in alg.state_domain()[1:6]) if m]
+    ms = list({id(m): m for m in ms}.values())
+    synthesized = []
+    for a in ms:
+        for b in ms:
+            got = compose_member(alg, a, b)
+            assert got is membership(alg, compose_raw(alg, a, b)), (a, b)
+            assert compose_member(alg, a, b) is got
+            if got is not None and got.name not in alg.measurements:
+                synthesized.append(got)
+    assert any(compose_member(alg, a, b) is None for a in ms for b in ms)
+    assert bool(synthesized) == alg.full_lattice
+    for m in ms + synthesized + [negation_of(alg, m) for m in synthesized]:
+        seeded = m.subspace.__dict__.get("scaled_projection")
+        assert seeded in (None, scale_to_int(projection_matrix(m.subspace.basis, alg.dim))), m

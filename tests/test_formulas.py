@@ -21,9 +21,8 @@ from malgebra.formulas import (
     minimal_formula_names,
     parse_formula,
     slots_of,
-    truth_mask,
 )
-from conftest import is_tautology
+from conftest import is_tautology, truth_mask
 
 
 def reference_evaluate(f, assignment):
@@ -100,6 +99,42 @@ formula_strategy = st.recursive(
 def test_printer_parser_round_trip(f):
     assert parse_formula(format_formula(f)) == f
     assert parse_formula(format_formula(f, compact=True)) == f
+
+
+def reference_format_formula(f, compact=False):
+    """The former recursive printer, kept as the reference for the per-node
+    text rule."""
+    pad = "" if compact else " "
+    precedence = {Implies: 1, Or: 2, And: 3, Not: 4, Slot: 5}
+    symbol = {And: "&", Or: "|", Implies: "->"}
+
+    def render(node):
+        prec = precedence[type(node)]
+        if isinstance(node, Slot):
+            return node.name
+        if isinstance(node, Not):
+            inner = render(node.operand)
+            if precedence[type(node.operand)] < prec:
+                inner = "(" + inner + ")"
+            return "~" + inner
+        assoc_right = isinstance(node, Implies)
+        left, right = render(node.left), render(node.right)
+        if precedence[type(node.left)] < prec or (
+                precedence[type(node.left)] == prec and assoc_right):
+            left = "(" + left + ")"
+        if precedence[type(node.right)] < prec or (
+                precedence[type(node.right)] == prec and not assoc_right):
+            right = "(" + right + ")"
+        return left + pad + symbol[type(node)] + pad + right
+
+    return render(f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(formula_strategy)
+def test_format_formula_matches_the_recursive_printer(f):
+    assert format_formula(f) == reference_format_formula(f)
+    assert format_formula(f, compact=True) == reference_format_formula(f, compact=True)
 
 
 def test_tautology_verdicts():
@@ -179,6 +214,54 @@ def _drop_bit(value, position):
     high = value >> (position + 1)
     low = value & ((1 << position) - 1)
     return (high << position) | low
+
+
+def reference_essential_walk(f):
+    """The former body of ``essential_function``: the table over the
+    formula's own slots, its irrelevant slots found by the shift test and
+    the table read on the rows where they are false."""
+    slots = slots_of(f)
+    k = len(slots)
+    columns = formulas.slot_masks(slots)
+    full = (1 << (1 << k)) - 1
+    mask = truth_mask(f, slots)
+    kept = tuple(s for j, s in enumerate(slots)
+                 if (mask & columns[s]) >> (1 << (k - 1 - j)) != mask & (full ^ columns[s]))
+    reduced = 0
+    for row in range(1 << len(kept)):
+        wide = sum(1 << (k - 1 - slots.index(s))
+                   for i, s in enumerate(kept) if row >> (len(kept) - 1 - i) & 1)
+        reduced |= (mask >> wide & 1) << row
+    return kept, reduced
+
+
+def reference_shadow_on(fn, slots):
+    """The former row-by-row shadow: every true row of ``fn`` contributes the
+    rows over ``slots`` that agree with it on the shared slots."""
+    own, mask = fn
+    full = (1 << (1 << len(slots))) - 1
+    shared = [(j, s) for j, s in enumerate(own) if s in slots]
+    if not shared:
+        return full if mask else 0
+    columns = formulas.slot_masks(slots)
+    k = len(own)
+    shadow = 0
+    for row in range(1 << k):
+        if mask >> row & 1:
+            agreeing = full
+            for j, s in shared:
+                agreeing &= columns[s] if row >> (k - 1 - j) & 1 else full ^ columns[s]
+            shadow |= agreeing
+    return shadow
+
+
+@settings(max_examples=200, deadline=None)
+@given(formula_strategy, st.lists(st.sampled_from(["a", "b", "c", "x1"]), unique=True))
+def test_per_node_rules_match_the_whole_tree_walks(f, slots):
+    fn = essential_function(f)
+    assert fn == reference_essential_walk(f) == reference_essential_function(f)
+    slots = tuple(sorted(slots))
+    assert formulas.shadow_on(fn, slots) == reference_shadow_on(fn, slots)
 
 
 @pytest.mark.parametrize("alphabet,depth,max_slots,count", [

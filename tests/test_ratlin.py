@@ -20,18 +20,24 @@ from malgebra.ratlin import (
     Ray,
     Subspace,
     check_window,
-    is_symmetric_idempotent,
+    lowest_projection,
     mat_mul,
     parse_ray,
     primitive,
     primitive_vectors,
     projection_matrix,
     rational,
+    scale_to_int,
     subspace_rays,
     zero_matrix,
 )
 
 F = Fraction
+
+
+def is_symmetric_idempotent(m):
+    """The definition of a projection, on the rational matrix itself."""
+    return m == tuple(zip(*m)) and mat_mul(m, m) == m
 
 
 def frac_matrix(rows):
@@ -482,3 +488,35 @@ def test_mat_mul_rectangular_non_integer_and_empty_shapes():
     assert mat_mul(frac_matrix([[1, 2]]), ()) == ((),)
     with pytest.raises(InputError):
         mat_mul(a, a)
+
+
+def test_ray_hash_and_equality_run_in_c():
+    assert Ray.__hash__ is tuple.__hash__
+    assert Ray.__eq__ is tuple.__eq__
+    assert Ray(2, (1, 0)) == Ray.from_vector([3, 0]) and Ray.zero(2) != Ray(2, (1, 0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(subspace_strategy(), st.integers(1, 6))
+def test_seeded_scaled_projections_match_the_projection_matrix(s, k):
+    # a projection however scaled is brought to lowest terms; the subspace
+    # built from it keeps that form, and I - N/d is its orthocomplement's
+    n, d = s.scaled_projection
+    key = lowest_projection(tuple(tuple(k * x for x in row) for row in n), k * d)
+    assert key == (n, d) == scale_to_int(projection_matrix(s.basis, s.dim))
+    built = Subspace.from_scaled_projection(*key)
+    assert built == s and built.__dict__["scaled_projection"] == key
+    comp = s.orthocomplement
+    assert s.complement_projection == scale_to_int(projection_matrix(comp.basis, s.dim))
+
+
+@settings(max_examples=80, deadline=None)
+@given(subspace_strategy(3), subspace_strategy(3))
+def test_integer_projection_test_matches_the_rational_definition(s, t):
+    products = [mat_mul(s.projection, s.projection)]
+    if s.dim == t.dim:
+        products.append(mat_mul(s.projection, t.projection))
+    for product in products:
+        key = lowest_projection(*scale_to_int(product))
+        assert (key is not None) == is_symmetric_idempotent(product)
+        assert key in (None, scale_to_int(product))

@@ -4,7 +4,8 @@ run executes only the package files it needs; the package exports the same
 public names, each with a caller in the package; ``core`` stays small enough for the parser's first token array;
 no module imports a name it never uses, and no module-level function or class
 goes unused; the finite backend finds negations and point measurements by
-index lookup; classicality and the negation laws are read off the protocol,
+index lookup; ray composites multiply rational matrices only in
+``compose_raw``; classicality and the negation laws are read off the protocol,
 with no backend hook and no caught exception; the README's synopsis names the
 options the parser defines, and its library example runs as printed."""
 
@@ -81,6 +82,8 @@ def test_no_module_imports_a_name_it_never_uses(path):
 UNUSED_BY_DESIGN = {
     ("ratlin", "subspace_rays"): "perfbench/tracer.py spans it as ratlin.window",
     ("formulas", "entails"): "perfbench/tracer.py spans it as formulas.entails",
+    ("formulas", "essential_function"):
+        "perfbench/tracer.py spans it as formulas.essential_function",
 }
 
 
@@ -134,6 +137,19 @@ def test_every_exported_name_has_a_caller_in_the_package():
 
 def test_core_imports_nothing_from_rays():
     assert "rays" not in set(imported_names(parse(PACKAGE / "core.py")))
+
+
+def test_ray_composites_have_one_rational_path():
+    # ``compose_raw`` is the exact-matrix API; every other composite of the
+    # ray backend multiplies integer projections
+    tree = parse(PACKAGE / "rays.py")
+    raw = next(node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "compose_raw")
+    inside = {id(node) for node in ast.walk(raw)}
+    named = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in inside
+             and {"mat_mul", "from_projection"} & names_in(node)]
+    assert named == [], f"rays.py multiplies rational matrices at lines {named}"
 
 
 def test_laws_range_over_one_list_of_state_codes():
@@ -241,7 +257,8 @@ BAD_TABLE = '{"kind": "table", "states": ["0"], "zero": "0", "measurements": {"m
     (["load", BAD_TABLE], FRONT + ["models.py"]),
     (["check", "t2"], FRONT + ["core.py", "formulas.py", "models.py"]),
     (["check", "r2"], FRONT + ["core.py", "models.py", "ratlin.py", "rays.py"]),
-], ids=["argparse-refusal", "table-refused-on-its-shape", "check-t2", "check-r2"])
+    (["order", "f1"], FRONT + ["connectives.py", "core.py", "models.py", "order.py"]),
+], ids=["argparse-refusal", "table-refused-on-its-shape", "check-t2", "check-r2", "order-f1"])
 def test_a_run_executes_only_the_package_files_it_needs(tmp_path, argv, ran):
     # ``malgebra`` registers its submodules in sys.modules without running
     # them, so a run compiles only what it touches
