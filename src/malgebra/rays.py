@@ -13,6 +13,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .core import MAlgebra, Measurement, ProjectionMeasurement
+from .errors import InputError
 from .ratlin import Matrix, Ray, RayImages, Subspace, check_window, int_mat_mul
 from .ratlin import lowest_projection, mat_mul, parse_ray, primitive_vectors, scale_to_int
 
@@ -59,9 +60,6 @@ class RayAlgebra(MAlgebra):
     def _by_subspace(self) -> dict[tuple, Measurement]:
         """Members by their subspace's scaled projection, first listed by name."""
         return {m.subspace.scaled_projection: m for m in reversed(self._sorted)}
-
-    def measurement_for_subspace(self, sub: Subspace) -> Measurement | None:
-        return self._member_on(sub.scaled_projection)
 
     def _member_on(self, key: tuple | None) -> Measurement | None:
         """The member whose subspace has the scaled projection ``key``; on a
@@ -131,7 +129,10 @@ class RayAlgebra(MAlgebra):
 
     def membership(self, raw: Matrix) -> Measurement | None:
         """A listed projection equal to ``raw``; on a full lattice any
-        symmetric idempotent rational matrix, synthesized when unlisted."""
+        symmetric idempotent rational matrix, synthesized when unlisted.  A
+        matrix that is not dim x dim is refused."""
+        if len(raw) != self.dim or any(len(row) != self.dim for row in raw):
+            raise InputError(f"raw matrix is not {self.dim} x {self.dim}")
         return self._member_on(lowest_projection(*scale_to_int(raw)))
 
     def find_negation(self, m: Measurement) -> Measurement | None:

@@ -202,6 +202,21 @@ def test_membership_synthesizes_on_full_lattice(r2full):
     assert found.subspace.basis == ((1, 2),)
 
 
+@pytest.mark.parametrize("raw", [
+    ((1, 0), (0, 0)),                       # a projection of Q^2
+    (),                                     # the empty matrix
+    ((1, 0, 0), (0, 1, 0)),                 # too few rows
+    ((1, 0, 0), (0, 1), (0, 0, 1)),         # a short row
+    ((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)),  # too many columns
+], ids=["q2", "empty", "rows", "ragged", "columns"])
+@pytest.mark.parametrize("name", ["r3", "r3_full"])
+def test_ray_membership_refuses_a_matrix_of_the_wrong_size(name, raw):
+    # as the table backend refuses a raw map that misses a state, rather
+    # than synthesize a member of another dimension
+    with pytest.raises(InputError, match="raw matrix is not 3 x 3"):
+        membership(load_fixture(name), raw)
+
+
 # negation / top / bot --------------------------------------------------------
 
 
@@ -274,7 +289,7 @@ def reference_ray_member(alg, target):
     that, on a full lattice, the one synthesized for it."""
     listed = next((c for c in alg.sorted_measurements() if c.subspace == target), None)
     if listed is None and alg.full_lattice:
-        return alg.measurement_for_subspace(target)
+        return membership(alg, target.projection)
     return listed
 
 

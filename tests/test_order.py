@@ -206,6 +206,73 @@ def test_orthomodular_axis_plane_instance(r3):
     assert rejoined == r3.measurement("pxy")
 
 
+def reference_orthomodular_check(alg):
+    """The five laws as ``orthomodular_check`` searched them before it read
+    antitonicity off the definition of negation: every ordered pair asks
+    ``leq`` for the law and again for the orthomodular law's instances."""
+    ms = alg.sorted_measurements()
+    top, bot = top_bot(alg)
+    neg = {m.name: negation_of(alg, m) for m in ms}
+    singles = [(a,) for a in ms]
+    return [
+        check_instances("ortho_involution", singles,
+                        lambda a: negation_of(alg, neg[a.name]) != a),
+        check_instances("ortho_antitone", ((a, b) for a in ms for b in ms),
+                        lambda a, b: leq(alg, a, b) and not leq(alg, neg[b.name], neg[a.name])),
+        check_instances("ortho_meet_bottom", singles,
+                        lambda a: conjunction(alg, a, neg[a.name]) != bot),
+        check_instances("ortho_join_top", singles,
+                        lambda a: disjunction(alg, a, neg[a.name]) != top),
+        check_instances("ortho_orthomodular",
+                        ((a, b) for a in ms for b in ms if leq(alg, a, b)),
+                        lambda a, b: disjunction(alg, a, conjunction(alg, neg[a.name], b)) != b),
+    ]
+
+
+@pytest.mark.parametrize("name", [*FIXTURES, "broken_order", "misbehaving"])
+def test_orthomodular_check_matches_reference_on_fixtures(name):
+    if name == "broken_order":
+        alg = models.load_model(json.loads(BROKEN_ORDER.read_text()))
+    elif name == "misbehaving":
+        alg = models.load_model(MISBEHAVING)
+    else:
+        alg = load_fixture(name)
+    assert (sep_outcome(orthomodular_check, alg)
+            == sep_outcome(reference_orthomodular_check, alg))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_with_top_and_bot())
+def test_orthomodular_check_matches_reference_on_random_tables(alg):
+    assert (sep_outcome(orthomodular_check, alg)
+            == sep_outcome(reference_orthomodular_check, alg))
+
+
+def test_orthomodular_check_asks_leq_once_per_ordered_pair(monkeypatch):
+    # antitonicity needs no second leq per pair, and the orthomodular law's
+    # instances are the pairs that first pass found below each other
+    from malgebra import order
+
+    alg = load_fixture("r3_full")
+    asked = []
+    monkeypatch.setattr(order, "leq", lambda *args: asked.append(args[1:]) or leq(*args))
+    assert all(r.status == "pass" for r in orthomodular_check(alg))
+    n = len(alg.names)
+    assert len(asked) == n * n == 144
+
+
+def test_strong_sep_projects_no_ray_per_fixpoint_pair(monkeypatch):
+    # an implication to a point measurement is built, never applied: the law
+    # makes |M|·|W| projections on r3_full at height 3, not |M|·|W|^2
+    calls = []
+    project = Subspace.project_ray
+    monkeypatch.setattr(Subspace, "project_ray",
+                        lambda self, ray: calls.append(ray) or project(self, ray))
+    alg = load_fixture("r3_full", 3)
+    assert all(r.status == "sampled_pass" for r in strong_sep_check(alg))
+    assert 0 < len(calls) < 3000
+
+
 def test_strong_sep_on_maximal_theories(t2max):
     results = strong_sep_check(t2max)
     assert [r.status for r in results] == ["pass", "pass", "pass"]
@@ -449,6 +516,12 @@ def test_classicality_is_exact_on_full_lattices(alg):
             assert not commutes(alg, m, point_measurement(alg, alg.state(x))), (m, x)
     assert classical_commutation_agree(alg) == reference_classical_commutation_agree(alg)
     assert classical_commutation_agree(alg).status == "pass"
+
+
+@settings(max_examples=60, deadline=None)
+@given(full_lattice_families())
+def test_strong_sep_matches_reference_on_full_lattices(alg):
+    assert sep_outcome(strong_sep_check, alg) == sep_outcome(reference_strong_sep_check, alg)
 
 
 # composing ``a`` with its negation ``na`` gives ``a`` again, which is no bottom
