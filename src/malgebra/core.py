@@ -18,9 +18,9 @@ rays by canonical direction, measurements by name), so reports are stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial, reduce
-from operator import and_, or_
+from itertools import compress, repeat
+from operator import and_, eq, or_
 from typing import NamedTuple
 
 from .errors import ClosureViolation, InputError, NegationViolation
@@ -54,14 +54,20 @@ LEMMA_IDS = (
 _WITNESS_CAP = 10
 
 
-@dataclass
 class CheckResult:
-    property_id: str
-    status: str  # pass | fail | vacuous | sampled_pass
-    witnesses: list[tuple[str, ...]]
-    checked_count: int
-    advisory: bool = False
-    note: str = ""
+    """One law's verdict; equal to a result with the same six fields."""
+
+    def __init__(self, property_id: str, status: str, witnesses: list[tuple[str, ...]],
+                 checked_count: int, advisory: bool = False, note: str = ""):
+        self.property_id, self.status = property_id, status  # pass | fail | vacuous | sampled_pass
+        self.witnesses, self.checked_count = witnesses, checked_count
+        self.advisory, self.note = advisory, note
+
+    def __eq__(self, other):
+        return other.__class__ is CheckResult and vars(self) == vars(other)
+
+    def __repr__(self):
+        return f"CheckResult({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     @property
     def ok(self) -> bool:
@@ -315,6 +321,7 @@ class FiniteAlgebra(MAlgebra):
         # the one size branch: the lane type (past 256 states the padding is empty)
         self._lane = bytes if len(self.states) <= 256 else _TupleLane
         self._pad = tuple(range(len(self.states), 256))
+        self._bits = tuple(1 << i for i in range(len(self.states)))  # the masks sum these
         # Keyed by object identity: while a member is alive no other object
         # shares its id, so a foreign measurement never hits this cache.
         self._compiled = {id(m): self._compile(m) for m in self._sorted}
@@ -334,8 +341,8 @@ class FiniteAlgebra(MAlgebra):
             raise InputError(
                 f"measurement {m.name!r} does not act on the states: {exc.args[0]!r}"
             ) from None
-        fp = sum(1 << i for i, c in enumerate(codes) if c == i)
-        z = sum(1 << i for i, c in enumerate(codes) if c == self.zero_code)
+        fp = sum(compress(self._bits, map(eq, codes, range(len(codes)))))
+        z = sum(compress(self._bits, map(eq, codes, repeat(self.zero_code))))
         return Compiled(codes, self._lane(codes), self._lane(codes + self._pad), fp, z)
 
     def compiled(self, m: Measurement) -> Compiled:

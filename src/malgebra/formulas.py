@@ -10,7 +10,6 @@ about algebras; it serves as the independent truth-table oracle.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import comb
 
@@ -21,32 +20,79 @@ DEFAULT_FORMULA_CAP = 10**6
 MAX_FORMULA_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class Slot:
-    name: str
+class _Node:
+    """A formula node: a frozen value shown as ``Class(field=value, ...)``,
+    equal to a node of its own class with equal fields.  ``object.__setattr__``
+    keeps the instances' compact layout, which writing ``__dict__`` gives up,
+    and each class writes out its ``==`` and hash: a method shared by several
+    classes reads their fields unspecialized, half again as slowly."""
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Not:
-    operand: "Formula"
+class Slot(_Node):
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
+
+    def __eq__(self, other):
+        return other.__class__ is Slot and self.name == other.name
+
+    def __hash__(self):
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class Not(_Node):
+    __match_args__ = ("operand",)
+
+    def __init__(self, operand: Formula):
+        object.__setattr__(self, "operand", operand)
+
+    def __eq__(self, other):
+        return other.__class__ is Not and (self.operand,) == (other.operand,)
+
+    def __hash__(self):
+        return hash((self.operand,))
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class _Binary(_Node):
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class And(_Binary):
+    def __eq__(self, other):
+        return other.__class__ is And and (self.left, self.right) == (other.left, other.right)
+
+    def __hash__(self):
+        return hash((self.left, self.right))
+
+
+class Or(_Binary):
+    def __eq__(self, other):
+        return other.__class__ is Or and (self.left, self.right) == (other.left, other.right)
+
+    def __hash__(self):
+        return hash((self.left, self.right))
+
+
+class Implies(_Binary):
+    def __eq__(self, other):
+        return other.__class__ is Implies and (self.left, self.right) == (other.left, other.right)
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
 
 Formula = Slot | Not | And | Or | Implies
@@ -444,35 +490,29 @@ def minimal_formula_names(atoms: tuple[str, ...]) -> dict[int, Formula]:
     full = (1 << n_rows) - 1
     atom_mask = slot_masks(atoms)
 
-    best: dict[int, Formula] = {}
-    by_size: list[list[tuple[Formula, int]]] = [[]]
-
-    def record(size_bucket, mask, make, *children):  # builds the node only for a new mask
-        if mask not in best:
-            node = best[mask] = make(*children)
-            size_bucket.append((node, mask))
-
-    bucket = []
-    for name in atoms:
-        record(bucket, atom_mask[name], Slot, name)
-    by_size.append(bucket)
+    # each candidate's mask is tested inline, and a node built only for a new
+    # one; ``best`` keeps discovery order, so its tail is the size just found
+    best: dict[int, Formula] = {atom_mask[name]: Slot(name) for name in atoms}
+    by_size: list[list[tuple[int, Formula]]] = [[], list(best.items())]
 
     size = 1
     while len(best) < (1 << n_rows) and size < 25:
         size += 1
-        bucket = []
-        for f, m in by_size[size - 1]:
-            record(bucket, full ^ m, Not, f)
+        start = len(best)
+        for m, f in by_size[size - 1]:
+            if full ^ m not in best:
+                best[full ^ m] = Not(f)
         for left_size in range(1, size - 1):
-            right_size = size - 1 - left_size
-            if right_size < 1 or right_size >= len(by_size):
-                continue
-            for f, fm in by_size[left_size]:
-                for g, gm in by_size[right_size]:
-                    record(bucket, fm & gm, And, f, g)
-                    record(bucket, fm | gm, Or, f, g)
-                    record(bucket, (full ^ fm) | gm, Implies, f, g)
-        by_size.append(bucket)
+            for fm, f in by_size[left_size]:
+                not_f = full ^ fm
+                for gm, g in by_size[size - 1 - left_size]:
+                    if fm & gm not in best:
+                        best[fm & gm] = And(f, g)
+                    if fm | gm not in best:
+                        best[fm | gm] = Or(f, g)
+                    if not_f | gm not in best:
+                        best[not_f | gm] = Implies(f, g)
+        by_size.append(list(best.items())[start:])
     if len(best) < (1 << n_rows):
         raise RuntimeError("formula naming search did not converge")
     return best

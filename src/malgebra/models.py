@@ -37,19 +37,18 @@ def build_table(states, zero, measurements, negations=None, kind="table"):
     if zero not in known:
         raise InputError(f"zero state {zero!r} is not among the states")
     table_measurements = []
+    # whole-set comparisons; a scan in state order only names the first offender
     for name, table in measurements.items() if isinstance(measurements, dict) else measurements:
-        missing = [s for s in states if s not in table]
-        if missing:
-            raise InputError(f"measurement {name!r} has no entry for state {missing[0]!r}")
-        extra = [s for s in table if s not in known]
-        if extra:
-            raise InputError(f"measurement {name!r} maps unknown state {extra[0]!r}")
-        bad = [s for s in states if table[s] not in known]
-        if bad:
-            raise InputError(
-                f"measurement {name!r} sends {bad[0]!r} to unknown state {table[bad[0]]!r}"
-            )
-        table_measurements.append(core.TableMeasurement(name, {s: table[s] for s in states}))
+        if table.keys() != known:
+            missing = next((s for s in states if s not in table), None)
+            if missing is not None:
+                raise InputError(f"measurement {name!r} has no entry for state {missing!r}")
+            extra = next(s for s in table if s not in known)
+            raise InputError(f"measurement {name!r} maps unknown state {extra!r}")
+        if not known.issuperset(table.values()):
+            bad = next(s for s in states if table[s] not in known)
+            raise InputError(f"measurement {name!r} sends {bad!r} to unknown state {table[bad]!r}")
+        table_measurements.append(core.TableMeasurement(name, table))
     alg = core.FiniteAlgebra(kind, states, zero, table_measurements, negation_hints=negations)
     if negations:
         _validate_negation_map(alg, negations)
@@ -124,8 +123,8 @@ def build_propositional(atoms, variant="all_theories"):
     names_by_mask[full] = "top"
     names_by_mask[0] = "bot"
 
-    # the tables are built one at a time as build_table copies them: on three
-    # atoms, holding all 256 at once would double the peak memory of the load
+    # the tables are built one at a time, as TableMeasurement copies each: on
+    # three atoms, holding all 256 at once would double the peak memory of the load
     masks = range(1 << n_valuations)
     negations = {names_by_mask[m]: names_by_mask[full ^ m] for m in masks}
     measurements = ((names_by_mask[m], {ids[t]: ids[t & m] for t in state_masks}) for m in masks)

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -225,9 +224,9 @@ def parse_ray(text: str, dim: int) -> Ray:
     return Ray.from_vector(entries, dim)
 
 
-@dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of Q^dim held as a canonical basis.
+    """A linear subspace of Q^dim held as a canonical basis: a frozen value,
+    equal to a subspace with the same ``dim`` and ``basis``.
 
     Construct through :meth:`from_generators`, which reduces arbitrary
     (possibly dependent) generators to the canonical form.  The projection
@@ -235,8 +234,23 @@ class Subspace:
     complement to the identity.
     """
 
-    dim: int
-    basis: tuple[tuple[int, ...], ...]
+    def __init__(self, dim: int, basis: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "basis", basis)
+
+    def __setattr__(self, name, *value):  # the cached properties write past it
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return other.__class__ is Subspace and (self.dim, self.basis) == (other.dim, other.basis)
+
+    def __hash__(self):
+        return hash((self.dim, self.basis))
+
+    def __repr__(self):
+        return f"Subspace(dim={self.dim!r}, basis={self.basis!r})"
 
     @classmethod
     def from_generators(cls, dim: int, generators: Iterable[Sequence]) -> "Subspace":

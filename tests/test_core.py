@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from malgebra.core import (
     _LAWS,
     ALL_AXIOMS,
+    CheckResult,
     FiniteAlgebra,
     MAlgebra,
     Measurement,
@@ -624,6 +625,28 @@ def test_illegitimate_mutant():
     result = check_axiom(alg, "illegitimate")
     assert result.status == "fail" and result.witnesses == [("weird",)]
     assert replay_witness(alg, "illegitimate", ("weird",))
+
+
+# check results ----------------------------------------------------------------
+
+
+def test_check_results_compare_all_six_fields_and_print_them():
+    fields = dict(property_id="negation", status="fail", witnesses=[("a", "b")],
+                  checked_count=4, advisory=True, note="n")
+    result = CheckResult(**fields)
+    assert result == CheckResult(*fields.values())
+    for name, other in [("property_id", "idempotence"), ("status", "pass"), ("witnesses", []),
+                        ("checked_count", 5), ("advisory", False), ("note", "")]:
+        assert result != CheckResult(**{**fields, name: other}), name
+    assert result != fields and result != tuple(fields.values())
+    assert repr(CheckResult("x", "pass", [("a",)], 3)) == (
+        "CheckResult(property_id='x', status='pass', witnesses=[('a',)], checked_count=3, "
+        "advisory=False, note='')")
+    # results are mutable, as ``lemma_suite`` marks them advisory, so unhashable
+    result.advisory, result.note = False, ""
+    assert result.to_dict()["advisory"] is False
+    with pytest.raises(TypeError):
+        hash(result)
 
 
 # lemma suite -----------------------------------------------------------------

@@ -25,6 +25,48 @@ from malgebra.formulas import (
 from conftest import is_tautology, truth_mask
 
 
+P, Q = Slot("p"), Slot("q")
+
+
+@pytest.mark.parametrize("node,text", [
+    (P, "Slot(name='p')"),
+    (Not(P), "Not(operand=Slot(name='p'))"),
+    (And(P, Q), "And(left=Slot(name='p'), right=Slot(name='q'))"),
+    (Or(P, Not(Q)), "Or(left=Slot(name='p'), right=Not(operand=Slot(name='q')))"),
+    (Implies(P, Or(P, Q)),
+     "Implies(left=Slot(name='p'), right=Or(left=Slot(name='p'), right=Slot(name='q')))"),
+])
+def test_nodes_print_as_their_constructor_calls(node, text):
+    assert repr(node) == text
+
+
+def test_nodes_are_equal_by_class_and_fields():
+    # equal trees built apart are equal and hash equal; a node never equals
+    # one of another class, nor a tuple or a string of its fields
+    twins = [(Slot("p"), Slot("p")), (Not(P), Not(Slot("p"))),
+             (And(P, Q), And(Slot("p"), Slot("q"))), (Or(Q, P), Or(Q, Slot("p"))),
+             (Implies(Not(P), Q), Implies(Not(Slot("p")), Q))]
+    for a, b in twins:
+        assert a == b and not a != b and hash(a) == hash(b)
+    assert And(P, Q) != Or(P, Q) and Or(P, Q) != Implies(P, Q) and And(P, Q) != And(Q, P)
+    assert Not(P) != Not(Q) and Slot("p") != Slot("q")
+    assert P != "p" and And(P, Q) != (P, Q) and Not(P) != P
+    assert len({And(P, Q), And(P, Q), Or(P, Q), Implies(P, Q), Implies(Q, P)}) == 4
+
+
+@pytest.mark.parametrize("node,field", [
+    (P, "name"), (Not(P), "operand"), (And(P, Q), "left"), (Or(P, Q), "right"),
+    (Implies(P, Q), "left"), (P, "other"),
+])
+def test_nodes_refuse_assignment_and_deletion(node, field):
+    before = repr(node)
+    with pytest.raises(AttributeError):
+        setattr(node, field, Q)
+    with pytest.raises(AttributeError):
+        delattr(node, field)
+    assert repr(node) == before
+
+
 def reference_evaluate(f, assignment):
     """The value of ``f`` under one assignment, node by node: the oracle that
     ``truth_mask`` is tested against."""
@@ -404,6 +446,8 @@ def test_minimal_formula_names_match_the_reference(atoms):
     reference = reference_minimal_formula_names(atoms)
     assert sorted((m, format_formula(f)) for m, f in names.items()) == \
         sorted((m, format_formula(f)) for m, f in reference.items())
+    # the node trees themselves, in the same discovery order
+    assert list(names.items()) == list(reference.items())
 
 
 def test_minimal_formula_names_build_one_node_per_mask(monkeypatch):

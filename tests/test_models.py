@@ -35,6 +35,36 @@ def test_table_rejects_unknown_targets():
         build_table(["0", "a"], "0", {"m": {"0": "0", "a": "a", "b": "a"}})
 
 
+@pytest.mark.parametrize("table,message", [
+    # missing s1 and s0, the table listing s2 first: the first missing in state order
+    ({"s2": "s0"}, "measurement 'm' has no entry for state 's0'"),
+    # a missing entry is named before an extra key
+    ({"y": "s0", "s2": "s0"}, "measurement 'm' has no entry for state 's0'"),
+    # extra keys y and x: the first in the table's own order
+    ({"s2": "s0", "y": "s0", "s0": "s0", "x": "s1", "s1": "s1"},
+     "measurement 'm' maps unknown state 'y'"),
+    # unknown targets at s2 and s1, s2 listed first: the first in state order
+    ({"s2": "u2", "s0": "s0", "s1": "u1"}, "measurement 'm' sends 's1' to unknown state 'u1'"),
+])
+def test_table_refusals_name_the_first_offender(table, message):
+    with pytest.raises(InputError) as refused:
+        build_table(["s0", "s1", "s2"], "s0", {"top": {"s0": "s0", "s1": "s1", "s2": "s2"},
+                                               "m": table})
+    assert str(refused.value) == message
+
+
+def test_a_table_given_out_of_order_compiles_alike():
+    states = ["0", "a", "b"]
+    ordered = {"0": "0", "a": "0", "b": "b"}
+    shuffled = {"b": "b", "0": "0", "a": "0"}
+    first = build_table(states, "0", {"m": ordered})
+    second = build_table(states, "0", {"m": shuffled})
+    m, n = first.measurement("m"), second.measurement("m")
+    assert first.compiled(m) == second.compiled(n) == first.compiled(n)
+    assert m == n and hash(m) == hash(n)
+    assert (first.fp_mask(m), first.z_mask(m)) == (0b101, 0b011)
+
+
 def test_table_rejects_bad_zero_and_duplicate_states():
     with pytest.raises(InputError, match="zero state"):
         build_table(["a", "b"], "0", {"m": {"a": "a", "b": "b"}})

@@ -236,6 +236,24 @@ def test_window_refuses_a_height_below_one_before_counting(height):
         primitive_vectors(2, height)
 
 
+def test_subspaces_are_frozen_values():
+    line = Subspace.from_generators(2, [[2, 0]])
+    assert repr(line) == "Subspace(dim=2, basis=((1, 0),))"
+    assert repr(Subspace.zero(3)) == "Subspace(dim=3, basis=())"
+    twin = Subspace(2, ((1, 0),))
+    assert line == twin and hash(line) == hash(twin) and not line != twin
+    # the same basis in another dimension, or a bare tuple of the fields, is not equal
+    assert Subspace.zero(2) != Subspace.zero(3) and line != (2, ((1, 0),))
+    line.projection  # a cached property stores past the frozen fields
+    assert line == twin and repr(line) == repr(twin)
+    for field in ("dim", "basis", "projection"):
+        with pytest.raises(AttributeError):
+            setattr(line, field, None)
+    with pytest.raises(AttributeError):
+        del line.basis
+    assert line.basis == ((1, 0),)
+
+
 @pytest.mark.parametrize("dim", range(1, 7))
 def test_full_subspace_is_the_reduced_identity(dim):
     assert Subspace.full(dim) == Subspace.from_generators(dim, identity_matrix(dim))

@@ -1,6 +1,7 @@
 """The backend seam, read off the source: code outside the backends asks the
 protocol, never a backend class, and ``core`` does not depend on ``rays``; a
-run executes only the package files it needs; the package exports the same
+run executes only the package files it needs, and no module imports
+``dataclasses``, which would load ``inspect`` into every run; the package exports the same
 public names, each with a caller in the package; ``core`` stays small enough for the parser's first token array;
 no module imports a name it never uses, and no module-level function or class
 goes unused; the finite backend finds negations and point measurements by
@@ -135,6 +136,13 @@ def test_every_exported_name_has_a_caller_in_the_package():
     assert uncalled == set(UNCALLED_EXPORTS)
 
 
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_imports_dataclasses(path):
+    # importing it pulls in inspect, ast, dis and tokenize: 6-10 ms and about
+    # 1 MB of peak RSS in every run that loads a model
+    assert "dataclasses" not in set(imported_names(parse(path))), path.name
+
+
 def test_core_imports_nothing_from_rays():
     assert "rays" not in set(imported_names(parse(PACKAGE / "core.py")))
 
@@ -245,6 +253,7 @@ finally:
     package = os.path.dirname(sys.modules["malgebra"].__file__)
     print("ran:", sorted(os.path.basename(f) for f in ran if os.path.dirname(f) == package),
           file=sys.stderr)
+    print("loaded:", sorted({"dataclasses", "inspect"} & set(sys.modules)), file=sys.stderr)
 """
 
 FRONT = ["__init__.py", "cli.py", "errors.py"]
@@ -272,6 +281,20 @@ def test_a_run_executes_only_the_package_files_it_needs(tmp_path, argv, ran):
     done = subprocess.run([sys.executable, "-c", RUN_CLI, *argv],
                           capture_output=True, text=True, env=env)
     assert f"ran: {sorted(ran)}" in done.stderr.splitlines(), done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "t3"], ["check", "r2"], ["lemmas", "t2_maximal"],
+    ["tautology", "t2", "--commuting", "p,q", "--depth", "2"],
+], ids=["check-t3", "check-r2", "lemmas-t2_maximal", "tautology-t2"])
+def test_a_run_never_imports_dataclasses_or_inspect(argv):
+    fixtures = PACKAGE.parent.parent / "fixtures"
+    argv = [argv[0], str(fixtures / f"{argv[1]}.json"), *argv[2:]]
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", RUN_CLI, *argv],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert "loaded: []" in done.stderr.splitlines(), done.stderr
 
 
 PUBLIC_NAMES = [
