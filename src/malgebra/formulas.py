@@ -22,15 +22,23 @@ MAX_FORMULA_DEPTH = 100
 
 class _Node:
     """A formula node: a frozen value shown as ``Class(field=value, ...)``,
-    equal to a node of its own class with equal fields.  ``object.__setattr__``
-    keeps the instances' compact layout, which writing ``__dict__`` gives up,
-    and each class writes out its ``==`` and hash: a method shared by several
-    classes reads their fields unspecialized, half again as slowly."""
+    equal to a node of its own class with equal fields, and hashed over its
+    class and fields.  ``object.__setattr__`` keeps the instances' compact
+    layout, which writing ``__dict__`` gives up."""
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, k) for k in self.__match_args__)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash((self.__class__, *self._fields()))
 
     def __repr__(self):
         fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__match_args__)
@@ -43,24 +51,12 @@ class Slot(_Node):
     def __init__(self, name: str):
         object.__setattr__(self, "name", name)
 
-    def __eq__(self, other):
-        return other.__class__ is Slot and self.name == other.name
-
-    def __hash__(self):
-        return hash((self.name,))
-
 
 class Not(_Node):
     __match_args__ = ("operand",)
 
     def __init__(self, operand: Formula):
         object.__setattr__(self, "operand", operand)
-
-    def __eq__(self, other):
-        return other.__class__ is Not and (self.operand,) == (other.operand,)
-
-    def __hash__(self):
-        return hash((self.operand,))
 
 
 class _Binary(_Node):
@@ -72,27 +68,15 @@ class _Binary(_Node):
 
 
 class And(_Binary):
-    def __eq__(self, other):
-        return other.__class__ is And and (self.left, self.right) == (other.left, other.right)
-
-    def __hash__(self):
-        return hash((self.left, self.right))
+    pass
 
 
 class Or(_Binary):
-    def __eq__(self, other):
-        return other.__class__ is Or and (self.left, self.right) == (other.left, other.right)
-
-    def __hash__(self):
-        return hash((self.left, self.right))
+    pass
 
 
 class Implies(_Binary):
-    def __eq__(self, other):
-        return other.__class__ is Implies and (self.left, self.right) == (other.left, other.right)
-
-    def __hash__(self):
-        return hash((self.left, self.right))
+    pass
 
 
 Formula = Slot | Not | And | Or | Implies

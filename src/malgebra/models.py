@@ -125,15 +125,13 @@ def build_propositional(atoms, variant="all_theories"):
 
     # the tables are built one at a time, as TableMeasurement copies each: on
     # three atoms, holding all 256 at once would double the peak memory of the load
-    masks = range(1 << n_valuations)
-    negations = {names_by_mask[m]: names_by_mask[full ^ m] for m in masks}
-    measurements = ((names_by_mask[m], {ids[t]: ids[t & m] for t in state_masks}) for m in masks)
+    measurements = ((names_by_mask[m], {ids[t]: ids[t & m] for t in state_masks})
+                    for m in range(1 << n_valuations))
 
     return build_table(
         states=[ids[m] for m in state_masks],
         zero=ids[0],
         measurements=measurements,
-        negations=negations,
         kind="propositional",
     )
 

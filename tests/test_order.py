@@ -129,17 +129,33 @@ def outcome(check, alg):
 BROKEN_ORDER = Path(__file__).resolve().parent / "golden" / "broken_order.json"
 
 
-def test_bit_rows_match_reference_on_fixtures(f1, t2, t2max, r2, r2full, r3, r3full):
-    broken = models.load_model(json.loads(BROKEN_ORDER.read_text()))
-    # a full-lattice window without the x axis: the glb of the two planes
-    # through it is synthesized, so its rows come from leq
-    window = models.build_ray(3, {
+def planes_window():
+    """A full-lattice window of Q^3 that does not list the x axis, the glb
+    of its two planes."""
+    return models.build_ray(3, {
         "bot": [], "top": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
         "pxy": [[1, 0, 0], [0, 1, 0]], "pxz": [[1, 0, 0], [0, 0, 1]],
     }, full_lattice=True, sample_height=1)
+
+
+def test_bit_rows_match_reference_on_fixtures(f1, t2, t2max, r2, r2full, r3, r3full):
+    broken = models.load_model(json.loads(BROKEN_ORDER.read_text()))
+    window = planes_window()
     for alg in (f1, t2, t2max, r2, r2full, r3, r3full, broken, window):
         assert bounds_check(alg) == reference_bounds_check(alg)
     assert bounds_check(broken).status == "fail"
+
+
+def test_bounds_check_builds_no_bound_on_a_full_lattice(monkeypatch):
+    # the bounds of projections are projections, so the pairs are only
+    # counted: nothing is composed and no member is synthesized
+    window = planes_window()
+    calls = []
+    compose = window.compose_member
+    monkeypatch.setattr(window, "compose_member",
+                        lambda a, b: calls.append((a, b)) or compose(a, b))
+    assert bounds_check(window).status == "pass"
+    assert calls == [] and len(window._by_subspace) == 4
 
 
 STATES = ["0", "s1", "s2", "s3"]

@@ -1,7 +1,8 @@
 """The backend seam, read off the source: code outside the backends asks the
 protocol, never a backend class, and ``core`` does not depend on ``rays``; a
 run executes only the package files it needs, and no module imports
-``dataclasses``, which would load ``inspect`` into every run; the package exports the same
+``dataclasses``, which would load ``inspect`` into every run; the formula
+nodes share one ``==`` and hash; the package exports the same
 public names, each with a caller in the package; ``core`` stays small enough for the parser's first token array;
 no module imports a name it never uses, and no module-level function or class
 goes unused; the finite backend finds negations and point measurements by
@@ -24,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import malgebra
+from malgebra import formulas
 from malgebra.cli import build_parser
 from malgebra.ratlin import Ray
 
@@ -141,6 +143,15 @@ def test_no_module_imports_dataclasses(path):
     # importing it pulls in inspect, ast, dis and tokenize: 6-10 ms and about
     # 1 MB of peak RSS in every run that loads a model
     assert "dataclasses" not in set(imported_names(parse(path))), path.name
+
+
+def test_formula_nodes_share_one_eq_and_hash():
+    # ``_Node`` compares and hashes every node over its ``__match_args__``,
+    # with the class in the hash, so And, Or and Implies hash apart
+    nodes = [c for c in vars(formulas).values()
+             if isinstance(c, type) and issubclass(c, formulas._Node) and c is not formulas._Node]
+    assert len(nodes) == 6
+    assert [(c.__name__, k) for c in nodes for k in ("__eq__", "__hash__") if k in vars(c)] == []
 
 
 def test_core_imports_nothing_from_rays():
