@@ -140,8 +140,8 @@ def build_ray(dimension, subspaces, full_lattice=False, sample_height=3):
     """Ray algebra from named subspace generator lists.
 
     Without ``full_lattice`` the listed family must be closed under
-    orthocomplement and under composition of commuting pairs; the error
-    names the missing subspace.
+    orthocomplement and commuting composition, asked of the same negation
+    and composite lookups that the laws use; the error names what is missing.
     """
     if dimension < 1:
         raise InputError("dimension must be positive")
@@ -159,26 +159,18 @@ def build_ray(dimension, subspaces, full_lattice=False, sample_height=3):
         by_subspace[sub] = name
         measurements.append(core.ProjectionMeasurement(name, sub))
 
-    if not full_lattice:
+    alg = rays.RayAlgebra(dimension, measurements, full_lattice=full_lattice,
+                          sample_height=sample_height)
+    if not full_lattice:  # the missing subspace is built only to be named
         for m in measurements:
-            perp = m.subspace.orthocomplement
-            if perp not in by_subspace:
-                raise InputError(
-                    f"listed family is not closed: the orthocomplement {perp} "
-                    f"of {m.name!r} is missing"
-                )
+            if alg.find_negation(m) is None:
+                raise InputError(f"listed family is not closed: the orthocomplement "
+                                 f"{m.subspace.orthocomplement} of {m.name!r} is missing")
         for a, b in itertools.combinations(measurements, 2):
-            if not a.subspace.commutes_with(b.subspace):
-                continue
-            inter = a.subspace.intersect(b.subspace)
-            if inter not in by_subspace:
-                raise InputError(
-                    f"listed family is not closed: {a.name!r} and {b.name!r} "
-                    f"commute but their composition {inter} is missing"
-                )
-
-    return rays.RayAlgebra(dimension, measurements, full_lattice=full_lattice,
-                           sample_height=sample_height)
+            if alg.commutes(a, b) and alg.compose_member(a, b) is None:
+                raise InputError(f"listed family is not closed: {a.name!r} and {b.name!r} commute "
+                                 f"but their composition {a.subspace.intersect(b.subspace)} is missing")
+    return alg
 
 
 # ---------------------------------------------------------------------------

@@ -154,8 +154,8 @@ def strong_sep_check(alg: MAlgebra) -> list[CheckResult]:
     fixed_by = {a.name: [y for y in nonzero if A[y] == y] for a, A in coded}
     built = set()  # (member name, state code) of the implications built
 
-    def build(a, y):
-        if (a.name, y) not in built:
+    def build(a, y):  # none on a full lattice: P_y is a member commuting with a
+        if not alg.full_lattice and (a.name, y) not in built:
             built.add((a.name, y))
             implication(alg, a, point(y))
 

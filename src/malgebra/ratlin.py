@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -50,12 +51,13 @@ MAX_WINDOW_VECTORS = 10**6
 
 
 def rational(value) -> Fraction:
-    """Coerce ints, Fractions and "p/q" / "p" strings to an exact rational."""
+    """Coerce ints, Fractions and "p/q" / "p" strings, signed and spaced, to an
+    exact rational: not the exponents, decimals or underscores Fraction reads."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and re.fullmatch(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*", value):
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

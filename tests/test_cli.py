@@ -1,6 +1,8 @@
 """End-to-end command line behavior: subcommands, exit codes, report formats."""
 
 import json
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -251,6 +253,29 @@ def test_malformed_model_file_exits_two(tmp_path, capsys, content):
     code, out, err = run(capsys, "connective", str(path), "--expr", "a", "--bind", "a=top")
     assert_refused((code, out, err), str(path))
     assert "internal error" not in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter reads integers of any length")
+def test_number_past_the_int_digit_limit_exits_two_at_once(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text('{"kind": "ray", "dimension": 2, "subspaces": {"bot": [], '
+                    '"top": [[' + "1" * 5000 + ', 0], [0, 1]]}}')
+    start = time.perf_counter()
+    result = run(capsys, "check", str(path), "--axioms", "all")
+    assert time.perf_counter() - start < 1
+    assert_refused(result, f"{path}: a number has too many digits to read")
+
+
+@pytest.mark.parametrize("entry", ["1e5000", "1e100000", "0.5", "1_0", "1/2e3"])
+def test_rational_outside_the_documented_forms_exits_two_at_once(tmp_path, capsys, entry):
+    # Fraction reads each of these; "1e100000" would be a 100,001-digit coordinate
+    model = write_model(tmp_path, {"kind": "ray", "dimension": 2, "subspaces": {
+        "bot": [], "top": [[entry, "0"], ["0", "1"]]}})
+    start = time.perf_counter()
+    result = run(capsys, "check", model, "--axioms", "all")
+    assert time.perf_counter() - start < 1
+    assert_refused(result, f"not a rational: {entry!r}")
 
 
 def test_formula_text_as_atom_exits_two(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Model builders: validation, structure, sampling, serialization."""
 
+import itertools
 import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from malgebra.core import ProjectionMeasurement, check_axioms, extent, negation_of
 from malgebra.errors import BudgetError, InputError
@@ -214,6 +217,116 @@ def test_ray_rejects_bad_dimensions():
 def test_full_lattice_skips_closure():
     alg = build_ray(2, {"pd": [[1, 1]]}, full_lattice=True)
     assert alg.full_lattice
+
+
+def test_accepting_r3_builds_one_subspace_per_listed_entry(monkeypatch):
+    # closure is asked of the algebra's integer projections, so no
+    # orthocomplement or intersection is built for a closed family
+    built = []
+    from_generators = Subspace.from_generators.__func__
+
+    def counted(cls, dim, generators):
+        built.append(dim)
+        return from_generators(cls, dim, generators)
+
+    monkeypatch.setattr(Subspace, "from_generators", classmethod(counted))
+    alg = load_fixture("r3")
+    assert len(built) == len(alg.names) == 12
+
+
+def reference_closure_error(dimension, subspaces):
+    """The Fraction-path closure loop that ``build_ray`` ran before it asked
+    the algebra's negation and composite lookups: the error text for the
+    first missing subspace, or None for a closed family."""
+    listed = [(name, Subspace.from_generators(dimension, gens))
+              for name, gens in subspaces.items()]
+    spans = {sub for _, sub in listed}
+    for name, sub in listed:
+        perp = sub.orthocomplement
+        if perp not in spans:
+            return f"listed family is not closed: the orthocomplement {perp} of {name!r} is missing"
+    for (na, a), (nb, b) in itertools.combinations(listed, 2):
+        if not a.commutes_with(b):
+            continue
+        inter = a.intersect(b)
+        if inter not in spans:
+            return (f"listed family is not closed: {na!r} and {nb!r} "
+                    f"commute but their composition {inter} is missing")
+    return None
+
+
+def assert_closure_matches_reference(dimension, subspaces):
+    """``build_ray`` accepts exactly the families the reference loop accepts,
+    refuses the others with its text, and every family it accepts passes
+    the negation and composition laws."""
+    expected = reference_closure_error(dimension, subspaces)
+    try:
+        alg = build_ray(dimension, subspaces, sample_height=1)
+    except InputError as exc:
+        assert str(exc) == expected
+        return False
+    assert expected is None
+    assert all(r.ok for r in check_axioms(alg, ["negation", "composition"]))
+    return True
+
+
+def listed_family_data(name):
+    data = json.loads((FIXTURE_DIR / f"{name}.json").read_text(encoding="utf-8"))
+    return data["dimension"], data["subspaces"]
+
+
+@pytest.mark.parametrize("name", ["r2", "r3"])
+def test_fixture_closure_matches_the_reference_loop(name):
+    dimension, subspaces = listed_family_data(name)
+    assert assert_closure_matches_reference(dimension, subspaces)
+    # each fixture without one of its entries is refused alike; without an
+    # entry and its orthocomplement, only a composite can be missing
+    spans = {name: Subspace.from_generators(dimension, g) for name, g in subspaces.items()}
+    for name, sub in spans.items():
+        assert not assert_closure_matches_reference(
+            dimension, {k: v for k, v in subspaces.items() if k != name})
+        pair = {sub, sub.orthocomplement}
+        rest = {k: v for k, v in subspaces.items() if spans[k] not in pair}
+        if rest:
+            assert_closure_matches_reference(dimension, rest)
+
+
+def closed_under_the_laws(family):
+    """The family with orthocomplements and commuting intersections added,
+    for at most three rounds."""
+    for _ in range(3):
+        grown = list(dict.fromkeys(
+            family + [s.orthocomplement for s in family]
+            + [a.intersect(b) for a, b in itertools.combinations(family, 2) if a.commutes_with(b)]))
+        if len(grown) == len(family):
+            break
+        family = grown
+    return family
+
+
+@st.composite
+def listed_families(draw):
+    """Named generator lists over Q^1..Q^3: random spans, often closed, then
+    often missing one member or one member and its orthocomplement."""
+    dimension = draw(st.integers(1, 3))
+    vectors = st.lists(st.integers(-2, 2), min_size=dimension, max_size=dimension)
+    spans = draw(st.lists(st.lists(vectors, max_size=dimension), min_size=1, max_size=3))
+    family = list(dict.fromkeys(Subspace.from_generators(dimension, g) for g in spans))
+    if draw(st.booleans()):
+        family = closed_under_the_laws(family)
+    if len(family) > 1 and draw(st.booleans()):
+        gone = family[draw(st.integers(0, len(family) - 1))]
+        # with its orthocomplement too, only a composite can be missing
+        dropped = {gone, gone.orthocomplement} if draw(st.booleans()) else {gone}
+        family = [s for s in family if s not in dropped] or family
+    order = draw(st.permutations(range(len(family))))
+    return dimension, {f"m{i}": [list(b) for b in family[i].basis] for i in order}
+
+
+@settings(max_examples=200, deadline=None)
+@given(listed_families())
+def test_closure_matches_the_reference_loop_on_random_families(family):
+    assert_closure_matches_reference(*family)
 
 
 # sampling -----------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malgebra import models
+from malgebra import models, order
 from malgebra.cli import main
 from malgebra.connectives import (
     conjunction,
@@ -287,6 +287,17 @@ def test_strong_sep_projects_no_ray_per_fixpoint_pair(monkeypatch):
     alg = load_fixture("r3_full", 3)
     assert all(r.status == "sampled_pass" for r in strong_sep_check(alg))
     assert 0 < len(calls) < 3000
+
+
+def test_strong_sep_on_a_full_lattice_builds_no_implication(monkeypatch):
+    # every implication to a point measurement exists on a full lattice, so
+    # none is built only to see it raise
+    calls = []
+    monkeypatch.setattr(order, "implication", lambda *args: calls.append(args))
+    data = json.loads((Path(__file__).resolve().parent / "golden" / "r4_full.json").read_text())
+    results = strong_sep_check(models.load_model(data, 3))
+    assert all(r.status == "sampled_pass" for r in results)
+    assert calls == []
 
 
 def test_strong_sep_on_maximal_theories(t2max):

@@ -156,6 +156,19 @@ def test_rational_parsing_and_formatting():
         rational("1/0")
 
 
+@pytest.mark.parametrize("text,value", [(" -3/4 ", F(-3, 4)), ("+2", F(2)), ("\t07\n", F(7)),
+                                        ("4/6", F(2, 3))])
+def test_rational_reads_a_signed_p_over_q_or_p(text, value):
+    assert rational(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e3", "1E-3", "0.5", ".5", "1_000", "1/2.0", "1/-2",
+                                  "- 1", "", "/2", "1/", "inf", "nan", "\u0661"])
+def test_rational_refuses_the_other_forms_that_fraction_reads(text):
+    with pytest.raises(InputError, match="not a rational"):
+        rational(text)
+
+
 def test_ray_canonicalization():
     assert Ray.from_vector([F(-1, 2), F(-1, 2)]).direction == (1, 1)
     assert Ray.from_vector([0, -3]).direction == (0, 1)
