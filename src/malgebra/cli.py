@@ -75,6 +75,8 @@ def load_model_file(path: str, height: int | None = None):
         raise InputError(f"{path}: the string escape {bad!r} is a lone surrogate") from exc
     except RecursionError as exc:
         raise InputError(f"{path}: JSON nested too deeply") from exc
+    except InputError:  # a duplicate key, from the object hook
+        raise
     except ValueError as exc:  # after its subclasses: an integer past the digit limit
         raise InputError(f"{path}: a number has too many digits to read") from exc
     try:

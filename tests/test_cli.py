@@ -176,9 +176,7 @@ def test_duplicate_keys_exit_two(tmp_path, capsys):
         '{"kind":"table","states":["0","a"],"zero":"0",'
         '"measurements":{"m":{"0":"0","a":"a"},"m":{"0":"0","a":"0"}}}'
     )
-    code, _, err = run(capsys, "check", str(bad))
-    assert code == 2
-    assert "duplicate" in err
+    assert_refused(run(capsys, "check", str(bad)), "duplicate name 'm' in model file")
 
 
 def test_a_law_named_twice_runs_once_where_first_named(capsys):
@@ -263,7 +261,7 @@ def test_number_past_the_int_digit_limit_exits_two_at_once(tmp_path, capsys):
                     '"top": [[' + "1" * 5000 + ', 0], [0, 1]]}}')
     start = time.perf_counter()
     result = run(capsys, "check", str(path), "--axioms", "all")
-    assert time.perf_counter() - start < 1
+    assert time.perf_counter() - start < 5  # the old path took 12 s
     assert_refused(result, f"{path}: a number has too many digits to read")
 
 
@@ -274,7 +272,7 @@ def test_rational_outside_the_documented_forms_exits_two_at_once(tmp_path, capsy
         "bot": [], "top": [[entry, "0"], ["0", "1"]]}})
     start = time.perf_counter()
     result = run(capsys, "check", model, "--axioms", "all")
-    assert time.perf_counter() - start < 1
+    assert time.perf_counter() - start < 5  # the old path took 12 s
     assert_refused(result, f"not a rational: {entry!r}")
 
 
