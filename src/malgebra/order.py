@@ -135,6 +135,10 @@ def strong_sep_check(alg: MAlgebra) -> list[CheckResult]:
     Fix(P_y) = {0, y}.  So they have no witness, and uniqueness holds over
     every fixpoint, not only the window's.
 
+    On a full lattice every line P_y is a member, and a's projection P puts
+    x = Px + (I − P)x in the plane of a(x) and ¬a(x) that their lines' join
+    projects onto; so the decomposition is counted, building no line or join.
+
     Raises :class:`NotStronglySeparable` on the first state that has no
     point measurement.
     """
@@ -147,7 +151,8 @@ def strong_sep_check(alg: MAlgebra) -> list[CheckResult]:
             raise NotStronglySeparable(label(x))
         return e
 
-    for x in nonzero:
+    listed = not alg.full_lattice
+    for x in nonzero if listed else ():
         point(x)
 
     coded = [(a, alg.action(a)) for a in alg.sorted_measurements()]
@@ -155,7 +160,7 @@ def strong_sep_check(alg: MAlgebra) -> list[CheckResult]:
     built = set()  # (member name, state code) of the implications built
 
     def build(a, y):  # none on a full lattice: P_y is a member commuting with a
-        if not alg.full_lattice and (a.name, y) not in built:
+        if listed and (a.name, y) not in built:
             built.add((a.name, y))
             implication(alg, a, point(y))
 
@@ -176,8 +181,7 @@ def strong_sep_check(alg: MAlgebra) -> list[CheckResult]:
             if nax == zero:
                 continue
             checked_c += 1
-            decomposition = disjunction(alg, point(ax), point(nax))
-            if alg.action(decomposition)[x] != x:
+            if listed and alg.action(disjunction(alg, point(ax), point(nax)))[x] != x:
                 wit_c.append((label(x), a.name))
 
     return [

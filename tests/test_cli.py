@@ -265,6 +265,21 @@ def test_number_past_the_int_digit_limit_exits_two_at_once(tmp_path, capsys):
     assert_refused(result, f"{path}: a number has too many digits to read")
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter prints integers of any length")
+def test_strong_sep_on_a_full_lattice_with_long_generators_exits_zero(tmp_path, capsys):
+    # the parts of a window ray along these lines have coordinates of about
+    # 5,000 digits; a point measurement on one has a label past the limit
+    n = "7" + "3" * 2499
+    model = write_model(tmp_path, {
+        "kind": "ray", "dimension": 3, "full_lattice": True, "subspaces": {
+            "bot": [], "a": [[n, "1", "0"]], "b": [["0", "1", n]],
+            "top": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}})
+    code, out, err = run(capsys, "order", model, "--strong-sep", "--height", "1")
+    assert (code, err) == (0, "")
+    assert "pointsep_decomposition: PASS (sampled)" in out
+
+
 @pytest.mark.parametrize("entry", ["1e5000", "1e100000", "0.5", "1_0", "1/2e3"])
 def test_rational_outside_the_documented_forms_exits_two_at_once(tmp_path, capsys, entry):
     # Fraction reads each of these; "1e100000" would be a 100,001-digit coordinate

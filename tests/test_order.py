@@ -127,6 +127,7 @@ def outcome(check, alg):
 
 
 BROKEN_ORDER = Path(__file__).resolve().parent / "golden" / "broken_order.json"
+R4_FULL = BROKEN_ORDER.with_name("r4_full.json")
 
 
 def planes_window():
@@ -289,15 +290,20 @@ def test_strong_sep_projects_no_ray_per_fixpoint_pair(monkeypatch):
     assert 0 < len(calls) < 3000
 
 
-def test_strong_sep_on_a_full_lattice_builds_no_implication(monkeypatch):
-    # every implication to a point measurement exists on a full lattice, so
-    # none is built only to see it raise
+def test_strong_sep_on_a_full_lattice_builds_no_point_implication_or_join(monkeypatch):
+    # every line is a member, every implication to one exists, and x =
+    # Px + (I - P)x lies in the plane of its two parts: nothing is built only
+    # to confirm it, so no member is synthesized
     calls = []
-    monkeypatch.setattr(order, "implication", lambda *args: calls.append(args))
-    data = json.loads((Path(__file__).resolve().parent / "golden" / "r4_full.json").read_text())
-    results = strong_sep_check(models.load_model(data, 3))
-    assert all(r.status == "sampled_pass" for r in results)
-    assert calls == []
+    for name in ("point_measurement", "implication", "disjunction"):
+        real = getattr(order, name)
+        monkeypatch.setattr(order, name, lambda *args, name=name, real=real:
+                            calls.append(name) or real(*args))
+    alg = models.load_model(json.loads(R4_FULL.read_text()), 3)
+    results = strong_sep_check(alg)
+    assert [r.status for r in results] == ["sampled_pass"] * 3
+    assert results[2].checked_count > 0
+    assert calls == [] and len(alg._by_subspace) == 4
 
 
 def test_strong_sep_on_maximal_theories(t2max):
@@ -404,6 +410,8 @@ def test_strong_sep_matches_reference_on_fixtures(f1, t2, t2max, r2):
         for height in (1, 2, 3):
             alg = load_fixture(name, height)
             assert strong_sep_check(alg) == reference_strong_sep_check(alg)
+    r4full = models.load_model(json.loads(R4_FULL.read_text()), 1)
+    assert strong_sep_check(r4full) == reference_strong_sep_check(r4full)
 
 
 @st.composite
