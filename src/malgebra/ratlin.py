@@ -173,6 +173,15 @@ def lowest_projection(n: IntMatrix, d: int) -> tuple[IntMatrix, int] | None:
     return tuple(tuple(x // g for x in row) for row in n), d // g
 
 
+def coordinates_text(values: Sequence[int]) -> str:
+    """"(a,b,...)"; a coordinate past the interpreter's int-to-text digit
+    limit is refused as input, as one past it is when a file is read."""
+    try:
+        return "(" + ",".join(map(str, values)) + ")"
+    except ValueError as exc:
+        raise InputError("a coordinate has too many digits to print") from exc
+
+
 class Ray(NamedTuple):
     """A one-dimensional subspace of Q^dim in canonical integer form.
 
@@ -207,9 +216,7 @@ class Ray(NamedTuple):
         return (0,) if self.direction is None else (1, self.direction)
 
     def __str__(self) -> str:
-        if self.direction is None:
-            return "0"
-        return "(" + ",".join(str(x) for x in self.direction) + ")"
+        return "0" if self.direction is None else coordinates_text(self.direction)
 
 
 def parse_ray(text: str, dim: int) -> Ray:
@@ -374,9 +381,7 @@ class Subspace:
         return sub
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "span{}"
-        return "span{" + ";".join("(" + ",".join(str(x) for x in b) + ")" for b in self.basis) + "}"
+        return "span{" + ";".join(map(coordinates_text, self.basis)) + "}"
 
 
 class RayImages(dict):

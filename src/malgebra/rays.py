@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .core import MAlgebra, Measurement, ProjectionMeasurement
 from .errors import InputError
-from .ratlin import Matrix, Ray, RayImages, Subspace, check_window, int_mat_mul
+from .ratlin import Matrix, Ray, RayImages, Subspace, check_window, coordinates_text, int_mat_mul
 from .ratlin import lowest_projection, mat_mul, parse_ray, primitive_vectors, scale_to_int
 
 
@@ -39,9 +39,9 @@ class RayAlgebra(MAlgebra):
         self.sample_height = sample_height
         self.zero = self.zero_code = Ray.zero(dim)
         self._window: list[Ray] | None = None
-        # id(m) -> (m, N, d), m's own matrix N/d, and (id(a), id(b)) -> (a, b,
-        # compose_member); each entry keeps its measurements, and so their ids
-        self._scaled, self._composites = {}, {}
+        # (id(a), id(b)) -> (a, b, compose_member); each entry keeps its
+        # measurements, and so their ids
+        self._composites = {}
 
     def summary(self) -> dict:
         return {**super().summary(), "dimension": self.dim, "full_lattice": self.full_lattice}
@@ -70,7 +70,6 @@ class RayAlgebra(MAlgebra):
         if m is None and self.full_lattice:
             sub = Subspace.from_scaled_projection(*key)
             m = self._by_subspace[key] = ProjectionMeasurement(_subspace_label(sub), sub)
-            self._scaled[id(m)] = (m, *key)  # its matrix is its subspace's projection
         return m
 
     # law-check protocol (see MAlgebra)
@@ -115,14 +114,11 @@ class RayAlgebra(MAlgebra):
 
     def compose_member(self, a: Measurement, b: Measurement) -> Measurement | None:
         """``membership`` of "a, then b", multiplied in integers from the
-        operands' own matrices, scaled once per member; kept per ordered pair."""
+        scaled projections of the operands' subspaces; kept per ordered pair."""
         key = (id(a), id(b))
         entry = self._composites.get(key)
         if entry is None:
-            for m in (a, b):
-                if id(m) not in self._scaled:
-                    self._scaled[id(m)] = (m, *scale_to_int(m.matrix))
-            (_, na, da), (_, nb, db) = self._scaled[id(a)], self._scaled[id(b)]
+            (na, da), (nb, db) = a.subspace.scaled_projection, b.subspace.scaled_projection
             product = lowest_projection(int_mat_mul(nb, na), da * db)
             entry = self._composites[key] = (a, b, self._member_on(product))
         return entry[2]
@@ -152,4 +148,4 @@ def _subspace_label(sub: Subspace) -> str:
         return "P[0]"
     if sub.is_full:
         return "P[full]"
-    return "P[" + ";".join("(" + ",".join(str(x) for x in b) + ")" for b in sub.basis) + "]"
+    return "P[" + ";".join(map(coordinates_text, sub.basis)) + "]"

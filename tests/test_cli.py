@@ -129,6 +129,58 @@ def test_derived_pair_that_does_not_commute_is_a_property_failure(tmp_path, caps
     assert err == "property failure: measurements 'm2' and 'n1' do not commute\n"
 
 
+SWAP = {"0": "0", "s1": "s2", "s2": "s1"}  # fixes only zero, and zeroes nothing else
+
+
+def swap_model(tmp_path, **extra):
+    keep = {"0": "0", "s1": "s1", "s2": "s2"}
+    return write_model(tmp_path, {
+        "kind": "table", "states": ["0", "s1", "s2"], "zero": "0",
+        "measurements": {"top": keep, "bot": {"0": "0", "s1": "0", "s2": "0"},
+                         "m0": SWAP, **extra}})
+
+
+def tautology_json(capsys, model, commuting):
+    code, out, err = run(capsys, "tautology", model, "--commuting", commuting,
+                         "--depth", "2", "--slots", "2", "--format", "json")
+    assert (code, err) == (1, "")
+    return {c["property"]: c for c in json.loads(out)["checks"]}
+
+
+def test_a_tautology_that_is_not_full_fails_the_theorem_and_weakening(tmp_path, capsys):
+    # m0 -> m0 is ~(m0 & ~m0), and m0 is its own negation, so it fixes only zero
+    checks = tautology_json(capsys, swap_model(tmp_path), "m0")
+    assert ["tautology_not_full", "m0->m0"] in checks["tautology_theorem"]["witnesses"]
+    assert checks["scheme_weakening"]["witnesses"] == [["m0", "m0"]]
+
+
+def test_an_entailment_outside_fixpoint_inclusion_fails_the_theorem(tmp_path, capsys):
+    # m1 is a copy of the identity: m0 -> m1 entails m0 -> m0, but fixes more
+    checks = tautology_json(capsys, swap_model(tmp_path, m1={"0": "0", "s1": "s1", "s2": "s2"}),
+                            "m0,m1")
+    assert (["entailment_not_included", "m0->m1", "m0->m0"]
+            in checks["tautology_theorem"]["witnesses"])
+    assert checks["scheme_distribution"]["status"] == "fail"
+    assert checks["scheme_contraposition"]["status"] == "fail"
+
+
+def test_a_meet_outside_m_is_a_property_failure(tmp_path, capsys):
+    # a and b commute and are each other's negation, but nothing sends
+    # every state to zero: neither their conjunction nor a bottom exists
+    model = write_model(tmp_path, {
+        "kind": "table", "states": ["0", "s1", "s2"], "zero": "0",
+        "measurements": {"top": {"0": "0", "s1": "s1", "s2": "s2"},
+                         "a": {"0": "0", "s1": "s1", "s2": "0"},
+                         "b": {"0": "0", "s1": "0", "s2": "s2"}}})
+    code, out, err = run(capsys, "connective", model, "--expr", "a & b", "--bind", "a=a,b=b")
+    assert (code, out) == (1, "")
+    assert err == ("property failure: the composite of commuting 'a' and 'b' is not a "
+                   "measurement; the composition law fails for this algebra\n")
+    code, out, err = run(capsys, "order", model)
+    assert (code, out) == (1, "")
+    assert err.startswith("property failure: composing 'a' with its negation leaves M")
+
+
 def test_failure_report_in_json(capsys):
     code, out, _ = run(
         capsys, "check", fixture_path("t2"), "--axioms", "separability",
@@ -278,6 +330,26 @@ def test_strong_sep_on_a_full_lattice_with_long_generators_exits_zero(tmp_path, 
     code, out, err = run(capsys, "order", model, "--strong-sep", "--height", "1")
     assert (code, err) == (0, "")
     assert "pointsep_decomposition: PASS (sampled)" in out
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter prints integers of any length")
+@pytest.mark.parametrize("full_lattice", [False, True], ids=["listed", "full"])
+@pytest.mark.parametrize("argv", [
+    ["check", "--height", "1"], ["lemmas", "--height", "1"], ["order"], ["order", "--strong-sep"],
+    ["connective", "--expr", "~a", "--bind", "a=p"],
+])
+def test_a_label_past_the_int_digit_limit_exits_two(tmp_path, capsys, full_lattice, argv):
+    # the generators have 4,001 digits, so the file is read, but the plane's
+    # normal has an 8,001-digit entry: naming p's orthocomplement, listed or
+    # synthesized, would print it
+    n = 10 ** 4000
+    model = write_model(tmp_path, {
+        "kind": "ray", "dimension": 3, "full_lattice": full_lattice, "subspaces": {
+            "bot": [], "p": [[str(n), "1", "0"], ["0", "3", str(n + 1)]],
+            "top": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}})
+    result = run(capsys, argv[0], model, *argv[1:])
+    assert_refused(result, "a coordinate has too many digits to print")
 
 
 @pytest.mark.parametrize("entry", ["1e5000", "1e100000", "0.5", "1_0", "1/2e3"])
@@ -642,3 +714,48 @@ def test_fixture_files_round_trip(name):
                 == {n: built.measurement(n).mapping for n in built.names})
     else:
         assert dump_model(load_model(dump_model(alg))) == dump_model(alg)
+
+
+# the README's examples -------------------------------------------------------------
+
+
+REPO = FIXTURE_DIR.parent
+
+
+def readme_examples():
+    """Each ``$ malgebra`` run of the README's example block, with the
+    lines shown under it."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    block = text.split("Examples against the bundled fixtures:", 1)[1].split("```")[1]
+    runs = []
+    for line in block.splitlines():
+        if line.startswith("$ malgebra "):
+            runs.append(pytest.param(line.split()[2:], [], id=line[11:]))
+        elif line and runs:
+            runs[-1].values[1].append(line)
+    return runs
+
+
+def shows(shown, printed):
+    """Whether the printed lines are the shown ones in order, each "..."
+    standing for any number of skipped lines."""
+    i, skip = 0, False
+    for line in shown:
+        if line == "...":
+            skip = True
+            continue
+        while skip and i < len(printed) and printed[i] != line:
+            i += 1
+        if i == len(printed) or printed[i] != line:
+            return False
+        i, skip = i + 1, False
+    return skip or i == len(printed)
+
+
+@pytest.mark.parametrize("argv, shown", readme_examples())
+def test_readme_example_prints_what_it_shows(capsys, monkeypatch, argv, shown):
+    monkeypatch.chdir(REPO)
+    main(argv)
+    printed = capsys.readouterr().out.splitlines()
+    assert shows(shown, printed), "\n".join(printed)
+

@@ -2,7 +2,7 @@
 
 import json
 import random
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -500,18 +500,25 @@ def test_idempotence_mutant_fails_where_images_land():
     assert replay_witness(mutant, "idempotence", result.witnesses[0])
 
 
-class _Doubled(ProjectionMeasurement):
-    """A ray member whose matrix is twice its projection: not idempotent."""
+class _Doubled(Subspace):
+    """A subspace whose scaled projection is twice its own: not idempotent.
+    It equals the plain subspace on its basis, so only the doubling can fail."""
 
-    @property
-    def matrix(self):
-        return tuple(tuple(2 * x for x in row) for row in self.subspace.projection)
+    def __eq__(self, other):
+        return (self.dim, self.basis) == (other.dim, other.basis)
+
+    __hash__ = Subspace.__hash__
+
+    @cached_property
+    def scaled_projection(self):
+        n, d = scale_to_int(self.projection)
+        return tuple(tuple(2 * x for x in row) for row in n), d
 
 
 def test_ray_idempotence_fails_on_a_matrix_that_is_not_idempotent():
     line = {"bot": [], "px": [[1, 0]], "py": [[0, 1]], "top": [[1, 0], [0, 1]]}
-    members = [(_Doubled if name == "px" else ProjectionMeasurement)(
-        name, Subspace.from_generators(2, gens)) for name, gens in line.items()]
+    members = [ProjectionMeasurement(name, (_Doubled if name == "px" else Subspace)
+                                     .from_generators(2, gens)) for name, gens in line.items()]
     alg = RayAlgebra(2, members)
     result = check_axiom(alg, "idempotence")
     assert (result.status, result.witnesses) == ("fail", [("px",)])

@@ -265,6 +265,72 @@ def test_orthomodular_check_matches_reference_on_random_tables(alg):
             == sep_outcome(reference_orthomodular_check, alg))
 
 
+@st.composite
+def tables_with_arbitrary_members(draw):
+    """A table model over 2-4 nonzero states with ``top``, ``bot`` and 1-3
+    drawn maps that fix zero and need not be idempotent: each other state is
+    fixed, zeroed or sent anywhere.  Three rounds each add a negation
+    candidate for every member m, which fixes Z(m), zeroes FP(m) and sends
+    each other state into Z(m), and then the composites of the members so
+    far; only new tables are added, up to 24.  Sometimes one member is
+    copied under a second name."""
+    states = ["0"] + [f"s{k}" for k in range(1, draw(st.integers(2, 4)) + 1)]
+    anywhere = st.sampled_from(states)
+    tables = [{s: s for s in states}, {s: "0" for s in states}]
+    for _ in range(draw(st.integers(1, 3))):
+        tables.append({s: draw(st.sampled_from(["0", s]) | anywhere) if s != "0" else s
+                       for s in states})
+
+    def add(table):
+        if table not in tables and len(tables) < 24:
+            tables.append(table)
+
+    for _ in range(3):
+        for m in list(tables):
+            zeroed = st.sampled_from([s for s in states if m[s] == "0"])
+            add({s: s if m[s] == "0" else "0" if m[s] == s else draw(zeroed) for s in states})
+        for a in list(tables):
+            for b in list(tables):
+                add({s: b[a[s]] for s in states})
+    named = {"top": tables[0], "bot": tables[1]}
+    named.update((f"m{k}", table) for k, table in enumerate(tables[2:]))
+    if draw(st.booleans()):
+        named["copy"] = draw(st.sampled_from(tables))
+    return models.build_table(states, "0", named)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_with_arbitrary_members())
+def test_order_checks_match_references_on_members_that_are_not_idempotent(alg):
+    # the counted laws' proofs need neither idempotence nor commutation
+    assert outcome(bounds_check, alg) == outcome(reference_bounds_check, alg)
+    assert (sep_outcome(orthomodular_check, alg)
+            == sep_outcome(reference_orthomodular_check, alg))
+
+
+# drawn from that strategy: m1 and m2 share their fixpoints and zeros, and
+# m0 is the negation of both; no drawn table had one of the three searched
+# witnesses without the other two
+TWIN_NEGATIONS = {
+    "top": {"0": "0", "s1": "s1", "s2": "s2", "s3": "s3", "s4": "s4"},
+    "bot": {"0": "0", "s1": "0", "s2": "0", "s3": "0", "s4": "0"},
+    "m0": {"0": "0", "s1": "s2", "s2": "s2", "s3": "0", "s4": "0"},
+    "m1": {"0": "0", "s1": "s4", "s2": "0", "s3": "s3", "s4": "s4"},
+    "m2": {"0": "0", "s1": "s3", "s2": "0", "s3": "s3", "s4": "s4"},
+}
+
+
+def test_searched_order_laws_fail_on_a_drawn_table():
+    alg = models.build_table(["0", "s1", "s2", "s3", "s4"], "0", TWIN_NEGATIONS)
+    bounds, ortho = bounds_check(alg), orthomodular_check(alg)
+    assert bounds == reference_bounds_check(alg)
+    assert ortho == reference_orthomodular_check(alg)
+    assert bounds.witnesses == [("antisymmetry", "m1", "m2"), ("antisymmetry", "m2", "m1")]
+    assert ortho[0].witnesses == [("m2",)]
+    assert ortho[4].witnesses == [("bot", "m2"), ("m1", "m2"), ("m2", "m2")]
+    assert [r.status for r in ortho[1:4]] == ["pass"] * 3
+
+
 def test_orthomodular_check_asks_leq_once_per_ordered_pair(monkeypatch):
     # antitonicity needs no second leq per pair, and the orthomodular law's
     # instances are the pairs that first pass found below each other
