@@ -24,7 +24,7 @@ _EXPORTS = {
              "preserves", "preserves_pointwise", "replay_witness", "top_bot"),
     "errors": ("BudgetError", "ClosureViolation", "InputError", "NegationViolation",
                "NotCommutingError", "NotStronglySeparable", "OrderViolation"),
-    "formulas": ("format_formula", "parse_formula"),
+    "formulas": ("parse_formula",),
     "logic": ("verify_schemes", "verify_tautology_theorem"),
     "models": ("build_propositional", "build_ray", "build_table", "load_model"),
     "order": ("bounds_check", "classical_commutation_agree", "leq", "orthomodular_check",

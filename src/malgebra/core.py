@@ -18,8 +18,8 @@ rays by canonical direction, measurements by name), so reports are stable.
 
 from __future__ import annotations
 
-from functools import partial, reduce
-from itertools import compress, repeat
+from functools import cached_property, partial, reduce
+from itertools import compress, count, repeat
 from operator import and_, eq, or_
 from typing import NamedTuple
 
@@ -98,18 +98,33 @@ class Measurement:
 
 
 class TableMeasurement(Measurement):
-    def __init__(self, name: str, mapping: dict):
+    """A finite measurement as codes: ``codes[i]``, a lane (see :class:`Compiled`), indexes
+    the image of ``states[i]``; from a table ``mapping`` the states are its keys, then its
+    other images.  ``mapping`` is built when first read; ``==`` reads the codes."""
+
+    def __init__(self, name: str, mapping: dict | None = None, states=(), codes=()):
         super().__init__(name)
-        self.mapping = dict(mapping)
+        if mapping is not None:
+            self.mapping = mapping = dict(mapping)
+            states = tuple(dict.fromkeys([*mapping, *mapping.values()]))
+            codes = map({s: i for i, s in enumerate(states)}.__getitem__, mapping.values())
+        self.states = states
+        self.codes = (bytes if len(states) <= 256 else _TupleLane)(codes)
+
+    @cached_property
+    def mapping(self) -> dict:
+        return dict(zip(self.states, map(self.states.__getitem__, self.codes)))
 
     def __call__(self, state):
         return self.mapping[state]
 
     def __eq__(self, other):
-        return isinstance(other, TableMeasurement) and self.mapping == other.mapping
+        if not isinstance(other, TableMeasurement):
+            return False
+        return self.codes == other.codes if self.states == other.states else self.mapping == other.mapping
 
     def __hash__(self):
-        return hash(frozenset(self.mapping.items()))
+        return hash(frozenset(compress(self.states, map(eq, self.codes, count()))))
 
 
 class ProjectionMeasurement(Measurement):
@@ -274,10 +289,10 @@ class Compiled(NamedTuple):
     """A finite measurement as integers over the declared state order.
 
     ``lane`` holds the codes again, as ``bytes`` over at most 256 states and
-    as a :class:`_TupleLane` above that.  ``table`` is the lane padded to
-    256 entries with ``bytes(range(|X|, 256))``, each padding entry its own
-    image (above 256 states there is no padding), so "a, then b" is
-    ``lane_a.translate(table_b)`` on both lane types.  The lanes stay
+    as a :class:`_TupleLane` above (a member's own codes).  ``table`` is the
+    lane padded to 256 entries with ``bytes(range(|X|, 256))``, each padding
+    entry its own image (above 256 states there is no padding), so "a, then
+    b" is ``lane_a.translate(table_b)`` on both lane types.  The lanes stay
     unpadded, so a composite over few states is short to build and hash.
     The law loops index ``codes``: a tuple indexes faster than ``bytes``.
     """
@@ -298,15 +313,18 @@ class _TupleLane(tuple):
 
 
 class FiniteAlgebra(MAlgebra):
-    """Extensional backend: states are identifier strings, actions are tables.
+    """Extensional backend: states are identifier strings, actions are codes.
 
     Each member is compiled once, at construction, to its codes, lane and
-    translate table (see :class:`Compiled`); its masks and three indexes
+    translate table (see :class:`Compiled`), its codes taken as given; any
+    other measurement is called once per state.  Its masks and three indexes
     derive from them, each to the first member by name: by lane, by
     fixpoint mask and by the pair of fixpoint and zero masks.  Composition,
     commutation, membership and the pair rows run on the lanes; negation
     and point measurements are one lookup in the mask indexes.
     """
+
+    _DIGITS = b"1" + b"0" * 255  # a translate table from NUL bytes to binary digits
 
     def __init__(self, kind, states, zero, measurements, negation_hints=None):
         super().__init__(measurements)
@@ -319,12 +337,16 @@ class FiniteAlgebra(MAlgebra):
         self.zero_code = self._state_index.get(zero)
         self.full_mask = (1 << len(self.states)) - 1
         # the one size branch: the lane type (past 256 states the padding is empty)
-        self._lane = bytes if len(self.states) <= 256 else _TupleLane
-        self._pad = tuple(range(len(self.states), 256))
-        self._bits = tuple(1 << i for i in range(len(self.states)))  # the masks sum these
+        n = len(self.states)
+        self._lane = bytes if n <= 256 else _TupleLane
+        self._pad = tuple(range(n, 256))
+        self._bits = tuple(1 << i for i in range(n))  # the masks of tuple lanes sum these
+        # a byte lane XOR these has NUL bytes where it fixes a state, or zeroes it
+        self._rows = [int.from_bytes(bytes(r), "big") for r in (range(n), [self.zero_code] * n)
+                      if n <= 256]
         # Keyed by object identity: while a member is alive no other object
         # shares its id, so a foreign measurement never hits this cache.
-        self._compiled = {id(m): self._compile(m) for m in self._sorted}
+        self._compiled = {id(m): self._compile(m, own=True) for m in self._sorted}
         self._table_index: dict[bytes | _TupleLane, Measurement] = {}
         self._by_fp: dict[int, Measurement] = {}
         self._by_masks: dict[tuple[int, int], Measurement] = {}
@@ -334,16 +356,24 @@ class FiniteAlgebra(MAlgebra):
             self._by_fp.setdefault(c.fp, m)
             self._by_masks.setdefault((c.fp, c.z), m)
 
-    def _compile(self, m: Measurement) -> Compiled:
-        try:
-            codes = tuple(map(self._state_index.__getitem__, map(m, self.states)))
-        except KeyError as exc:
-            raise InputError(
-                f"measurement {m.name!r} does not act on the states: {exc.args[0]!r}"
-            ) from None
-        fp = sum(compress(self._bits, map(eq, codes, range(len(codes)))))
-        z = sum(compress(self._bits, map(eq, codes, repeat(self.zero_code))))
-        return Compiled(codes, self._lane(codes), self._lane(codes + self._pad), fp, z)
+    def _compile(self, m: Measurement, own=False) -> Compiled:
+        if own and isinstance(m, TableMeasurement) and m.states == self.states:
+            lane = m.codes  # a member over the declared order: its codes as given
+        else:
+            try:
+                lane = self._lane(map(self._state_index.__getitem__, map(m, self.states)))
+            except KeyError as exc:
+                raise InputError(
+                    f"measurement {m.name!r} does not act on the states: {exc.args[0]!r}"
+                ) from None
+        codes = tuple(lane)
+        if self._rows:  # read off the NUL bytes, last state first
+            fp, z = (int((int.from_bytes(lane, "big") ^ row).to_bytes(len(lane), "little")
+                         .translate(self._DIGITS), 2) for row in self._rows)
+        else:
+            fp = sum(compress(self._bits, map(eq, codes, range(len(codes)))))
+            z = sum(compress(self._bits, map(eq, codes, repeat(self.zero_code))))
+        return Compiled(codes, lane, self._lane(codes + self._pad), fp, z)
 
     def compiled(self, m: Measurement) -> Compiled:
         """The cached compile of a member; a measurement that is not the

@@ -10,10 +10,11 @@ about algebras; it serves as the independent truth-table oracle.
 from __future__ import annotations
 
 import re
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb
 
 from .errors import BudgetError, InputError
+from .syntax import PRECEDENCE, join
 
 DEFAULT_FORMULA_CAP = 10**6
 # Deeper trees would overflow the recursive walkers (and the parser itself).
@@ -81,8 +82,7 @@ class Implies(_Binary):
 
 Formula = Slot | Not | And | Or | Implies
 
-_PRECEDENCE = {Implies: 1, Or: 2, And: 3, Not: 4, Slot: 5}
-_SYMBOL = {And: "&", Or: "|", Implies: "->"}
+_SYMBOL = {Slot: "", Not: "~", And: "&", Or: "|", Implies: "->"}
 
 
 def operands(node: Formula) -> tuple[Formula, ...]:
@@ -105,25 +105,8 @@ def fold(f: Formula, rule, memo: dict | None = None):
 def format_node(node: Formula, *texts: str, pad: str = " ") -> str:
     """The text of ``node`` from its operands' texts, with the fewest
     parentheses that reparse to the same tree."""
-    if isinstance(node, Slot):
-        return node.name
-    prec = _PRECEDENCE[type(node)]
-    if isinstance(node, Not):
-        (inner,) = texts
-        return "~(" + inner + ")" if _PRECEDENCE[type(node.operand)] < prec else "~" + inner
-    left, right = texts
-    assoc_right = isinstance(node, Implies)
-    left_prec, right_prec = _PRECEDENCE[type(node.left)], _PRECEDENCE[type(node.right)]
-    if left_prec < prec or (left_prec == prec and assoc_right):
-        left = "(" + left + ")"
-    if right_prec < prec or (right_prec == prec and not assoc_right):
-        right = "(" + right + ")"
-    return left + pad + _SYMBOL[type(node)] + pad + right
-
-
-def format_formula(f: Formula, compact: bool = False) -> str:
-    """Render with the fewest parentheses that reparse to the same tree."""
-    return fold(f, partial(format_node, pad="" if compact else " "))
+    return node.name if isinstance(node, Slot) else join(_SYMBOL[type(node)], pad, *zip(
+        texts, (PRECEDENCE[_SYMBOL[type(g)]] for g in operands(node))))
 
 
 class ParseError(InputError):
@@ -257,17 +240,11 @@ def slots_of(f: Formula) -> tuple[str, ...]:
     return tuple(sorted(fold(f, lambda node, *sets: set().union(*sets) if sets else {node.name})))
 
 
-def slot_masks(slot_order: tuple[str, ...]) -> dict[str, int]:
-    """Each slot's column of the truth table: the bitmask of the rows where
-    it is true.  Row ``i`` assigns slot ``j`` the bit ``(i >> (k-1-j)) & 1``,
-    the binary counting order of assignments."""
-    return dict(zip(slot_order, _columns(len(slot_order))))
-
-
 @lru_cache(maxsize=32)
 def _columns(k: int) -> tuple[int, ...]:
-    """The slot columns over ``k`` slots, a function of ``k`` alone: runs of
-    ``run`` false rows then ``run`` true rows (one quotient bit per period)."""
+    """The slot columns over ``k`` slots: the rows where slot j is true, row
+    i giving it bit ``(i >> (k-1-j)) & 1``, are runs of ``run`` false rows
+    then ``run`` true rows (one quotient bit per period)."""
     full = (1 << (1 << k)) - 1
     runs = [1 << (k - 1 - j) for j in range(k)]
     return tuple(full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run) for run in runs)
@@ -461,42 +438,3 @@ def enumerate_formulas(
         levels.append(bucket)
 
     return [f for level in levels for f, _, _ in level]
-
-
-def minimal_formula_names(atoms: tuple[str, ...]) -> dict[int, Formula]:
-    """Smallest formula for every boolean function over the given atoms.
-
-    Keys are truth masks over the binary counting order of assignments (the
-    same convention as :func:`slot_masks`).  Minimality is by node count,
-    ties broken by discovery order, so the naming is deterministic.
-    """
-    n_rows = 1 << len(atoms)
-    full = (1 << n_rows) - 1
-    atom_mask = slot_masks(atoms)
-
-    # each candidate's mask is tested inline, and a node built only for a new
-    # one; ``best`` keeps discovery order, so its tail is the size just found
-    best: dict[int, Formula] = {atom_mask[name]: Slot(name) for name in atoms}
-    by_size: list[list[tuple[int, Formula]]] = [[], list(best.items())]
-
-    size = 1
-    while len(best) < (1 << n_rows) and size < 25:
-        size += 1
-        start = len(best)
-        for m, f in by_size[size - 1]:
-            if full ^ m not in best:
-                best[full ^ m] = Not(f)
-        for left_size in range(1, size - 1):
-            for fm, f in by_size[left_size]:
-                not_f = full ^ fm
-                for gm, g in by_size[size - 1 - left_size]:
-                    if fm & gm not in best:
-                        best[fm & gm] = And(f, g)
-                    if fm | gm not in best:
-                        best[fm | gm] = Or(f, g)
-                    if not_f | gm not in best:
-                        best[not_f | gm] = Implies(f, g)
-        by_size.append(list(best.items())[start:])
-    if len(best) < (1 << n_rows):
-        raise RuntimeError("formula naming search did not converge")
-    return best

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 
-from . import core, formulas, ratlin, rays
+from . import core, ratlin, rays
 from .errors import InputError
 
 MAX_ATOMS = 3
@@ -26,29 +26,33 @@ MAX_ATOMS = 3
 def build_table(states, zero, measurements, negations=None, kind="table"):
     """Finite algebra from explicit tables, given as a name -> table mapping
     or as (name, table) pairs.  No law is assumed to hold."""
-    states = list(states)
+    states = tuple(states)
     # witnesses name states by ``str``, and replay reads those names back
     if not all(isinstance(s, str) for s in states):
         raise InputError("state ids must be strings")
-    known = set(states)
-    if len(known) != len(states):
+    index = {s: i for i, s in enumerate(states)}
+    if len(index) != len(states):
         dupe = next(s for s in states if states.count(s) > 1)
         raise InputError(f"duplicate state id {dupe!r}")
-    if zero not in known:
+    if zero not in index:
         raise InputError(f"zero state {zero!r} is not among the states")
     table_measurements = []
-    # whole-set comparisons; a scan in state order only names the first offender
     for name, table in measurements.items() if isinstance(measurements, dict) else measurements:
-        if table.keys() != known:
+        try:  # validated as it is encoded: each state finds its image's code
+            m = core.TableMeasurement(name, states=states, codes=map(
+                index.__getitem__, map(table.__getitem__, states)))
+        except KeyError:
+            m = None
+        if m is None or len(table) != len(states):  # named by its first fault
             missing = next((s for s in states if s not in table), None)
             if missing is not None:
                 raise InputError(f"measurement {name!r} has no entry for state {missing!r}")
-            extra = next(s for s in table if s not in known)
-            raise InputError(f"measurement {name!r} maps unknown state {extra!r}")
-        if not known.issuperset(table.values()):
-            bad = next(s for s in states if table[s] not in known)
+            extra = next((s for s in table if s not in index), None)
+            if extra is not None:
+                raise InputError(f"measurement {name!r} maps unknown state {extra!r}")
+            bad = next(s for s in states if table[s] not in index)
             raise InputError(f"measurement {name!r} sends {bad!r} to unknown state {table[bad]!r}")
-        table_measurements.append(core.TableMeasurement(name, table))
+        table_measurements.append(m)
     alg = core.FiniteAlgebra(kind, states, zero, table_measurements, negation_hints=negations)
     if negations:
         _validate_negation_map(alg, negations)
@@ -68,15 +72,6 @@ def _validate_negation_map(alg, negations):
             )
 
 
-def _valuation_name(bits: tuple[int, ...]) -> str:
-    return "v" + "".join(str(b) for b in bits)
-
-
-def _theory_id(mask: int, valuation_names: list[str]) -> str:
-    members = [valuation_names[i] for i in range(len(valuation_names)) if mask >> i & 1]
-    return "{" + ",".join(members) + "}"
-
-
 def build_propositional(atoms, variant="all_theories"):
     """Propositional algebra over at most three atoms.
 
@@ -85,8 +80,8 @@ def build_propositional(atoms, variant="all_theories"):
     (singleton model sets) and the inconsistent theory (the empty set).
     Measurements are one per semantic equivalence class of formulas and act
     by model-set intersection; their names are minimal formulas, except for
-    the two trivial classes which are named ``top`` and ``bot``.
-    """
+    the two trivial classes which are named ``top`` and ``bot``.  The
+    members' codes are written from the model-set masks."""
     atoms = tuple(atoms)
     if not 1 <= len(atoms) <= MAX_ATOMS:
         raise InputError(
@@ -98,42 +93,62 @@ def build_propositional(atoms, variant="all_theories"):
     if reserved:
         raise InputError(f"atom {reserved[0]!r} takes the name of a trivial measurement")
     for atom in atoms:
-        if not formulas.is_atom(atom):
+        if not (atom.isascii() and atom.isidentifier()):  # [A-Za-z_][A-Za-z0-9_]*, as formulas
             raise InputError(f"atom {atom!r} is not a formula atom: a letter or '_', "
                              "then letters, digits or '_'")
     if variant not in ("all_theories", "maximal_theories"):
         raise InputError(f"unknown variant {variant!r}")
 
     k = len(atoms)
-    n_valuations = 1 << k
-    valuation_names = [
-        _valuation_name(bits) for bits in itertools.product((0, 1), repeat=k)
-    ]
-    full = (1 << n_valuations) - 1
+    rows = 1 << k  # valuation i gives atom j the bit i >> (k - 1 - j) & 1
+    valuations = ["v" + format(i, f"0{k}b") for i in range(rows)]
+    if variant == "all_theories":  # state i is the model set i, and i & m its image under m
+        n = 1 << rows
+        identity, ones = int.from_bytes(bytes(range(n)), "big"), int.from_bytes(b"\x01" * n, "big")
+        state_masks = range(n)
+        lanes = [(identity & m * ones).to_bytes(n, "big") for m in range(n)]
+    else:  # state 0 is the empty set, state i + 1 the valuation i alone
+        state_masks = [0] + [1 << i for i in range(rows)]
+        lanes = [bytes([0] + [i + 1 if m >> i & 1 else 0 for i in range(rows)])
+                 for m in range(1 << rows)]
+    states = tuple("{" + ",".join(v for i, v in enumerate(valuations) if t >> i & 1) + "}"
+                   for t in state_masks)
+    names = _formula_names(atoms)
+    names[0], names[(1 << rows) - 1] = "bot", "top"
+    return core.FiniteAlgebra("propositional", states, states[0], [
+        core.TableMeasurement(names[m], states=states, codes=lane) for m, lane in enumerate(lanes)])
 
-    if variant == "all_theories":
-        state_masks = list(range(1 << n_valuations))
-    else:
-        state_masks = [0] + [1 << i for i in range(n_valuations)]
-    ids = {mask: _theory_id(mask, valuation_names) for mask in state_masks}
 
-    names_by_mask = {}
-    for mask, formula in formulas.minimal_formula_names(atoms).items():
-        names_by_mask[mask] = formulas.format_formula(formula, compact=True)
-    names_by_mask[full] = "top"
-    names_by_mask[0] = "bot"
+def _formula_names(atoms: tuple[str, ...]) -> dict[int, str]:
+    """The compact text of a smallest formula (by node count, ties broken by
+    discovery order) for each boolean function over ``atoms``, keyed by its
+    truth mask over the valuations.  A text is built only for a new mask;
+    ``best`` keeps discovery order, so its tail is the size just found."""
+    from .syntax import PRECEDENCE, join  # the printer's rule, which only the names need
 
-    # the tables are built one at a time, as TableMeasurement copies each: on
-    # three atoms, holding all 256 at once would double the peak memory of the load
-    measurements = ((names_by_mask[m], {ids[t]: ids[t & m] for t in state_masks})
-                    for m in range(1 << n_valuations))
+    k = len(atoms)
+    full = (1 << (1 << k)) - 1
+    columns = [sum(1 << i for i in range(1 << k) if i >> (k - 1 - j) & 1) for j in range(k)]
+    best = {column: (atom, PRECEDENCE[""]) for column, atom in zip(columns, atoms)}
+    by_size = [[], list(best.items())]
 
-    return build_table(
-        states=[ids[m] for m in state_masks],
-        zero=ids[0],
-        measurements=measurements,
-        kind="propositional",
-    )
+    while len(best) <= full:
+        start, size = len(best), len(by_size)  # the size of the formulas found now
+        for m, f in by_size[-1]:
+            if full ^ m not in best:
+                best[full ^ m] = join("~", "", f), PRECEDENCE["~"]
+        for left_size in range(1, size - 1):
+            for fm, f in by_size[left_size]:
+                not_f = full ^ fm
+                for gm, g in by_size[size - 1 - left_size]:
+                    if fm & gm not in best:
+                        best[fm & gm] = join("&", "", f, g), PRECEDENCE["&"]
+                    if fm | gm not in best:
+                        best[fm | gm] = join("|", "", f, g), PRECEDENCE["|"]
+                    if not_f | gm not in best:
+                        best[not_f | gm] = join("->", "", f, g), PRECEDENCE["->"]
+        by_size.append(list(best.items())[start:])
+    return {m: text for m, (text, _) in best.items()}
 
 
 def build_ray(dimension, subspaces, full_lattice=False, sample_height=3):

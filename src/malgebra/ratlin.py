@@ -33,7 +33,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -418,6 +418,21 @@ def primitive_vectors(dim: int, height: int) -> list[tuple[int, ...]]:
     check_window(dim, height)
     return [v for v in itertools.product(range(-height, height + 1), repeat=dim)
             if math.gcd(*v) == 1 and next(e for e in v if e) > 0]
+
+
+def primitive_count(dim: int, height: int) -> int:
+    """How many vectors ``primitive_vectors`` lists, without listing them:
+    a nonzero vector of the box is its gcd d times a primitive vector of the
+    box of height h // d, so P(h), both signs, is (2h + 1)^n - 1 less the
+    P(h // d) of every d >= 2, counted once per quotient."""
+    @cache
+    def both_signs(h):
+        total, d = (2 * h + 1) ** dim - 1, 2
+        while d <= h:  # every d up to h // (h // d) has the quotient q = h // d
+            q = h // d
+            total, d = total - (h // q - d + 1) * both_signs(q), h // q + 1
+        return total
+    return both_signs(height) // 2
 
 
 def subspace_rays(sub: Subspace, height: int) -> list[Ray]:

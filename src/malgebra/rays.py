@@ -15,7 +15,8 @@ from functools import cached_property
 from .core import MAlgebra, Measurement, ProjectionMeasurement
 from .errors import InputError
 from .ratlin import Matrix, Ray, RayImages, Subspace, check_window, coordinates_text, int_mat_mul
-from .ratlin import lowest_projection, mat_mul, parse_ray, primitive_vectors, scale_to_int
+from .ratlin import lowest_projection, mat_mul, parse_ray, primitive_count, primitive_vectors
+from .ratlin import scale_to_int
 
 
 class RayAlgebra(MAlgebra):
@@ -44,7 +45,14 @@ class RayAlgebra(MAlgebra):
         self._composites = {}
 
     def summary(self) -> dict:
-        return {**super().summary(), "dimension": self.dim, "full_lattice": self.full_lattice}
+        """The window counted unless built: the zero ray, the primitive
+        vectors of the box, and listed basis rays outside the box."""
+        h = self.sample_height
+        listed = {Ray.from_vector(b) for m in self._sorted for b in m.subspace.basis}
+        states = len(self._window) if self._window is not None else 1 + primitive_count(
+            self.dim, h) + sum(max(map(abs, r.direction)) > h for r in listed)
+        return {"kind": self.kind, "states": states, "sampled": True, "measurements": len(
+            self._measurements), "dimension": self.dim, "full_lattice": self.full_lattice}
 
     def sample_states(self) -> list[Ray]:
         """Deterministic ray window: primitive vectors up to the sample

@@ -33,15 +33,22 @@ def apply(alg, m, state):
     return m(state)
 
 
+def slot_masks(slot_order: tuple[str, ...]) -> dict[str, int]:
+    """Each slot's column of the truth table: the bitmask of the rows where
+    it is true.  Row ``i`` assigns slot ``j`` the bit ``(i >> (k-1-j)) & 1``,
+    the binary counting order of assignments."""
+    return dict(zip(slot_order, formulas._columns(len(slot_order))))
+
+
 def truth_mask(f, slot_order) -> int:
     """Truth table as an integer: bit ``row`` is the value under that assignment.
 
     Row ``i`` assigns slot ``j`` the bit ``(i >> (k-1-j)) & 1``, matching the
     binary counting order of assignments.  Every row is evaluated at once:
-    each slot is its column from ``formulas.slot_masks`` and the connectives
+    each slot is its column from ``slot_masks`` and the connectives
     are bit operations.  A slot missing from ``slot_order`` raises.
     """
-    columns = formulas.slot_masks(slot_order)
+    columns = slot_masks(slot_order)
     full = (1 << (1 << len(slot_order))) - 1
 
     def walk(node):
@@ -89,7 +96,7 @@ def is_tautology(f) -> TautologyVerdict:
     if mask == (1 << (1 << len(slots))) - 1:
         return TautologyVerdict(f, True, None)
     row = ((mask + 1) & ~mask).bit_length() - 1  # the first false row
-    columns = formulas.slot_masks(slots)
+    columns = slot_masks(slots)
     return TautologyVerdict(f, False, {s: bool(columns[s] >> row & 1) for s in slots})
 
 

@@ -1,5 +1,7 @@
 """Parser, printer, truth tables and formula enumeration."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,15 +19,59 @@ from malgebra.formulas import (
     entails,
     enumerate_formulas,
     essential_function,
-    format_formula,
-    minimal_formula_names,
+    fold,
+    format_node,
     parse_formula,
     slots_of,
 )
-from conftest import is_tautology, truth_mask
+from conftest import is_tautology, slot_masks, truth_mask
 
 
 P, Q = Slot("p"), Slot("q")
+
+
+def format_formula(f, compact=False):
+    """Render with the fewest parentheses that reparse to the same tree."""
+    return fold(f, partial(format_node, pad="" if compact else " "))
+
+
+def minimal_formula_names(atoms):
+    """Smallest formula for every boolean function over the given atoms.
+
+    Keys are truth masks over the binary counting order of assignments (the
+    same convention as :func:`slot_masks`).  Minimality is by node count,
+    ties broken by discovery order, so the naming is deterministic.  The
+    reference for the compact names of propositional models.
+    """
+    n_rows = 1 << len(atoms)
+    full = (1 << n_rows) - 1
+    atom_mask = slot_masks(atoms)
+
+    # each candidate's mask is tested inline, and a node built only for a new
+    # one; ``best`` keeps discovery order, so its tail is the size just found
+    best = {atom_mask[name]: Slot(name) for name in atoms}
+    by_size = [[], list(best.items())]
+
+    size = 1
+    while len(best) < (1 << n_rows) and size < 25:
+        size += 1
+        start = len(best)
+        for m, f in by_size[size - 1]:
+            if full ^ m not in best:
+                best[full ^ m] = Not(f)
+        for left_size in range(1, size - 1):
+            for fm, f in by_size[left_size]:
+                not_f = full ^ fm
+                for gm, g in by_size[size - 1 - left_size]:
+                    if fm & gm not in best:
+                        best[fm & gm] = And(f, g)
+                    if fm | gm not in best:
+                        best[fm | gm] = Or(f, g)
+                    if not_f | gm not in best:
+                        best[not_f | gm] = Implies(f, g)
+        by_size.append(list(best.items())[start:])
+    assert len(best) == 1 << n_rows, "formula naming search did not converge"
+    return best
 
 
 @pytest.mark.parametrize("node,text", [
@@ -271,7 +317,7 @@ def reference_essential_walk(f):
     the table read on the rows where they are false."""
     slots = slots_of(f)
     k = len(slots)
-    columns = formulas.slot_masks(slots)
+    columns = slot_masks(slots)
     full = (1 << (1 << k)) - 1
     mask = truth_mask(f, slots)
     kept = tuple(s for j, s in enumerate(slots)
@@ -292,7 +338,7 @@ def reference_shadow_on(fn, slots):
     shared = [(j, s) for j, s in enumerate(own) if s in slots]
     if not shared:
         return full if mask else 0
-    columns = formulas.slot_masks(slots)
+    columns = slot_masks(slots)
     k = len(own)
     shadow = 0
     for row in range(1 << k):
@@ -415,7 +461,7 @@ def reference_minimal_formula_names(atoms):
     whether its mask was new; kept as the reference for the names."""
     n_rows = 1 << len(atoms)
     full = (1 << n_rows) - 1
-    atom_mask = formulas.slot_masks(atoms)
+    atom_mask = slot_masks(atoms)
     best, by_size = {}, [[]]
 
     def record(size_bucket, node, mask):
@@ -460,8 +506,8 @@ def test_minimal_formula_names_match_the_reference(atoms):
 def test_minimal_formula_names_build_one_node_per_mask(monkeypatch):
     built = []
     for ctor in ("Slot", "Not", "And", "Or", "Implies"):
-        original = getattr(formulas, ctor)
-        monkeypatch.setattr(formulas, ctor,
+        original = globals()[ctor]
+        monkeypatch.setitem(globals(), ctor,
                             lambda *args, _ctor=original: built.append(1) or _ctor(*args))
     assert len(minimal_formula_names(("p", "q", "r"))) == 256
     assert len(built) <= 256
@@ -481,3 +527,18 @@ def test_essential_function_matches_joint_truth_tables(f, g):
     fn_f, fn_g = essential_function(f), essential_function(g)
     assert (fn_f == fn_g) == (mf == mg)
     assert entails(fn_f, fn_g) == (mf & ~mg == 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True).filter(
+    lambda a: a not in ("top", "bot")), min_size=1, max_size=3, unique=True))
+def test_propositional_member_names_are_the_minimal_formulas(atoms):
+    # the models build the compact text directly; the formula trees are the reference
+    from malgebra.models import _formula_names, build_propositional
+
+    expected = {m: format_formula(f, compact=True)
+                for m, f in minimal_formula_names(tuple(atoms)).items()}
+    assert _formula_names(tuple(atoms)) == expected
+    full = (1 << (1 << len(atoms))) - 1
+    assert set(build_propositional(atoms).names) == {
+        "top", "bot", *(text for m, text in expected.items() if m not in (0, full))}

@@ -20,11 +20,15 @@ from malgebra.formulas import (
     entails,
     enumerate_formulas,
     essential_function,
-    format_formula,
 )
 from malgebra.logic import verify_schemes, verify_tautology_theorem
 from conftest import FIXTURES, apply, formula_walker, is_tautology, load_fixture
-from test_formulas import reference_essential_walk, reference_format_formula, reference_shadow_on
+from test_formulas import (
+    format_formula,
+    reference_essential_walk,
+    reference_format_formula,
+    reference_shadow_on,
+)
 from test_order import tables_with_top_and_bot
 
 

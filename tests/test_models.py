@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malgebra.core import ProjectionMeasurement, check_axioms, extent, negation_of
+from malgebra import core, formulas
+from malgebra.core import ProjectionMeasurement, TableMeasurement, check_axioms, extent, negation_of
 from malgebra.errors import BudgetError, InputError
 from malgebra.models import (
     build_propositional,
@@ -463,3 +464,159 @@ def test_extent_example_from_maximal_fixture(t2max):
     fp, z, _ = extent(t2max, "p")
     assert fp == {"{}", "{v10}", "{v11}"}
     assert z == {"{}", "{v00}", "{v01}"}
+
+
+# the code representation of finite members ----------------------------------
+
+
+@st.composite
+def coded_tables(draw):
+    """States, a zero and 1-4 drawn tables over 1-300 states, so both lane
+    types occur; a table may repeat an earlier one."""
+    n = draw(st.integers(1, 300))
+    rng = draw(st.randoms(use_true_random=False))
+    states = [f"s{i}" for i in rng.sample(range(10 * n), n)]
+    tables = {}
+    for k in range(draw(st.integers(1, 4))):
+        if tables and rng.random() < 0.3:
+            tables[f"m{k}"] = dict(rng.choice(list(tables.values())))
+        else:
+            tables[f"m{k}"] = {s: rng.choice(states) for s in states}
+    return states, rng.choice(states), tables
+
+
+@settings(max_examples=60, deadline=None)
+@given(coded_tables())
+def test_members_are_their_codes(case):
+    states, zero, tables = case
+    alg = build_table(states, zero, tables)
+    members = alg.sorted_measurements()
+    for a in members:
+        for b in members:
+            assert (a == b) == (tables[a.name] == tables[b.name])
+            assert a != b or hash(a) == hash(b)
+    # neither == nor the hash built a member's table
+    assert all("mapping" not in vars(m) for m in members)
+    for a in members:
+        # a table in another state order, or over other states, is compared by its table
+        reordered = TableMeasurement("x", dict(reversed(list(tables[a.name].items()))))
+        assert reordered == a and hash(reordered) == hash(a)
+        assert a != TableMeasurement("x", {**tables[a.name], "elsewhere": zero})
+    assert isinstance(alg.compiled(members[0]).lane, bytes) == (len(states) <= 256)
+    for m in members:
+        assert m.mapping == tables[m.name]
+        assert [alg.states[c] for c in alg.codes(m)] == [tables[m.name][s] for s in alg.states]
+        assert alg.fp_mask(m) == sum(1 << i for i, s in enumerate(alg.states) if m(s) == s)
+        assert alg.z_mask(m) == sum(1 << i for i, s in enumerate(alg.states) if m(s) == zero)
+
+
+def reference_table_refusal(states, table, name="m"):
+    """The former whole-set validation of one table, kept as the reference
+    for the messages: None when the table is well formed."""
+    known = set(states)
+    if table.keys() != known:
+        missing = next((s for s in states if s not in table), None)
+        if missing is not None:
+            return f"measurement {name!r} has no entry for state {missing!r}"
+        extra = next(s for s in table if s not in known)
+        return f"measurement {name!r} maps unknown state {extra!r}"
+    if not known.issuperset(table.values()):
+        bad = next(s for s in states if table[s] not in known)
+        return f"measurement {name!r} sends {bad!r} to unknown state {table[bad]!r}"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(coded_tables(), st.randoms(use_true_random=False))
+def test_malformed_tables_are_refused_with_the_former_messages(case, rng):
+    states, zero, tables = case
+    table = dict(tables["m0"])
+    for _ in range(rng.randint(1, 3)):  # one to three faults of the three kinds
+        fault = rng.randrange(3)
+        if fault == 0 and table:
+            del table[rng.choice(list(table))]
+        elif fault == 1:
+            table[rng.choice(["u", "s-1", zero + "_"])] = zero
+        elif table:
+            table[rng.choice(list(table))] = rng.choice(["u", "s-1"])
+    expected = reference_table_refusal(states, table)
+    if expected is None:
+        assert build_table(states, zero, {"m": table}).measurement("m").mapping == table
+    else:
+        with pytest.raises(InputError) as refused:
+            build_table(states, zero, {"m": table})
+        assert str(refused.value) == expected
+
+
+@pytest.mark.parametrize("name", ["t2", "t3", "t2_maximal", "f1"])
+def test_loading_a_finite_model_calls_no_member(monkeypatch, name):
+    # every member's codes are written as the file is read: loading t3 once
+    # made 65,536 calls, one per member and state
+    calls = []
+    original = TableMeasurement.__call__
+    monkeypatch.setattr(TableMeasurement, "__call__",
+                        lambda self, state: calls.append(1) or original(self, state))
+    alg = load_fixture(name)
+    assert calls == []
+    assert all("mapping" not in vars(m) for m in alg.sorted_measurements())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True),
+                 st.text(alphabet="aZ_9 ~&|()\n\u00e9\u0131", max_size=4)))
+def test_propositional_atoms_are_the_formula_atoms(text):
+    if text in ("top", "bot"):
+        return
+    try:
+        build_propositional([text])
+        accepted = True
+    except InputError as exc:
+        assert "is not a formula atom" in str(exc)
+        accepted = False
+    assert accepted == formulas.is_atom(text)
+
+
+# the window count ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim,subspaces,full,height", [
+    (3, {"bot": [], "top": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, True, 1),
+    (3, {"bot": [], "top": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, True, 3),
+    (3, {"bot": [], "g": [[5, 1, 0]], "gp": [[1, -5, 0], [0, 0, 1]],
+         "top": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, False, 1),
+    (2, {"bot": [], "a": [[7, 3]], "b": [[3, -7]], "top": [[1, 0], [0, 1]]}, False, 2),
+    (4, {"bot": []}, True, 2),
+])
+def test_the_window_is_counted_as_built(dim, subspaces, full, height):
+    alg = build_ray(dim, subspaces, full_lattice=full, sample_height=height)
+    counted = alg.summary()["states"]
+    assert alg._window is None
+    assert counted == len(alg.sample_states()) == alg.summary()["states"]
+
+
+def test_primitive_count_matches_the_listing():
+    from malgebra.ratlin import primitive_count, primitive_vectors
+
+    for dim in range(1, 5):
+        for height in range(1, 6):
+            assert primitive_count(dim, height) == len(primitive_vectors(dim, height))
+    assert primitive_count(4, 5) == 6928 and primitive_count(12, 1) == 265720
+
+
+@pytest.mark.parametrize("name", ["r2_full", "r3_full"])
+def test_order_reports_the_window_without_building_it(monkeypatch, capsys, name):
+    # plain `order` reads no state, so its `states` is counted; the golden
+    # `order --strong-sep` report at the same height built the window
+    from pathlib import Path
+
+    from malgebra import cli
+
+    def built(self):
+        raise AssertionError("the window was built")
+
+    monkeypatch.setattr(RayAlgebra, "sample_states", built)
+    monkeypatch.setattr(RayAlgebra, "state_domain", built)
+    argv = ["order", str(FIXTURE_DIR / f"{name}.json"), "--height", "2", "--format", "json"]
+    assert cli.main(argv) == 0
+    golden = (Path(__file__).parent / "golden" / f"order-{name}.out").read_text(encoding="utf-8")
+    assert json.loads(capsys.readouterr().out)["model"] == json.loads(golden.split("\n", 1)[1])["model"]

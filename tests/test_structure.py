@@ -275,10 +275,13 @@ BAD_TABLE = '{"kind": "table", "states": ["0"], "zero": "0", "measurements": {"m
 @pytest.mark.parametrize("argv,ran", [
     (["check", "t2", "--loop-n", "0"], FRONT),
     (["load", BAD_TABLE], FRONT + ["models.py"]),
-    (["check", "t2"], FRONT + ["core.py", "formulas.py", "models.py"]),
+    (["check", "t2"], FRONT + ["core.py", "models.py", "syntax.py"]),
+    (["lemmas", "t3"], FRONT + ["core.py", "models.py", "syntax.py"]),
+    (["check", "f1", "--axioms", "all"], FRONT + ["core.py", "models.py"]),
     (["check", "r2"], FRONT + ["core.py", "models.py", "ratlin.py", "rays.py"]),
     (["order", "f1"], FRONT + ["connectives.py", "core.py", "models.py", "order.py"]),
-], ids=["argparse-refusal", "table-refused-on-its-shape", "check-t2", "check-r2", "order-f1"])
+], ids=["argparse-refusal", "table-refused-on-its-shape", "check-t2", "lemmas-t3", "check-f1",
+        "check-r2", "order-f1"])
 def test_a_run_executes_only_the_package_files_it_needs(tmp_path, argv, ran):
     # ``malgebra`` registers its submodules in sys.modules without running
     # them, so a run compiles only what it touches
@@ -315,7 +318,7 @@ PUBLIC_NAMES = [
     "OPTIONAL_AXIOMS", "OrderViolation", "ProjectionMeasurement", "Ray", "RayAlgebra",
     "Subspace", "TableMeasurement", "bounds_check", "build_propositional", "build_ray",
     "build_table", "check_axiom", "check_axioms", "classical_commutation_agree", "commutes",
-    "compose_raw", "conjunction", "disjunction", "eval_formula", "extent", "format_formula",
+    "compose_raw", "conjunction", "disjunction", "eval_formula", "extent",
     "implication", "is_classical", "lemma_suite", "leq", "load_model", "membership",
     "negation_of", "orthomodular_check", "parse_formula", "point_measurement", "preserves",
     "preserves_pointwise", "projection_matrix", "rational", "replay_witness",
