@@ -196,6 +196,7 @@ class MAlgebra:
 
     The rest have a default here, over those; the override is named:
 
+    * ``state_count()``: the size of the domain (rays count an unbuilt window);
     * ``summary()``: kind and sizes for a report (rays add the dimension);
     * ``state_label(code)``: ``str`` of the code's state (none);
     * ``preserves(a, b)``: the pointwise rule of ``preserves_pointwise``,
@@ -244,8 +245,11 @@ class MAlgebra:
     def sorted_measurements(self) -> list[Measurement]:
         return list(self._sorted)
 
+    def state_count(self) -> int:
+        return len(self.state_domain())
+
     def summary(self) -> dict:
-        return {"kind": self.kind, "states": len(self.state_domain()),
+        return {"kind": self.kind, "states": self.state_count(),
                 "sampled": not self.exact, "measurements": len(self._measurements)}
 
     def state_label(self, code) -> str:
@@ -324,8 +328,6 @@ class FiniteAlgebra(MAlgebra):
     and point measurements are one lookup in the mask indexes.
     """
 
-    _DIGITS = b"1" + b"0" * 255  # a translate table from NUL bytes to binary digits
-
     def __init__(self, kind, states, zero, measurements, negation_hints=None):
         super().__init__(measurements)
         self.kind = kind
@@ -337,13 +339,9 @@ class FiniteAlgebra(MAlgebra):
         self.zero_code = self._state_index.get(zero)
         self.full_mask = (1 << len(self.states)) - 1
         # the one size branch: the lane type (past 256 states the padding is empty)
-        n = len(self.states)
-        self._lane = bytes if n <= 256 else _TupleLane
-        self._pad = tuple(range(n, 256))
-        self._bits = tuple(1 << i for i in range(n))  # the masks of tuple lanes sum these
-        # a byte lane XOR these has NUL bytes where it fixes a state, or zeroes it
-        self._rows = [int.from_bytes(bytes(r), "big") for r in (range(n), [self.zero_code] * n)
-                      if n <= 256]
+        self._lane = bytes if len(self.states) <= 256 else _TupleLane
+        self._pad = tuple(range(len(self.states), 256))
+        self._bits = tuple(1 << i for i in range(len(self.states)))  # the masks sum these
         # Keyed by object identity: while a member is alive no other object
         # shares its id, so a foreign measurement never hits this cache.
         self._compiled = {id(m): self._compile(m, own=True) for m in self._sorted}
@@ -367,12 +365,8 @@ class FiniteAlgebra(MAlgebra):
                     f"measurement {m.name!r} does not act on the states: {exc.args[0]!r}"
                 ) from None
         codes = tuple(lane)
-        if self._rows:  # read off the NUL bytes, last state first
-            fp, z = (int((int.from_bytes(lane, "big") ^ row).to_bytes(len(lane), "little")
-                         .translate(self._DIGITS), 2) for row in self._rows)
-        else:
-            fp = sum(compress(self._bits, map(eq, codes, range(len(codes)))))
-            z = sum(compress(self._bits, map(eq, codes, repeat(self.zero_code))))
+        fp = sum(compress(self._bits, map(eq, codes, range(len(codes)))))
+        z = sum(compress(self._bits, map(eq, codes, repeat(self.zero_code))))
         return Compiled(codes, lane, self._lane(codes + self._pad), fp, z)
 
     def compiled(self, m: Measurement) -> Compiled:

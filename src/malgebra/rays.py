@@ -44,15 +44,17 @@ class RayAlgebra(MAlgebra):
         # measurements, and so their ids
         self._composites = {}
 
-    def summary(self) -> dict:
-        """The window counted unless built: the zero ray, the primitive
+    def state_count(self) -> int:
+        """The window's size, counted unless built: the zero ray, the primitive
         vectors of the box, and listed basis rays outside the box."""
+        if self._window is not None:
+            return len(self._window)
         h = self.sample_height
         listed = {Ray.from_vector(b) for m in self._sorted for b in m.subspace.basis}
-        states = len(self._window) if self._window is not None else 1 + primitive_count(
-            self.dim, h) + sum(max(map(abs, r.direction)) > h for r in listed)
-        return {"kind": self.kind, "states": states, "sampled": True, "measurements": len(
-            self._measurements), "dimension": self.dim, "full_lattice": self.full_lattice}
+        return 1 + primitive_count(self.dim, h) + sum(max(map(abs, r.direction)) > h for r in listed)
+
+    def summary(self) -> dict:
+        return {**super().summary(), "dimension": self.dim, "full_lattice": self.full_lattice}
 
     def sample_states(self) -> list[Ray]:
         """Deterministic ray window: primitive vectors up to the sample

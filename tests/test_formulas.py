@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from malgebra import formulas
+from malgebra import formulas, syntax
 from malgebra.errors import BudgetError, InputError
 from malgebra.formulas import (
     And,
@@ -24,6 +24,7 @@ from malgebra.formulas import (
     parse_formula,
     slots_of,
 )
+from malgebra.models import _formula_names, build_propositional
 from conftest import is_tautology, slot_masks, truth_mask
 
 
@@ -33,45 +34,6 @@ P, Q = Slot("p"), Slot("q")
 def format_formula(f, compact=False):
     """Render with the fewest parentheses that reparse to the same tree."""
     return fold(f, partial(format_node, pad="" if compact else " "))
-
-
-def minimal_formula_names(atoms):
-    """Smallest formula for every boolean function over the given atoms.
-
-    Keys are truth masks over the binary counting order of assignments (the
-    same convention as :func:`slot_masks`).  Minimality is by node count,
-    ties broken by discovery order, so the naming is deterministic.  The
-    reference for the compact names of propositional models.
-    """
-    n_rows = 1 << len(atoms)
-    full = (1 << n_rows) - 1
-    atom_mask = slot_masks(atoms)
-
-    # each candidate's mask is tested inline, and a node built only for a new
-    # one; ``best`` keeps discovery order, so its tail is the size just found
-    best = {atom_mask[name]: Slot(name) for name in atoms}
-    by_size = [[], list(best.items())]
-
-    size = 1
-    while len(best) < (1 << n_rows) and size < 25:
-        size += 1
-        start = len(best)
-        for m, f in by_size[size - 1]:
-            if full ^ m not in best:
-                best[full ^ m] = Not(f)
-        for left_size in range(1, size - 1):
-            for fm, f in by_size[left_size]:
-                not_f = full ^ fm
-                for gm, g in by_size[size - 1 - left_size]:
-                    if fm & gm not in best:
-                        best[fm & gm] = And(f, g)
-                    if fm | gm not in best:
-                        best[fm | gm] = Or(f, g)
-                    if not_f | gm not in best:
-                        best[not_f | gm] = Implies(f, g)
-        by_size.append(list(best.items())[start:])
-    assert len(best) == 1 << n_rows, "formula naming search did not converge"
-    return best
 
 
 @pytest.mark.parametrize("node,text", [
@@ -438,22 +400,19 @@ def test_over_budget_enumeration_builds_no_formula(monkeypatch):
 
 
 def test_minimal_formula_names_cover_everything():
-    names = minimal_formula_names(("p", "q"))
+    names = _formula_names(("p", "q"))
     assert len(names) == 16
-    assert format_formula(names[0b1100], compact=True) == "p"
-    assert format_formula(names[0b1010], compact=True) == "q"
-    assert format_formula(names[0b1000], compact=True) == "p&q"
-    assert format_formula(names[0b0011], compact=True) == "~p"
+    assert (names[0b1100], names[0b1010], names[0b1000], names[0b0011]) == ("p", "q", "p&q", "~p")
     # every mask really computes its own truth table
-    for mask, formula in names.items():
-        assert truth_mask(formula, ("p", "q")) == mask
+    for mask, text in names.items():
+        assert truth_mask(parse_formula(text), ("p", "q")) == mask
 
 
 def test_minimal_formula_names_three_atoms():
-    names = minimal_formula_names(("p", "q", "r"))
+    names = _formula_names(("p", "q", "r"))
     assert len(names) == 256
-    for mask, formula in names.items():
-        assert truth_mask(formula, ("p", "q", "r")) == mask
+    for mask, text in names.items():
+        assert truth_mask(parse_formula(text), ("p", "q", "r")) == mask
 
 
 def reference_minimal_formula_names(atoms):
@@ -493,24 +452,25 @@ def reference_minimal_formula_names(atoms):
     return best
 
 
+def compact_reference_names(atoms):
+    """The reference's names in compact text, in its discovery order."""
+    return [(m, format_formula(f, compact=True))
+            for m, f in reference_minimal_formula_names(atoms).items()]
+
+
 @pytest.mark.parametrize("atoms", [("p",), ("p", "q"), ("p", "q", "r")])
 def test_minimal_formula_names_match_the_reference(atoms):
-    names = minimal_formula_names(atoms)
-    reference = reference_minimal_formula_names(atoms)
-    assert sorted((m, format_formula(f)) for m, f in names.items()) == \
-        sorted((m, format_formula(f)) for m, f in reference.items())
-    # the node trees themselves, in the same discovery order
-    assert list(names.items()) == list(reference.items())
+    # the same texts, in the same discovery order
+    assert list(_formula_names(atoms).items()) == compact_reference_names(atoms)
 
 
 def test_minimal_formula_names_build_one_node_per_mask(monkeypatch):
+    # the search joins a text only for a new mask: every mask but the atoms'
     built = []
-    for ctor in ("Slot", "Not", "And", "Or", "Implies"):
-        original = globals()[ctor]
-        monkeypatch.setitem(globals(), ctor,
-                            lambda *args, _ctor=original: built.append(1) or _ctor(*args))
-    assert len(minimal_formula_names(("p", "q", "r"))) == 256
-    assert len(built) <= 256
+    monkeypatch.setattr(syntax, "join",
+                        lambda *args, _join=syntax.join: built.append(1) or _join(*args))
+    assert len(_formula_names(("p", "q", "r"))) == 256
+    assert len(built) <= 256 - 3
 
 
 def _joint_masks(f, g):
@@ -533,11 +493,7 @@ def test_essential_function_matches_joint_truth_tables(f, g):
 @given(st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True).filter(
     lambda a: a not in ("top", "bot")), min_size=1, max_size=3, unique=True))
 def test_propositional_member_names_are_the_minimal_formulas(atoms):
-    # the models build the compact text directly; the formula trees are the reference
-    from malgebra.models import _formula_names, build_propositional
-
-    expected = {m: format_formula(f, compact=True)
-                for m, f in minimal_formula_names(tuple(atoms)).items()}
+    expected = dict(compact_reference_names(tuple(atoms)))
     assert _formula_names(tuple(atoms)) == expected
     full = (1 << (1 << len(atoms))) - 1
     assert set(build_propositional(atoms).names) == {
