@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import import_module
 
 from . import models
 from .errors import (
@@ -24,6 +25,9 @@ from .errors import (
 
 # Each handler imports the modules it runs before it reads the model file:
 # a module compiled after the model is built raises the run's peak memory.
+# It validates its flags first, so a refusal compiles only what refuses it.
+# ``core`` imports the law bodies in ``laws`` when a law is first checked, so
+# ``check`` and ``lemmas`` execute ``laws`` themselves before the load.
 
 _DISPLAY = {
     "illegitimate": "Illegitimate",
@@ -130,6 +134,7 @@ def cmd_check(args) -> int:
             if name != "all" and name not in ALL_AXIOMS:
                 raise InputError(f"unknown axiom {raw.strip()!r} in --axioms")
             axioms.extend(ALL_AXIOMS if name == "all" else [name])
+    import_module(".laws", __package__)
     alg = load_model_file(args.model, args.height)
     # a law named twice runs once, where it was first named
     return _emit(args, alg.summary(), [check_axiom(alg, pid) for pid in dict.fromkeys(axioms)])
@@ -138,6 +143,7 @@ def cmd_check(args) -> int:
 def cmd_lemmas(args) -> int:
     from .core import lemma_suite
 
+    import_module(".laws", __package__)
     alg = load_model_file(args.model, args.height)
     return _emit(args, alg.summary(), lemma_suite(alg))
 
@@ -153,8 +159,6 @@ def _commuting_set(alg, names):
 
 
 def cmd_connective(args) -> int:
-    from .connectives import eval_formula
-    from .core import extent
     from .formulas import is_atom, parse_formula, slots_of
 
     binding = {}
@@ -167,6 +171,9 @@ def cmd_connective(args) -> int:
             raise InputError(f"slot {slot!r} is bound twice")
         binding[slot] = name
     formula = parse_formula(args.expr)
+    from .connectives import eval_formula
+    from .core import extent
+
     alg = load_model_file(args.model)
     # every bound name must name a member; only those the formula names must commute
     for name in binding.values():

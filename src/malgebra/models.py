@@ -113,42 +113,12 @@ def build_propositional(atoms, variant="all_theories"):
                  for m in range(1 << rows)]
     states = tuple("{" + ",".join(v for i, v in enumerate(valuations) if t >> i & 1) + "}"
                    for t in state_masks)
+    from .syntax import _formula_names  # the search that table and ray loads never compile
+
     names = _formula_names(atoms)
     names[0], names[(1 << rows) - 1] = "bot", "top"
     return core.FiniteAlgebra("propositional", states, states[0], [
         core.TableMeasurement(names[m], states=states, codes=lane) for m, lane in enumerate(lanes)])
-
-
-def _formula_names(atoms: tuple[str, ...]) -> dict[int, str]:
-    """The compact text of a smallest formula (by node count, ties broken by
-    discovery order) for each boolean function over ``atoms``, keyed by its
-    truth mask over the valuations.  A text is built only for a new mask;
-    ``best`` keeps discovery order, so its tail is the size just found."""
-    from .syntax import PRECEDENCE, join  # the printer's rule, which only the names need
-
-    k = len(atoms)
-    full = (1 << (1 << k)) - 1
-    columns = [sum(1 << i for i in range(1 << k) if i >> (k - 1 - j) & 1) for j in range(k)]
-    best = {column: (atom, PRECEDENCE[""]) for column, atom in zip(columns, atoms)}
-    by_size = [[], list(best.items())]
-
-    while len(best) <= full:
-        start, size = len(best), len(by_size)  # the size of the formulas found now
-        for m, f in by_size[-1]:
-            if full ^ m not in best:
-                best[full ^ m] = join("~", "", f), PRECEDENCE["~"]
-        for left_size in range(1, size - 1):
-            for fm, f in by_size[left_size]:
-                not_f = full ^ fm
-                for gm, g in by_size[size - 1 - left_size]:
-                    if fm & gm not in best:
-                        best[fm & gm] = join("&", "", f, g), PRECEDENCE["&"]
-                    if fm | gm not in best:
-                        best[fm | gm] = join("|", "", f, g), PRECEDENCE["|"]
-                    if not_f | gm not in best:
-                        best[not_f | gm] = join("->", "", f, g), PRECEDENCE["->"]
-        by_size.append(list(best.items())[start:])
-    return {m: text for m, (text, _) in best.items()}
 
 
 def build_ray(dimension, subspaces, full_lattice=False, sample_height=3):

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from malgebra.core import (
-    _LAWS,
     ALL_AXIOMS,
     CheckResult,
     FiniteAlgebra,
@@ -19,9 +18,6 @@ from malgebra.core import (
     Measurement,
     ProjectionMeasurement,
     TableMeasurement,
-    _all_bfs,
-    _bfs_path,
-    _pair_lemmas,
     bit_columns,
     check_axiom,
     check_axioms,
@@ -48,6 +44,7 @@ from malgebra.errors import (
     NotCommutingError,
     OrderViolation,
 )
+from malgebra.laws import _LAWS, _all_bfs, _bfs_path, _pair_lemmas
 from malgebra.models import build_ray, build_table, load_model
 from malgebra.order import bounds_check
 from malgebra.ratlin import Ray, Subspace, projection_matrix, scale_to_int, zero_matrix

@@ -24,7 +24,8 @@ from malgebra.formulas import (
     parse_formula,
     slots_of,
 )
-from malgebra.models import _formula_names, build_propositional
+from malgebra.models import build_propositional
+from malgebra.syntax import _formula_names
 from conftest import is_tautology, slot_masks, truth_mask
 
 

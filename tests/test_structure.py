@@ -1,15 +1,16 @@
 """The backend seam, read off the source: code outside the backends asks the
-protocol, never a backend class, and ``core`` does not depend on ``rays``; a
-run executes only the package files it needs, and no module imports
-``dataclasses``, which would load ``inspect`` into every run; the formula
-nodes share one ``==`` and hash; the package exports the same
-public names, each with a caller in the package; ``core`` stays small enough for the parser's first token array;
-no module imports a name it never uses, and no module-level function or class
-goes unused; the finite backend finds negations and point measurements by
-index lookup; ray composites multiply rational matrices only in
-``compose_raw``; classicality and the negation laws are read off the protocol,
-with no backend hook and no caught exception; the README's synopsis names the
-options the parser defines, and its library example runs as printed."""
+protocol, never a backend class, and neither ``core`` nor the law bodies in
+``laws`` depend on ``rays``; a run executes only the package files it needs,
+and no module imports ``dataclasses``, which would load ``inspect`` into
+every run; the formula nodes share one ``==`` and hash; the package exports
+the same public names, each with a caller in the package; every module stays
+small enough for the parser's first token array; no module imports a name it
+never uses, and no module-level function or class goes unused; the finite
+backend finds negations and point measurements by index lookup; ray
+composites multiply rational matrices only in ``compose_raw``; classicality
+and the negation laws are read off the protocol, with no backend hook and no
+caught exception; the README's synopsis names the options the parser defines,
+and its library example runs as printed."""
 
 import argparse
 import ast
@@ -32,6 +33,8 @@ from malgebra.ratlin import Ray
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "malgebra"
 MODULES = sorted(PACKAGE.glob("*.py"))
 BACKENDS = {"FiniteAlgebra", "RayAlgebra"}
+# the algebra and its law bodies, which ``core``'s check entry points run
+LAW_MODULES = [PACKAGE / "core.py", PACKAGE / "laws.py"]
 
 
 def parse(path):
@@ -155,7 +158,8 @@ def test_formula_nodes_share_one_eq_and_hash():
 
 
 def test_core_imports_nothing_from_rays():
-    assert "rays" not in set(imported_names(parse(PACKAGE / "core.py")))
+    for path in LAW_MODULES:
+        assert "rays" not in set(imported_names(parse(path))), path.name
 
 
 def test_ray_composites_have_one_rational_path():
@@ -174,15 +178,15 @@ def test_ray_composites_have_one_rational_path():
 def test_laws_range_over_one_list_of_state_codes():
     # a backend names only ``state_domain``; fixpoints and zeros are read off
     # ``action``, and checker and replay hand every law its state codes alike
-    from malgebra import core
+    from malgebra import core, laws
 
     domains = [f"{path.name}:{node.name}.{item.name}" for path in MODULES
                for node in ast.walk(parse(path)) if isinstance(node, ast.ClassDef)
                for item in node.body if isinstance(item, ast.FunctionDef)
                and item.name in ("fixpoint_domain", "zero_domain")]
     assert domains == []
-    assert not {"_Pinned", "_by_state"} & set(vars(core))
-    for pid, (law, _) in core._LAWS.items():
+    assert not {"_Pinned", "_by_state"} & (set(vars(core)) | set(vars(laws)))
+    for pid, (law, _) in laws._LAWS.items():
         assert list(inspect.signature(law).parameters)[:3] == ["alg", "ms", "states"], pid
 
 
@@ -215,14 +219,14 @@ def test_classicality_and_the_negation_laws_need_no_backend_hook():
              and node.name in BACKENDS | {"MAlgebra"} for item in node.body if isinstance(item, ast.FunctionDef)
              and item.name in ("is_zero", "is_classical", "commutation_probes")]
     assert hooks == []
-    laws = {node.name: node for node in parse(PACKAGE / "core.py").body
+    laws = {node.name: node for path in LAW_MODULES for node in parse(path).body
             if isinstance(node, ast.FunctionDef)}
     for name in ("_negation", "_double_negation"):
         assert not any(isinstance(node, ast.Try) for node in ast.walk(laws[name])), name
 
 
 def test_core_never_compares_a_backend_kind():
-    compares = [node.lineno for node in ast.walk(parse(PACKAGE / "core.py"))
+    compares = [f"{path.name}:{node.lineno}" for path in LAW_MODULES for node in ast.walk(parse(path))
                 if isinstance(node, ast.Compare) and "kind" in names_in(node)]
     assert compares == []
 
@@ -235,10 +239,11 @@ def parser_tokens(path):
                    if tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING))
 
 
-def test_core_stays_under_the_parser_token_step():
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_module_stays_under_the_parser_token_step(path):
     # Past 8,192 tokens CPython's parser doubles its token array, which adds
-    # 0.2-0.5 MB to the peak RSS of every run that compiles core.py.
-    assert parser_tokens(PACKAGE / "core.py") < 8192
+    # 0.2-0.5 MB to the peak RSS of every run that compiles the module.
+    assert parser_tokens(path) < 8192
 
 
 # Runs the CLI as ``python -m malgebra.cli`` does, or with "load" first loads a
@@ -272,21 +277,35 @@ FRONT = ["__init__.py", "cli.py", "errors.py"]
 BAD_TABLE = '{"kind": "table", "states": ["0"], "zero": "0", "measurements": {"m": {"0": 1}}}'
 
 
+# Only ``check`` and ``lemmas`` run the law bodies in ``laws.py``.
+LOADED = FRONT + ["core.py", "models.py"]
+
+
 @pytest.mark.parametrize("argv,ran", [
     (["check", "t2", "--loop-n", "0"], FRONT),
     (["load", BAD_TABLE], FRONT + ["models.py"]),
-    (["check", "t2"], FRONT + ["core.py", "models.py", "syntax.py"]),
-    (["lemmas", "t3"], FRONT + ["core.py", "models.py", "syntax.py"]),
-    (["check", "f1", "--axioms", "all"], FRONT + ["core.py", "models.py"]),
-    (["check", "r2"], FRONT + ["core.py", "models.py", "ratlin.py", "rays.py"]),
-    (["order", "f1"], FRONT + ["connectives.py", "core.py", "models.py", "order.py"]),
-], ids=["argparse-refusal", "table-refused-on-its-shape", "check-t2", "lemmas-t3", "check-f1",
-        "check-r2", "order-f1"])
+    (["load", "f1"], LOADED),
+    (["load", "t2"], LOADED + ["syntax.py"]),
+    (["load", "r2"], LOADED + ["ratlin.py", "rays.py"]),
+    # an unknown law is refused before the law bodies compile
+    (["check", "t2", "--axioms", "bogus"], FRONT + ["core.py"]),
+    (["check", "t2"], LOADED + ["laws.py", "syntax.py"]),
+    (["lemmas", "t3"], LOADED + ["laws.py", "syntax.py"]),
+    (["check", "f1", "--axioms", "all"], LOADED + ["laws.py"]),
+    (["check", "r2"], LOADED + ["laws.py", "ratlin.py", "rays.py"]),
+    (["order", "f1"], LOADED + ["connectives.py", "order.py"]),
+    (["tautology", "t2", "--commuting", "bot,p,q,top", "--depth", "2"],
+     LOADED + ["connectives.py", "formulas.py", "logic.py", "syntax.py"]),
+    # a malformed formula is refused before the algebra's modules compile
+    (["connective", "t2", "--expr", "~~(a", "--bind", "a=p"], FRONT + ["formulas.py", "syntax.py"]),
+], ids=["argparse-refusal", "table-refused-on-its-shape", "load-f1", "load-t2", "load-r2",
+        "check-unknown-axiom", "check-t2", "lemmas-t3", "check-f1", "check-r2", "order-f1", "tautology-t2",
+        "connective-malformed-expr"])
 def test_a_run_executes_only_the_package_files_it_needs(tmp_path, argv, ran):
     # ``malgebra`` registers its submodules in sys.modules without running
     # them, so a run compiles only what it touches
     fixtures = PACKAGE.parent.parent / "fixtures"
-    if argv[0] == "load":
+    if argv[1].startswith("{"):
         (tmp_path / "bad.json").write_text(argv[1], encoding="utf-8")
         argv = ["load", str(tmp_path / "bad.json")]
     else:
